@@ -55,6 +55,7 @@ from .graphs import (
     unit_sphere,
 )
 from .morse import (
+    Filtration,
     FiltrationEvent,
     MorseComplex,
     MorseReport,

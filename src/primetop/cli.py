@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,15 +44,7 @@ from .graphs import (
     kummer_involution,
     verify_component_diameter_bound,
 )
-from .morse import (
-    barycentric_morse_complex,
-    betti_timeline,
-    chi_timeline,
-    classify_vertex,
-    critical_counts,
-    morse_betti,
-    morse_inequality_check,
-)
+from .morse import Filtration, barycentric_morse_complex, morse_betti, morse_inequality_check
 from .topology import inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
@@ -114,30 +108,78 @@ class CacheRecord:
         )
 
 
+_RECORD_TYPES = {
+    "kind": str,
+    "n": int,
+    "fvector": list,
+    "betti": list,
+    "chi": int,
+    "mertens": int,
+    "critical_counts": list,
+    "tool_version": str,
+    "field_prime": int,
+}
+
+
+def _parse_record(line: str) -> CacheRecord | None:
+    """The record on one cache line, or None if the line is not a well-typed record."""
+    try:
+        raw = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(raw, dict) or raw.keys() != _RECORD_TYPES.keys():
+        return None
+    for key, want in _RECORD_TYPES.items():
+        value = raw[key]
+        if type(value) is not want:
+            return None
+        if want is list and any(type(x) is not int for x in value):
+            return None
+    return CacheRecord(**raw)
+
+
 def _load_cache(path: str, kind: str, field_prime: int) -> dict[int, CacheRecord]:
+    """Matching records of the cache file, which is rewritten without its corrupt lines.
+
+    A corrupt line costs only itself: the records on both sides of it are kept.
+    The rewrite goes through a temporary file and a rename, so an interrupted
+    run leaves either the old file or the new one.
+    """
     records: dict[int, CacheRecord] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     except FileNotFoundError:
         return records
-    good = 0
-    for line in lines:
+    kept, corrupt = [], False
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
-            good += 1
             continue
-        try:
-            raw = json.loads(line)
-            rec = CacheRecord(**raw)
-        except (json.JSONDecodeError, TypeError):
-            print(f"warning: truncating corrupt cache tail at line {good + 1}", file=sys.stderr)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("".join(l + "\n" for l in lines[:good]))
-            break
-        good += 1
+        rec = _parse_record(line)
+        if rec is None:
+            print(f"warning: truncating corrupt cache line {lineno}; the other records are kept", file=sys.stderr)
+            corrupt = True
+            continue
+        kept.append(line)
         if rec.tool_version == __version__ and rec.field_prime == field_prime and rec.kind == kind:
             records[rec.n] = rec
+    # a last line without its newline would swallow the next appended record
+    if corrupt or (text and not text.endswith("\n")):
+        _rewrite(path, "".join(line + "\n" for line in kept))
     return records
+
+
+def _rewrite(path: str, text: str) -> None:
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".cache-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _append_cache(path: str, records: list[CacheRecord]) -> None:
@@ -206,10 +248,12 @@ def cmd_table(config: RunConfig) -> int:
         print(f"error: n_max {n_max} exceeds sieve limit {sieve.limit}", file=sys.stderr)
         return 2
     G = build_graph(GraphKind(config.kind, n_max), sieve)
-    events = [classify_vertex(G, lambda v: v, x, sieve=sieve) for x in G.labels]
+    filtration = Filtration(G, sieve, config.field_prime)
     mert = mertens_table(sieve, n_max)
     tables = pi_k_tables(sieve, n_max, 4)
     cached = _load_cache(config.cache_path, config.kind, config.field_prime) if config.cache_path else {}
+    todo = [n for n in range(2, n_max + 1) if n not in cached]
+    critical = {n: filtration.critical_counts(n) for n in todo}
 
     def compute(n: int) -> CacheRecord:
         sub = [v for v in G.labels if v <= n]
@@ -222,12 +266,11 @@ def cmd_table(config: RunConfig) -> int:
             betti=list(bv.b),
             chi=euler_characteristic(K),
             mertens=int(mert[n]),
-            critical_counts=critical_counts(events, n),
+            critical_counts=critical[n],
             tool_version=__version__,
             field_prime=config.field_prime,
         )
 
-    todo = [n for n in range(2, n_max + 1) if n not in cached]
     fresh: dict[int, CacheRecord] = {}
     try:
         if config.threads > 1 and todo:
@@ -277,8 +320,8 @@ def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     return out
 
 
-def check_mertens(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
-    chi = chi_timeline(G, config.n_max)
+def check_mertens(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    chi = F.chi
     mert = mertens_table(sieve, config.n_max)
     for n in range(2, config.n_max + 1):
         if chi[n] != 1 - mert[n]:
@@ -286,11 +329,10 @@ def check_mertens(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool
     return True, f"chi(G(n)) = 1 - M(n) for 2 <= n <= {config.n_max}"
 
 
-def check_hopf(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
-    chi = chi_timeline(G, config.n_max)
-    events = [classify_vertex(G, lambda v: v, x, sieve=sieve) for x in G.labels]
+def check_hopf(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    chi = F.chi
     total = 0
-    by_n = {ev.n: ev for ev in events}
+    by_n = {ev.n: ev for ev in F.events}
     for n in range(2, config.n_max + 1):
         ev = by_n.get(n)
         if ev is not None:
@@ -302,28 +344,26 @@ def check_hopf(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, s
     return True, f"indices sum to chi and equal -mu up to n={config.n_max}"
 
 
-def _morse_sweep(config: RunConfig, sieve: FactorSieve, G: Graph, strong: bool) -> tuple[bool, str]:
-    timeline = betti_timeline(G, field_prime=config.field_prime)
-    events = [classify_vertex(G, lambda v: v, x, sieve=sieve) for x in G.labels]
+def _morse_sweep(config: RunConfig, F: Filtration, strong: bool) -> tuple[bool, str]:
+    timeline = F.betti
     for n in range(2, config.n_max + 1):
         b = [int(timeline[k][n]) for k in sorted(timeline)]
-        c = critical_counts(events, n)
-        weak_ok, strong_ok, _ = morse_inequality_check(b, c)
+        weak_ok, strong_ok, _ = morse_inequality_check(b, F.critical_counts(n))
         ok = strong_ok if strong else weak_ok
         if not ok:
             return False, f"first counterexample n={n}"
     return True, f"inequalities hold for 2 <= n <= {config.n_max}"
 
 
-def check_diameter(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
-    bad = verify_component_diameter_bound(G, config.n_max, bound=5, anchor=2)
+def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    bad = verify_component_diameter_bound(F.G, config.n_max, bound=5, anchor=2)
     if bad is not None:
         return False, f"first counterexample n={bad}"
     return True, f"component diameter <= 5 for 4 <= n <= {config.n_max}"
 
 
-def check_formulas(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
-    timeline = betti_timeline(G, field_prime=config.field_prime)
+def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    timeline = F.betti
     tables = pi_k_tables(sieve, config.n_max, 4)
     for n in range(4, config.n_max + 1):
         b0 = int(timeline[0][n])
@@ -339,7 +379,8 @@ def check_formulas(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[boo
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 
-def check_morse_equiv(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
+def check_morse_equiv(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    G = F.G
     for H in _corpus_small_graphs():
         got = morse_betti(barycentric_morse_complex(H), field_prime=config.field_prime)
         want = tuple(betti_numbers(whitney_complex(H), field_prime=config.field_prime).b)
@@ -354,7 +395,7 @@ def check_morse_equiv(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[
     return True, "Morse cohomology equals simplicial cohomology on the corpus"
 
 
-def check_kummer(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
+def check_kummer(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
     m = primorial(config.d)
     if m > sieve.limit:
         sieve = FactorSieve(m)
@@ -377,7 +418,7 @@ def check_kummer(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool,
     return True, f"Divisor({m}): sphere dim {want_dim}, betti {tuple(b)}, duality ok, involution ok, lefschetz (0, 0)"
 
 
-def check_kunneth(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
+def check_kunneth(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
     corpus = {
         "K1": complete_graph(1),
         "K2": complete_graph(2),
@@ -406,7 +447,8 @@ def check_kunneth(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool
     return True, "product laws hold on the pair corpus"
 
 
-def check_witten(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool, str]:
+def check_witten(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    G = F.G
     for n in range(2, min(config.n_max, 60) + 1):
         sub = induced_subgraph(G, [v for v in G.labels if v <= n])
         K = whitney_complex(sub)
@@ -423,8 +465,8 @@ def check_witten(config: RunConfig, sieve: FactorSieve, G: Graph) -> tuple[bool,
 CHECK_FUNCS = {
     "mertens": check_mertens,
     "hopf": check_hopf,
-    "morse-weak": lambda cfg, sieve, G: _morse_sweep(cfg, sieve, G, strong=False),
-    "morse-strong": lambda cfg, sieve, G: _morse_sweep(cfg, sieve, G, strong=True),
+    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, strong=False),
+    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, strong=True),
     "diameter": check_diameter,
     "formulas": check_formulas,
     "morse-equiv": check_morse_equiv,
@@ -434,12 +476,19 @@ CHECK_FUNCS = {
 }
 
 
+# checks that never read the filtration, which is then not built at all
+GRAPH_FREE_CHECKS = frozenset({"kummer", "kunneth"})
+
+
 def cmd_verify(config: RunConfig) -> int:
-    sieve = FactorSieve(config.sieve_limit or max(config.n_max, primorial(config.d), 2))
-    G = build_graph(GraphKind(config.kind, config.n_max), sieve)
+    divisor_m = primorial(config.d) if "kummer" in config.checks else 0
+    sieve = FactorSieve(config.sieve_limit or max(config.n_max, divisor_m, 2))
+    F = None
+    if not GRAPH_FREE_CHECKS.issuperset(config.checks):
+        F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve, config.field_prime)
     all_ok = True
     for name in config.checks:
-        ok, detail = CHECK_FUNCS[name](config, sieve, G)
+        ok, detail = CHECK_FUNCS[name](config, sieve, F)
         all_ok &= ok
         print(f"{name}: {'pass' if ok else 'FAIL'} - {detail}")
     return 0 if all_ok else 1
@@ -518,6 +567,8 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
     args = parser.parse_args(argv)
     config = RunConfig(command=args.command)
     config.kind = args.kind
+    if not (3 <= args.field_prime <= 2**31 - 1 and _is_odd_prime(args.field_prime)):
+        parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
     config.field_prime = args.field_prime
     config.sieve_limit = args.sieve_limit
     config.threads = max(1, args.threads)
@@ -538,10 +589,16 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")
         config.checks = names
+        if not 2 <= args.d <= 15:
+            parser.error("--d must be in [2, 15]")
         config.d = args.d
     if args.command == "series":
         config.what = args.what
     return parser, config
+
+
+def _is_odd_prime(p: int) -> bool:
+    return p % 2 == 1 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
 
 
 def main(argv=None) -> int:

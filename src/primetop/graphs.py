@@ -348,48 +348,54 @@ def path_graph(k: int) -> Graph:
 def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor: int = 2) -> int | None:
     """First n in [4, n_max] where the anchor component's diameter exceeds bound.
 
-    Returns None when the bound holds everywhere.  Distances between existing
-    vertices only shrink as the filtration grows, so each pair needs checking
-    only at the first n where both ends sit in the anchor's component; a BFS
-    from every vertex at its own join time covers all pairs.
+    G is a prime, integer or divisor graph.  Returns None when the bound holds
+    everywhere.  Distances between existing vertices only shrink as the
+    filtration grows, so each pair needs checking only at the first n where
+    both ends sit in the anchor's component; a BFS from every vertex at its
+    own join time covers all pairs.
     """
     if not G.has_vertex(anchor):
         raise InvalidArgumentError(f"unknown anchor {anchor}")
-
-    def in_component(v: int, n: int) -> bool:
-        # squarefree divisibility graphs: composites attach on arrival, a
-        # prime p joins when 2p arrives
-        if v > n:
-            return False
-        return v == anchor or not _is_prime_label(v) or 2 * v <= n
-
-    def joins_at(v: int) -> int:
-        if v == anchor:
-            return v
-        return 2 * v if _is_prime_label(v) else v
-
-    events: dict[int, list[int]] = {}
-    for v in G.labels:
-        events.setdefault(joins_at(v), []).append(v)
-    for n in range(4, n_max + 1):
-        for w in events.get(n, ()):
-            if not in_component(w, n):
-                continue
-            members = {v for v in G.labels if in_component(v, n)}
-            dist = bfs_distances(G, w, within=members)
-            if len(dist) != len(members):
+    adjacency = G.adjacency
+    anchor_index = G._index[anchor]
+    # A composite attaches on arrival and a prime p joins when 2p arrives.  In
+    # a divisibility graph a label is prime iff it has no smaller neighbour.
+    joins: dict[int, list[int]] = {}
+    for i, v in enumerate(G.labels):
+        prime = i != anchor_index and (not adjacency[i] or adjacency[i][0] > i)
+        joins.setdefault(2 * v if prime else v, []).append(i)
+    member = bytearray(G.n_vertices)
+    size = 0
+    for n in sorted(t for t in joins if t <= n_max):
+        for i in joins[n]:
+            member[i] = 1
+        size += len(joins[n])
+        if n < 4:
+            continue
+        for i in joins[n]:
+            eccentricity, reached = _eccentricity(adjacency, i, member)
+            if reached != size:
                 raise InternalConsistencyError(f"anchor component disconnected at n={n}")
-            if max(dist.values()) > bound:
+            if eccentricity > bound:
                 return n
     return None
 
 
-def _is_prime_label(v: int) -> bool:
-    if v < 2:
-        return False
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            return False
-        p += 1
-    return True
+def _eccentricity(adjacency, source: int, member: bytearray) -> tuple[int, int]:
+    """(eccentricity of source, vertices reached) by BFS inside member."""
+    unseen = member[:]
+    unseen[source] = 0
+    frontier = [source]
+    depth, reached = 0, 1
+    while True:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if unseen[w]:
+                    unseen[w] = 0
+                    nxt.append(w)
+        if not nxt:
+            return depth, reached
+        depth += 1
+        reached += len(nxt)
+        frontier = nxt

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -365,16 +366,17 @@ def morse_betti(
 # --- filtration-wide invariants ---------------------------------------------
 
 
-def chi_timeline(G: Graph, n_max: int | None = None) -> np.ndarray:
-    """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
+def _timeline_top(G: Graph, n_max: int | None) -> int:
     if n_max is not None:
-        top = n_max
-    elif G.param is not None:
-        top = G.param
-    else:
-        top = max(G.labels) if G.labels else 0
+        return n_max
+    if G.param is not None:
+        return G.param
+    return max(G.labels) if G.labels else 0
+
+
+def _chi_from_simplices(simplices, top: int) -> np.ndarray:
     out = np.zeros(top + 1, dtype=np.int64)
-    for k, dim in enumerate(cliques(G)):
+    for k, dim in enumerate(simplices):
         sign = -1 if k % 2 else 1
         for s in dim:
             if s[-1] <= top:
@@ -383,23 +385,8 @@ def chi_timeline(G: Graph, n_max: int | None = None) -> np.ndarray:
     return out
 
 
-def betti_timeline(
-    G: Graph, field_prime: int = DEFAULT_FIELD_PRIME, n_max: int | None = None
-) -> dict[int, np.ndarray]:
-    """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
-
-    Columns enter in the order their simplices appear (top vertex label, then
-    dimension, then lexicographically); a column that reduces to zero over
-    GF(p) creates a class in its dimension, otherwise it kills the class of
-    its pivot row.  Exact over GF(field_prime).
-    """
-    if n_max is not None:
-        top = n_max
-    elif G.param is not None:
-        top = G.param
-    else:
-        top = max(G.labels) if G.labels else 0
-    order = sorted((s[-1], len(s) - 1, s) for k in cliques(G) for s in k if s[-1] <= top)
+def _betti_from_simplices(simplices, top: int, field_prime: int) -> dict[int, np.ndarray]:
+    order = sorted((s[-1], len(s) - 1, s) for k in simplices for s in k if s[-1] <= top)
     position = {entry[2]: i for i, entry in enumerate(order)}
     max_dim = max((e[1] for e in order), default=-1)
     births = {k: np.zeros(top + 1, dtype=np.int64) for k in range(max_dim + 1)}
@@ -436,3 +423,82 @@ def betti_timeline(
     for k in range(max_dim + 1):
         out[k] = np.cumsum(births[k] - deaths[k])
     return out
+
+
+def chi_timeline(G: Graph, n_max: int | None = None) -> np.ndarray:
+    """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
+    return _chi_from_simplices(cliques(G), _timeline_top(G, n_max))
+
+
+def betti_timeline(
+    G: Graph, field_prime: int = DEFAULT_FIELD_PRIME, n_max: int | None = None
+) -> dict[int, np.ndarray]:
+    """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
+
+    Columns enter in the order their simplices appear (top vertex label, then
+    dimension, then lexicographically); a column that reduces to zero over
+    GF(p) creates a class in its dimension, otherwise it kills the class of
+    its pivot row.  Exact over GF(field_prime).
+    """
+    return _betti_from_simplices(cliques(G), _timeline_top(G, n_max), field_prime)
+
+
+class Filtration:
+    """The filtration of G by the counting function, computed lazily and once.
+
+    Each field is computed on first use and then kept, so every check that
+    reads the same field shares one computation: both timelines read one
+    clique enumeration, and the critical counts read one classification of
+    every vertex.  Timelines run over n = 0..top, where top is G.param (the
+    largest label when G has no parameter).
+    """
+
+    def __init__(
+        self, G: Graph, sieve: FactorSieve | None = None, field_prime: int = DEFAULT_FIELD_PRIME
+    ):
+        self.G = G
+        self.sieve = sieve
+        self.field_prime = field_prime
+        self.top = _timeline_top(G, None)
+
+    @cached_property
+    def simplices(self) -> list[list[tuple[int, ...]]]:
+        """cliques(G): every simplex of the Whitney complex, by dimension."""
+        return cliques(self.G)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """chi_timeline(G): chi(G(n)) for n = 0..top."""
+        return _chi_from_simplices(self.simplices, self.top)
+
+    @cached_property
+    def betti(self) -> dict[int, np.ndarray]:
+        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top."""
+        return _betti_from_simplices(self.simplices, self.top, self.field_prime)
+
+    @cached_property
+    def events(self) -> list[FiltrationEvent]:
+        """classify_vertex for every vertex of G under f(x) = x, in label order."""
+        return [classify_vertex(self.G, _identity, x, sieve=self.sieve) for x in self.G.labels]
+
+    @cached_property
+    def critical(self) -> np.ndarray:
+        """critical[m, n] = c_m(n), the critical events of index m up to n."""
+        width = 1 + max((ev.morse_index for ev in self.events if ev.kind == "critical"), default=-1)
+        out = np.zeros((width, self.top + 1), dtype=np.int64)
+        for ev in self.events:
+            if ev.kind == "critical":
+                out[ev.morse_index, ev.n] += 1
+        np.cumsum(out, axis=1, out=out)
+        return out
+
+    def critical_counts(self, n: int) -> list[int]:
+        """critical_counts(events, n), read from the cumulative counts."""
+        counts = self.critical[:, n].tolist()
+        while counts and not counts[-1]:
+            counts.pop()
+        return counts
+
+
+def _identity(x: int) -> int:
+    return x

@@ -118,3 +118,96 @@ def test_series_wu(tmp_path):
         _, wu, _ = line.split(",")
         int(wu)  # integers throughout
     assert lines[1] == "2,1,85"
+
+
+def test_table_corrupt_middle_line_keeps_both_sides(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    out, out2 = tmp_path / "o.csv", tmp_path / "o2.csv"
+    assert run_main(["table", "--n-max", "12", "--cache", str(cache), "--out", str(out)]) == 0
+    lines = cache.read_text().splitlines()
+    wrong_type = json.loads(lines[7])
+    wrong_type["n"] = str(wrong_type["n"])
+    damaged = lines[:3] + ['{"kind": "prime", "n": 5, CORRUPT'] + lines[3:7] + [json.dumps(wrong_type)] + lines[8:]
+    cache.write_text("\n".join(damaged) + "\n")
+    records = cli._load_cache(str(cache), "prime", cli.DEFAULT_FIELD_PRIME)
+    assert "truncating corrupt cache line 4" in capsys.readouterr().err
+    assert sorted(records) == [n for n in range(2, 13) if n != 9]
+    assert cache.read_text().splitlines() == lines[:7] + lines[8:]
+    # the next run recomputes only the record that had a wrong field type
+    assert run_main(["table", "--n-max", "12", "--cache", str(cache), "--out", str(out2)]) == 0
+    assert out.read_bytes() == out2.read_bytes()
+    assert sorted(json.loads(line)["n"] for line in cache.read_text().splitlines()) == list(range(2, 13))
+
+
+def test_cache_line_without_newline_is_not_glued_to_the_next(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    out = tmp_path / "o.csv"
+    assert run_main(["table", "--n-max", "8", "--cache", str(cache), "--out", str(out)]) == 0
+    text = cache.read_text()
+    cache.write_text(text.rstrip("\n"))
+    assert run_main(["table", "--n-max", "10", "--cache", str(cache), "--out", str(out)]) == 0
+    assert [json.loads(line)["n"] for line in cache.read_text().splitlines()] == list(range(2, 11))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--checks", "formulas,morse-strong", "--field-prime", "4"],
+        ["verify", "--checks", "formulas", "--field-prime", "2"],
+        ["verify", "--checks", "formulas", "--field-prime", str(2**31 + 11)],
+        ["table", "--n-max", "10", "--field-prime", "1"],
+        ["verify", "--checks", "mertens", "--d", "1"],
+        ["verify", "--checks", "mertens", "--d", "0"],
+        ["verify", "--checks", "kummer", "--d", "16"],
+    ],
+)
+def test_invalid_configuration_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+
+
+def test_small_field_prime_accepted(capsys):
+    assert run_main(["verify", "--checks", "formulas,morse-strong", "--n-max", "60", "--field-prime", "3"]) == 0
+    assert capsys.readouterr().out.count("pass") == 2
+
+
+def test_sieve_sized_by_primorial_only_for_kummer(monkeypatch, capsys):
+    limits = []
+    real_sieve = cli.FactorSieve
+
+    def small_sieve(limit):
+        limits.append(limit)
+        assert limit <= 10**4, f"sieve of {limit} entries"
+        return real_sieve(limit)
+
+    monkeypatch.setattr(cli, "FactorSieve", small_sieve)
+    assert run_main(["verify", "--checks", "mertens", "--d", "15", "--n-max", "30"]) == 0
+    assert run_main(["verify", "--checks", "kummer", "--d", "4", "--n-max", "30"]) == 0
+    assert limits == [30, 210]
+
+
+def test_verify_combined_equals_single_checks(capsys):
+    base = ["verify", "--n-max", "60", "--d", "3"]
+    assert run_main(base) == 0
+    combined = capsys.readouterr().out
+    singles = []
+    for name in cli.ALL_CHECKS:
+        assert run_main(base + ["--checks", name]) == 0
+        singles.append(capsys.readouterr().out)
+    assert combined == "".join(singles)
+    assert len(combined.splitlines()) == len(cli.ALL_CHECKS)
+
+
+def test_verify_is_lazy(monkeypatch, capsys):
+    import primetop.morse as morse
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not needed by the selected checks")
+
+    monkeypatch.setattr(morse, "cliques", forbidden)
+    monkeypatch.setattr(morse, "classify_vertex", forbidden)
+    assert run_main(["verify", "--checks", "diameter", "--n-max", "120"]) == 0
+    monkeypatch.setattr(cli, "Filtration", forbidden)
+    assert run_main(["verify", "--checks", "kummer,kunneth", "--d", "3", "--n-max", "30"]) == 0
+    assert capsys.readouterr().out.count("pass") == 3

@@ -19,7 +19,8 @@ from primetop import (
     unit_sphere,
     whitney_complex,
 )
-from primetop.graphs import cliques, complete_graph, cycle_graph, verify_component_diameter_bound
+from primetop.errors import InternalConsistencyError
+from primetop.graphs import bfs_distances, cliques, complete_graph, cycle_graph, verify_component_diameter_bound
 
 
 def test_build_graph_examples(sieve):
@@ -88,6 +89,62 @@ def test_diameter_bound_sweep_small(sieve):
     for n in (15, 60, 120):
         sub = induced_subgraph(G, [v for v in G.labels if v <= n])
         assert component_diameter(sub, 2) <= 5
+
+
+def _is_prime_label(v: int) -> bool:
+    return v >= 2 and all(v % p for p in range(2, int(v**0.5) + 1))
+
+
+def diameter_bound_oracle(G, n_max, bound=5, anchor=2):
+    """The literal sweep: rebuild the member set by trial division at every join event."""
+
+    def in_component(v, n):
+        if v > n:
+            return False
+        return v == anchor or not _is_prime_label(v) or 2 * v <= n
+
+    def joins_at(v):
+        if v == anchor:
+            return v
+        return 2 * v if _is_prime_label(v) else v
+
+    events = {}
+    for v in G.labels:
+        events.setdefault(joins_at(v), []).append(v)
+    for n in range(4, n_max + 1):
+        for w in events.get(n, ()):
+            if not in_component(w, n):
+                continue
+            members = {v for v in G.labels if in_component(v, n)}
+            dist = bfs_distances(G, w, within=members)
+            if len(dist) != len(members):
+                raise InternalConsistencyError(f"anchor component disconnected at n={n}")
+            if max(dist.values()) > bound:
+                return n
+    return None
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 400), ("integer", 200), ("divisor", 2310)])
+def test_diameter_bound_matches_literal_sweep(sieve, kind, n_max):
+    G = build_graph(GraphKind(kind, n_max), sieve)
+    # the shorter sweeps end before some of the first failures
+    for stop in (5, 9, 14, n_max):
+        for bound in range(1, 6):
+            got = verify_component_diameter_bound(G, stop, bound)
+            assert got == diameter_bound_oracle(G, stop, bound), (stop, bound)
+
+
+def test_diameter_bound_disconnection_error(sieve):
+    # 3 and 6 join at n = 6 but nothing links them to the anchor's side {2, 4}
+    G = Graph([2, 3, 4, 6], [(2, 4), (3, 6)])
+    for sweep in (verify_component_diameter_bound, diameter_bound_oracle):
+        with pytest.raises(InternalConsistencyError, match="disconnected at n=6"):
+            sweep(G, 10)
+    # with anchor 3, the prime 2 joins alone at n = 4
+    P = build_graph(GraphKind.prime(30), sieve)
+    for sweep in (verify_component_diameter_bound, diameter_bound_oracle):
+        with pytest.raises(InternalConsistencyError, match="disconnected at n=4"):
+            sweep(P, 30, anchor=3)
 
 
 def test_prime_is_squarefree_restriction_of_integer(sieve):

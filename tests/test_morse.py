@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primetop import (
     ClassificationError,
+    Filtration,
     GraphKind,
     InvalidArgumentError,
     barycentric_morse_complex,
@@ -21,7 +25,7 @@ from primetop import (
     stable_sphere,
     whitney_complex,
 )
-from primetop.graphs import complete_graph, cycle_graph
+from primetop.graphs import cliques, complete_graph, cycle_graph
 
 ident = lambda v: v
 
@@ -218,3 +222,56 @@ def test_sphere_birth_death_rule(sieve):
             assert delta == -1, n
         else:
             assert delta == 0, n
+
+
+def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
+    F = Filtration(G, sieve, field_prime)
+    top = G.param
+    assert F.simplices == cliques(G)
+    assert np.array_equal(F.chi, chi_timeline(G))
+    want = betti_timeline(G, field_prime)
+    assert sorted(F.betti) == sorted(want)
+    for k in want:
+        assert np.array_equal(F.betti[k], want[k]), k
+    events = [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
+    assert F.events == events
+    for n in range(top + 1):
+        assert F.critical_counts(n) == critical_counts(events, n), n
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200)])
+def test_filtration_fields_match_oracles(sieve, kind, n):
+    assert_filtration_matches_oracles(build_graph(GraphKind(kind, n), sieve), sieve)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["prime", "integer"]),
+    n=st.integers(2, 250),
+    field_prime=st.sampled_from([3, 7, 2_147_483_647]),
+)
+def test_filtration_fields_match_oracles_any_n(sieve, kind, n, field_prime):
+    assert_filtration_matches_oracles(build_graph(GraphKind(kind, n), sieve), sieve, field_prime)
+
+
+def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
+    import primetop.morse as morse
+
+    calls = {"cliques": 0, "classify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
+    monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
+    G = build_graph(GraphKind.prime(60), sieve)
+    F = Filtration(G, sieve)
+    assert calls == {"cliques": 0, "classify": 0}
+    assert F.chi is F.chi and F.betti is F.betti
+    assert calls == {"cliques": 1, "classify": 0}
+    assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
+    assert F.events is F.events
+    assert calls == {"cliques": 1, "classify": G.n_vertices}
