@@ -1,8 +1,9 @@
 """Command-line surface: build/table/verify/series with a JSONL result cache.
 
 All outputs are byte-deterministic for a fixed configuration: rows are
-assembled in ascending n regardless of thread count, floats are printed with
-repr, exact rationals as "p/q", and booleans as lowercase true/false.
+assembled in ascending n, floats are printed with repr, exact rationals as
+"p/q", and booleans as lowercase true/false.  `--threads` is accepted and
+ignored; every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +44,7 @@ from .graphs import (
     kummer_involution,
     verify_component_diameter_bound,
 )
-from .morse import Filtration, barycentric_morse_complex, morse_betti, morse_inequality_check
+from .morse import Filtration, barycentric_morse_complex, betti_formulas, morse_betti, morse_inequality_check
 from .topology import inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
@@ -70,7 +70,6 @@ class RunConfig:
     kind: str = "prime"
     field_prime: int = DEFAULT_FIELD_PRIME
     sieve_limit: int | None = None
-    threads: int = 1
     cache_path: str | None = None
     output_path: str | None = None
     format: str = "csv"
@@ -222,71 +221,39 @@ def cmd_build(config: RunConfig) -> int:
 
 def _table_row(rec: CacheRecord, tables) -> str:
     n = rec.n
-    b = list(rec.betti) + [0] * (BETTI_COLUMNS - len(rec.betti))
-    c = list(rec.critical_counts) + [0] * (BETTI_COLUMNS - len(rec.critical_counts))
     weak, strong, _ = morse_inequality_check(rec.betti, rec.critical_counts)
-    half = n // 2
-    npi = int(tables[(1, False)][n])
-    npih = int(tables[(1, False)][half])
-    h1 = n < 4 or rec.betti[0] == 1 + npi - npih
-    h3 = all(
-        (rec.betti[k] if k < len(rec.betti) else 0)
-        == int(tables[(k + 1, True)][n]) - int(tables[(k + 1, True)][half])
-        for k in (1, 2, 3)
-    )
+    h1, h3 = betti_formulas(n, tables, rec.betti)
     cells = [str(n), str(rec.mertens), str(rec.chi)]
-    cells += [str(x) for x in b[:BETTI_COLUMNS]]
-    cells += [str(x) for x in c[:BETTI_COLUMNS]]
-    cells += [_bool(weak), _bool(strong), _bool(h1), _bool(h3)]
+    cells += [str(x) for x in (rec.betti + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
+    cells += [str(x) for x in (rec.critical_counts + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
+    cells += [_bool(weak), _bool(strong), _bool(n < 4 or h1), _bool(all(h3.values()))]
     return ",".join(cells)
 
 
 def cmd_table(config: RunConfig) -> int:
     n_max = config.n_max
     sieve = FactorSieve(config.sieve_limit or max(n_max, 2))
-    if n_max > sieve.limit:
-        print(f"error: n_max {n_max} exceeds sieve limit {sieve.limit}", file=sys.stderr)
-        return 2
-    G = build_graph(GraphKind(config.kind, n_max), sieve)
-    filtration = Filtration(G, sieve, config.field_prime)
+    F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
     mert = mertens_table(sieve, n_max)
     tables = pi_k_tables(sieve, n_max, 4)
     cached = _load_cache(config.cache_path, config.kind, config.field_prime) if config.cache_path else {}
-    todo = [n for n in range(2, n_max + 1) if n not in cached]
-    critical = {n: filtration.critical_counts(n) for n in todo}
-
-    def compute(n: int) -> CacheRecord:
-        sub = [v for v in G.labels if v <= n]
-        K = whitney_complex(induced_subgraph(G, sub))
-        bv = betti_numbers(K, field_prime=config.field_prime)
-        return CacheRecord(
+    fresh = {
+        n: CacheRecord(
             kind=config.kind,
             n=n,
-            fvector=list(K.f_vector),
-            betti=list(bv.b),
-            chi=euler_characteristic(K),
+            fvector=F.f_vector(n),
+            betti=F.betti_numbers(n),
+            chi=int(F.chi[n]),
             mertens=int(mert[n]),
-            critical_counts=critical[n],
+            critical_counts=F.critical_counts(n),
             tool_version=__version__,
             field_prime=config.field_prime,
         )
-
-    fresh: dict[int, CacheRecord] = {}
-    try:
-        if config.threads > 1 and todo:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                for rec in pool.map(compute, todo):
-                    fresh[rec.n] = rec
-        else:
-            for n in todo:
-                fresh[n] = compute(n)
-    except RankDiscrepancyError as exc:
-        done = set(cached) | set(fresh)
-        bad = min(n for n in range(2, n_max + 1) if n not in done)
-        print(f"error: rank discrepancy near n={bad}: {exc}", file=sys.stderr)
-        return 1
+        for n in range(2, n_max + 1)
+        if n not in cached
+    }
     if config.cache_path and fresh:
-        _append_cache(config.cache_path, [fresh[n] for n in sorted(fresh)])
+        _append_cache(config.cache_path, list(fresh.values()))
     header = (
         ["n", "mertens", "chi"]
         + [f"b{k}" for k in range(BETTI_COLUMNS)]
@@ -345,10 +312,8 @@ def check_hopf(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bo
 
 
 def _morse_sweep(config: RunConfig, F: Filtration, strong: bool) -> tuple[bool, str]:
-    timeline = F.betti
     for n in range(2, config.n_max + 1):
-        b = [int(timeline[k][n]) for k in sorted(timeline)]
-        weak_ok, strong_ok, _ = morse_inequality_check(b, F.critical_counts(n))
+        weak_ok, strong_ok, _ = morse_inequality_check(F.betti_numbers(n), F.critical_counts(n))
         ok = strong_ok if strong else weak_ok
         if not ok:
             return False, f"first counterexample n={n}"
@@ -363,18 +328,16 @@ def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tupl
 
 
 def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    timeline = F.betti
     tables = pi_k_tables(sieve, config.n_max, 4)
-    for n in range(4, config.n_max + 1):
-        b0 = int(timeline[0][n])
-        if b0 != 1 + int(tables[(1, False)][n]) - int(tables[(1, False)][n // 2]):
+    rows = [(n, *betti_formulas(n, tables, F.betti_numbers(n))) for n in range(4, config.n_max + 1)]
+    for n, h1, _ in rows:
+        if not h1:
             return False, f"H1 fails first at n={n}"
     for k in (1, 2, 3):
-        if k not in timeline:
+        if k not in F.betti:
             continue
-        for n in range(4, config.n_max + 1):
-            want = int(tables[(k + 1, True)][n]) - int(tables[(k + 1, True)][n // 2])
-            if int(timeline[k][n]) != want:
+        for n, _, h3 in rows:
+            if not h3[k]:
                 return False, f"H3(k={k}) fails first at n={n}"
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
@@ -536,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=["prime", "integer", "divisor"], default="prime")
         p.add_argument("--field-prime", type=int, default=DEFAULT_FIELD_PRIME)
         p.add_argument("--sieve-limit", type=int, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, help="accepted and ignored")
         p.add_argument("--cache", dest="cache_path", default=None)
         p.add_argument("--out", dest="output_path", default=None)
 
@@ -571,7 +534,6 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
         parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
     config.field_prime = args.field_prime
     config.sieve_limit = args.sieve_limit
-    config.threads = max(1, args.threads)
     config.cache_path = args.cache_path
     config.output_path = args.output_path
     if args.command == "build":
@@ -583,6 +545,9 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
         config.n_max = args.n_max
         if config.n_max < 2:
             parser.error("--n-max must be at least 2")
+    if config.sieve_limit is not None and config.sieve_limit < config.n_max:
+        size = "--n" if args.command == "build" else "--n-max"
+        parser.error(f"--sieve-limit {config.sieve_limit} is below {size} {config.n_max}")
     if args.command == "verify":
         names = tuple(x for x in args.checks.split(",") if x)
         for name in names:

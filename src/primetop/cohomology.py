@@ -127,63 +127,76 @@ def boundary_matrices(K: SimplicialComplex) -> ChainComplex:
 # --- rank engines -----------------------------------------------------------
 
 
+def reduce_gf(col: Column, pivots: dict[int, Column], p: int) -> int | None:
+    """Reduce col over GF(p), in place, against pivots keyed by their largest row.
+
+    A column that survives is scaled to leading entry 1, stored as the pivot of
+    its largest row, and that row is returned; a column that empties out is
+    dependent on the pivots and gives None.
+    """
+    for i in [i for i, v in col.items() if not v % p]:
+        del col[i]
+    while col:
+        r = max(col)
+        piv = pivots.get(r)
+        if piv is None:
+            inv = pow(col[r], p - 2, p)
+            for i in col:
+                col[i] = col[i] * inv % p
+            pivots[r] = col
+            return r
+        c = col[r]
+        for i, v in piv.items():
+            nv = (col.get(i, 0) - c * v) % p
+            if nv:
+                col[i] = nv
+            else:
+                del col[i]
+    return None
+
+
+def reduce_exact(col: Column, pivots: dict[int, Column]) -> int | None:
+    """Reduce col over the rationals, in place, by fraction-free integer elimination.
+
+    Same contract as reduce_gf: a surviving column, divided by the gcd of its
+    entries, becomes the pivot of its largest row, which is returned.
+    """
+    for i in [i for i, v in col.items() if not v]:
+        del col[i]
+    while col:
+        g = gcd(*col.values())
+        if g > 1:
+            for i in col:
+                col[i] //= g
+        r = max(col)
+        piv = pivots.get(r)
+        if piv is None:
+            pivots[r] = col
+            return r
+        g = gcd(piv[r], col[r])
+        ma, mb = piv[r] // g, col[r] // g
+        if ma != 1:
+            for i in col:
+                col[i] *= ma
+        for i, v in piv.items():
+            nv = col.get(i, 0) - mb * v
+            if nv:
+                col[i] = nv
+            else:
+                del col[i]
+    return None
+
+
 def rank_gf(columns: list[Column], p: int) -> int:
     """Rank over GF(p) by sparse column elimination (pivot = largest row)."""
     pivots: dict[int, Column] = {}
-    rank = 0
-    for col in columns:
-        col = {i: v % p for i, v in col.items() if v % p}
-        while col:
-            r = max(col)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(col[r], p - 2, p)
-                pivots[r] = {i: (v * inv) % p for i, v in col.items()}
-                rank += 1
-                break
-            c = col[r]
-            for i, v in piv.items():
-                nv = (col.get(i, 0) - c * v) % p
-                if nv:
-                    col[i] = nv
-                else:
-                    col.pop(i, None)
-        # a column that empties out is dependent; move on
-    return rank
+    return sum(reduce_gf(dict(col), pivots, p) is not None for col in columns)
 
 
 def rank_exact(columns: list[Column]) -> int:
     """Exact rank over the rationals via fraction-free integer elimination."""
     pivots: dict[int, Column] = {}
-    rank = 0
-    for col in columns:
-        col = {i: v for i, v in col.items() if v}
-        while col:
-            r = max(col)
-            piv = pivots.get(r)
-            if piv is None:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                pivots[r] = {i: v // g for i, v in col.items()}
-                rank += 1
-                break
-            a, b = piv[r], col[r]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new: Column = {}
-            for i in set(col) | set(piv):
-                nv = ma * col.get(i, 0) - mb * piv.get(i, 0)
-                if nv:
-                    new[i] = nv
-            col = new
-            if col:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    col = {i: v // g for i, v in col.items()}
-    return rank
+    return sum(reduce_exact(dict(col), pivots) is not None for col in columns)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import FactorSieve, mertens_table, pi_k_tables, prime_pi
+from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     DEFAULT_RATIONAL_BUDGET,
     Column,
-    betti_numbers,
     euler_characteristic,
     rank_exact,
     rank_gf,
+    reduce_exact,
+    reduce_gf,
     whitney_complex,
 )
 from .errors import (
@@ -97,36 +98,11 @@ def stable_sphere(G: Graph, f, x: int) -> Graph:
     return induced_subgraph(G, below)
 
 
-def _mu_of_label(x: int, sieve: FactorSieve | None) -> int:
-    if sieve is not None and x <= sieve.limit:
-        sig = sieve.signature(x)
-    else:
-        factors = []
-        m, p, square = x, 2, False
-        while p * p <= m:
-            if m % p == 0:
-                factors.append(p)
-                m //= p
-                if m % p == 0:
-                    square = True
-                    while m % p == 0:
-                        m //= p
-            p += 1
-        if m > 1:
-            factors.append(m)
-        if square:
-            return 0
-        return -1 if len(factors) % 2 else 1
-    if not sig.squarefree:
-        return 0
-    return -1 if sig.nu % 2 else 1
-
-
 def classify_vertex(
     G: Graph,
     f,
     x: int,
-    sieve: FactorSieve | None = None,
+    sieve: FactorSieve,
     cap: int = DEFAULT_RECURSION_CAP,
 ) -> FiltrationEvent:
     """Classify the filtration step at x from its stable sphere.
@@ -138,7 +114,7 @@ def classify_vertex(
     sphere = stable_sphere(G, f, x)
     ph = 1 - euler_characteristic(whitney_complex(sphere))
     verdict = sphere_dimension_within(sphere, sphere.labels, cap=cap)
-    mu = _mu_of_label(x, sieve)
+    mu = moebius(x, sieve)
     if verdict.is_sphere:
         return FiltrationEvent(
             n=x,
@@ -194,6 +170,21 @@ def morse_inequality_check(b, c) -> tuple[bool, bool, list[int]]:
     return weak, strong, r
 
 
+def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
+    """H1 and H3 at n for the Betti vector b, with b_k = 0 where b is shorter.
+
+    H1: b_0 = 1 + pi(n) - pi(n//2).  H3: b_k = pi_{k+1}(n, odd) -
+    pi_{k+1}(n//2, odd) for k = 1..3.  tables is pi_k_tables(sieve, N, k_max)
+    for some N >= n and k_max >= 4.
+    """
+    b = list(b) + [0] * 4
+
+    def diff(k, odd):
+        return int(tables[(k, odd)][n]) - int(tables[(k, odd)][n // 2])
+
+    return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in (1, 2, 3)}
+
+
 def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict:
     """Evaluate the counting-function formulas for the Betti numbers at n.
 
@@ -211,20 +202,15 @@ def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict
     pi_all_half = {k: int(tabs[(k, False)][half]) for k in range(1, kmax + 1)}
     pi_odd = {k: int(tabs[(k, True)][n]) for k in range(1, kmax + 1)}
     pi_odd_half = {k: int(tabs[(k, True)][half]) for k in range(1, kmax + 1)}
-
-    def bk(k):
-        return b[k] if k < len(b) else 0
-
-    h1 = None if n < 4 else bk(0) == 1 + prime_pi(n, sieve) - prime_pi(half, sieve)
+    h1, h3 = betti_formulas(n, tabs, b)
     h2 = None
     if c is not None:
         h2 = all(
             (c[m] if m < len(c) else 0) == pi_all[m + 1] for m in range(max(len(c), 3))
         )
-    h3 = {k: bk(k) == pi_odd[k + 1] - pi_odd_half[k + 1] for k in (1, 2, 3)}
     return {
         "n": n,
-        "h1": h1,
+        "h1": None if n < 4 else h1,
         "h2": h2,
         "h3": h3,
         "pi": pi_all,
@@ -244,36 +230,29 @@ def run_filtration(
 ) -> tuple[list[FiltrationEvent], list[MorseReport]]:
     """Classify every vertex of the kind-(n_max) graph; report at checkpoints.
 
-    Checkpoint Betti vectors are recomputed from scratch on the induced
-    subgraph at each checkpoint.
+    Events, Betti vectors, chi and critical counts are all read from one
+    Filtration of the graph.  The event of a vertex at a checkpoint carries
+    betti_delta, the Betti timeline at n minus the timeline at n - 1.
     """
+    points = sorted(set(checkpoints))
+    if points and points[-1] > n_max:
+        raise InvalidArgumentError(f"checkpoint {points[-1]} beyond n_max {n_max}")
     if sieve is None:
         sieve = FactorSieve(max(n_max, 2))
-    G = build_graph(GraphKind(kind, n_max), sieve)
-    f = lambda v: v
-    events = [classify_vertex(G, f, x, sieve=sieve, cap=cap) for x in G.labels]
+    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve, field_prime, cap=cap)
+    events = list(F.events)
     position = {ev.n: i for i, ev in enumerate(events)}
     mert = mertens_table(sieve, n_max)
     reports = []
-    for n in sorted(set(checkpoints)):
-        if n > n_max:
-            raise InvalidArgumentError(f"checkpoint {n} beyond n_max {n_max}")
-        sub = [v for v in G.labels if v <= n]
-        K = whitney_complex(induced_subgraph(G, sub))
-        bv = betti_numbers(K, field_prime=field_prime)
-        chi = euler_characteristic(K)
-        c = critical_counts(events, n)
+    for n in points:
+        b = F.betti_numbers(n)
+        chi = int(F.chi[n])
+        c = F.critical_counts(n)
         if n in position:
-            prev = betti_numbers(
-                whitney_complex(induced_subgraph(G, [v for v in sub if v < n])),
-                field_prime=field_prime,
-            )
-            width = max(len(bv.b), len(prev.b))
-            delta = tuple(bv.padded(width)[k] - prev.padded(width)[k] for k in range(width))
-            i = position[n]
-            events[i] = dataclasses.replace(events[i], betti_delta=delta)
-        weak, strong, _ = morse_inequality_check(bv.b, c)
-        hyp = formula_hypotheses(n, sieve, bv, critical=c)
+            delta = tuple(int(F.betti[k][n] - F.betti[k][n - 1]) for k in range(len(b)))
+            events[position[n]] = dataclasses.replace(events[position[n]], betti_delta=delta)
+        weak, strong, _ = morse_inequality_check(b, c)
+        hyp = formula_hypotheses(n, sieve, b, critical=c)
         ph_sum = sum(ev.ph_index for ev in events if ev.n <= n)
         ph_pointwise = all(
             ev.ph_index == -ev.mu for ev in events if ev.n <= n and ev.kind == "critical"
@@ -288,7 +267,7 @@ def run_filtration(
         }
         reports.append(
             MorseReport(
-                n=n, mertens=int(mert[n]), chi=chi, betti=tuple(bv.b),
+                n=n, mertens=int(mert[n]), chi=chi, betti=tuple(b),
                 critical_counts=tuple(c), checks=checks,
             )
         )
@@ -374,60 +353,75 @@ def _timeline_top(G: Graph, n_max: int | None) -> int:
     return max(G.labels) if G.labels else 0
 
 
-def _chi_from_simplices(simplices, top: int) -> np.ndarray:
-    out = np.zeros(top + 1, dtype=np.int64)
+def _f_vector(simplices, top: int) -> np.ndarray:
+    """f[k, n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
+    f = np.zeros((len(simplices), top + 1), dtype=np.int64)
     for k, dim in enumerate(simplices):
-        sign = -1 if k % 2 else 1
         for s in dim:
             if s[-1] <= top:
-                out[s[-1]] += sign
-    np.cumsum(out, out=out)
-    return out
+                f[k, s[-1]] += 1
+    while len(f) and not f[-1].any():
+        f = f[:-1]
+    np.cumsum(f, axis=1, out=f)
+    return f
 
 
-def _betti_from_simplices(simplices, top: int, field_prime: int) -> dict[int, np.ndarray]:
-    order = sorted((s[-1], len(s) - 1, s) for k in simplices for s in k if s[-1] <= top)
-    position = {entry[2]: i for i, entry in enumerate(order)}
-    max_dim = max((e[1] for e in order), default=-1)
-    births = {k: np.zeros(top + 1, dtype=np.int64) for k in range(max_dim + 1)}
-    deaths = {k: np.zeros(top + 1, dtype=np.int64) for k in range(max_dim + 1)}
-    reduced: dict[int, Column] = {}
-    pivot_of_row: dict[int, int] = {}
-    for j, (time, dim, s) in enumerate(order):
-        col: Column = {}
-        if dim > 0:
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                col[position[face]] = -1 if i % 2 else 1
-        while col:
-            low = max(col)
-            owner = pivot_of_row.get(low)
-            if owner is None:
-                break
-            piv = reduced[owner]
-            factor = (col[low] * pow(piv[low], field_prime - 2, field_prime)) % field_prime
-            for i, v in piv.items():
-                nv = (col.get(i, 0) - factor * v) % field_prime
-                if nv:
-                    col[i] = nv
-                else:
-                    col.pop(i, None)
-        if col:
-            low = max(col)
-            pivot_of_row[low] = j
-            reduced[j] = col
-            deaths[dim - 1][time] += 1
+def _chi(f: np.ndarray) -> np.ndarray:
+    """chi(n) as the alternating sum over k of the cumulative f-vector."""
+    signs = np.where(np.arange(len(f)) % 2, -1, 1)
+    return signs @ f
+
+
+def _betti_reduce(order, position, width: int, top: int, reduce) -> np.ndarray:
+    """b[k, n] of the filtration whose simplices enter in `order`, by one column reduction.
+
+    A column that reduces to zero creates a class in its dimension, otherwise
+    it kills the class of its pivot row one dimension down.
+    """
+    delta = np.zeros((width, top + 1), dtype=np.int64)
+    pivots: dict[int, Column] = {}
+    for s in order:
+        dim = len(s) - 1
+        col = {position[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
+        if reduce(col, pivots) is None:
+            delta[dim, s[-1]] += 1
         else:
-            births[dim][time] += 1
-    out = {}
-    for k in range(max_dim + 1):
-        out[k] = np.cumsum(births[k] - deaths[k])
-    return out
+            delta[dim - 1, s[-1]] -= 1
+    return np.cumsum(delta, axis=1)
+
+
+def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[int, np.ndarray]:
+    """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness.
+
+    The reduction is repeated with exact integer elimination over the prefix
+    of the filtration whose complex has at most DEFAULT_RATIONAL_BUDGET
+    simplices (every n that betti_numbers would verify rationally), and
+    Euler-Poincare is checked for every n; a disagreement raises
+    RankDiscrepancyError naming the first failing n.
+    """
+    width, top = len(f), f.shape[1] - 1
+    order = sorted((s for dim in simplices for s in dim if s[-1] <= top), key=lambda s: (s[-1], len(s)))
+    position = {s: j for j, s in enumerate(order)}
+    b = _betti_reduce(order, position, width, top, lambda col, pivots: reduce_gf(col, pivots, field_prime))
+    totals = f.sum(axis=0)
+    covered = int(np.count_nonzero(totals <= DEFAULT_RATIONAL_BUDGET))
+    if covered:
+        exact = _betti_reduce(order[: totals[covered - 1]], position, width, covered - 1, reduce_exact)
+        _first_mismatch(b[:, :covered], exact, field_prime, "exact rational rank")
+    _first_mismatch(_chi(b)[None], _chi(f)[None], field_prime, "Euler-Poincare")
+    return {k: b[k] for k in range(width)}
+
+
+def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: str) -> None:
+    bad = np.flatnonzero((got != want).any(axis=0))
+    if len(bad):
+        message = f"Betti numbers over GF({field_prime}) disagree with {what} first at n={bad[0]}"
+        raise RankDiscrepancyError(message, field_prime)
 
 
 def chi_timeline(G: Graph, n_max: int | None = None) -> np.ndarray:
     """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
-    return _chi_from_simplices(cliques(G), _timeline_top(G, n_max))
+    return _chi(_f_vector(cliques(G), _timeline_top(G, n_max)))
 
 
 def betti_timeline(
@@ -436,29 +430,36 @@ def betti_timeline(
     """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
 
     Columns enter in the order their simplices appear (top vertex label, then
-    dimension, then lexicographically); a column that reduces to zero over
-    GF(p) creates a class in its dimension, otherwise it kills the class of
-    its pivot row.  Exact over GF(field_prime).
+    dimension); a column that reduces to zero over GF(p) creates a class in
+    its dimension, otherwise it kills the class of its pivot row.  Exact over
+    GF(field_prime), and checked against exact rational elimination on the
+    prefix within DEFAULT_RATIONAL_BUDGET simplices.
     """
-    return _betti_from_simplices(cliques(G), _timeline_top(G, n_max), field_prime)
+    simplices = cliques(G)
+    return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G, n_max)), field_prime)
 
 
 class Filtration:
     """The filtration of G by the counting function, computed lazily and once.
 
     Each field is computed on first use and then kept, so every check that
-    reads the same field shares one computation: both timelines read one
-    clique enumeration, and the critical counts read one classification of
-    every vertex.  Timelines run over n = 0..top, where top is G.param (the
-    largest label when G has no parameter).
+    reads the same field shares one computation: the f-vector, chi and Betti
+    timelines read one clique enumeration, and the critical counts read one
+    classification of every vertex.  Timelines run over n = 0..top, where top
+    is G.param (the largest label when G has no parameter).
     """
 
     def __init__(
-        self, G: Graph, sieve: FactorSieve | None = None, field_prime: int = DEFAULT_FIELD_PRIME
+        self,
+        G: Graph,
+        sieve: FactorSieve,
+        field_prime: int = DEFAULT_FIELD_PRIME,
+        cap: int = DEFAULT_RECURSION_CAP,
     ):
         self.G = G
         self.sieve = sieve
         self.field_prime = field_prime
+        self.cap = cap
         self.top = _timeline_top(G, None)
 
     @cached_property
@@ -467,19 +468,24 @@ class Filtration:
         return cliques(self.G)
 
     @cached_property
+    def f(self) -> np.ndarray:
+        """f[k, n] = number of k-simplices of G(n), for n = 0..top."""
+        return _f_vector(self.simplices, self.top)
+
+    @cached_property
     def chi(self) -> np.ndarray:
-        """chi_timeline(G): chi(G(n)) for n = 0..top."""
-        return _chi_from_simplices(self.simplices, self.top)
+        """chi_timeline(G): chi(G(n)) for n = 0..top, the alternating sum of f."""
+        return _chi(self.f)
 
     @cached_property
     def betti(self) -> dict[int, np.ndarray]:
         """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top."""
-        return _betti_from_simplices(self.simplices, self.top, self.field_prime)
+        return _betti_from_simplices(self.simplices, self.f, self.field_prime)
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
         """classify_vertex for every vertex of G under f(x) = x, in label order."""
-        return [classify_vertex(self.G, _identity, x, sieve=self.sieve) for x in self.G.labels]
+        return [classify_vertex(self.G, _identity, x, self.sieve, cap=self.cap) for x in self.G.labels]
 
     @cached_property
     def critical(self) -> np.ndarray:
@@ -492,12 +498,24 @@ class Filtration:
         np.cumsum(out, axis=1, out=out)
         return out
 
+    def f_vector(self, n: int) -> list[int]:
+        """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
+        return _trimmed(self.f[:, n])
+
+    def betti_numbers(self, n: int) -> list[int]:
+        """betti_numbers(whitney_complex(G(n))).b: one entry per dimension of G(n)."""
+        return [int(self.betti[k][n]) for k in range(len(self.f_vector(n)))]
+
     def critical_counts(self, n: int) -> list[int]:
         """critical_counts(events, n), read from the cumulative counts."""
-        counts = self.critical[:, n].tolist()
-        while counts and not counts[-1]:
-            counts.pop()
-        return counts
+        return _trimmed(self.critical[:, n])
+
+
+def _trimmed(column: np.ndarray) -> list[int]:
+    out = column.tolist()
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _identity(x: int) -> int:

@@ -76,6 +76,20 @@ def betti_float_oracle(K) -> tuple[int, ...]:
     return tuple(fv[k] - ranks[k] - ranks[k + 1] for k in range(len(fv)))
 
 
+# minimal 6-vertex triangulation of the projective plane (its H_1 over Z is Z/2)
+PROJECTIVE_PLANE_TRIANGLES = (
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+)
+
+
+def projective_plane_faces() -> list[list[tuple[int, ...]]]:
+    """Vertices, edges and triangles of the 6-vertex projective plane."""
+    triangles = list(PROJECTIVE_PLANE_TRIANGLES)
+    edges = sorted({(s[i], s[j]) for s in triangles for i in range(3) for j in range(i + 1, 3)})
+    return [[(v,) for v in range(1, 7)], edges, triangles]
+
+
 def random_connected_graphs(count: int, seed: int = 11, max_vertices: int = 7) -> list[Graph]:
     rng = random.Random(seed)
     out = []

@@ -298,10 +298,12 @@ def test_c13_figure_series(big_sieve):
 
 
 def test_c14_determinism(tmp_path):
-    outs = []
-    for i, extra in enumerate(([], ["--threads", "2"], ["--cache", str(tmp_path / "c.jsonl")], ["--cache", str(tmp_path / "c.jsonl")])):
-        path = tmp_path / f"t{i}.csv"
-        assert cli_main(["table", "--n-max", "250", "--out", str(path)] + extra) == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2] == outs[3]
-    print("ACCEPTANCE 14: PASS - byte-identical table CSV across reruns, thread counts, and cache states")
+    for kind in ("prime", "integer"):
+        cache = str(tmp_path / f"{kind}.jsonl")
+        outs = []
+        for i, extra in enumerate(([], ["--threads", "2"], ["--cache", cache], ["--cache", cache])):
+            path = tmp_path / f"{kind}{i}.csv"
+            assert cli_main(["table", "--kind", kind, "--n-max", "250", "--out", str(path)] + extra) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1] == outs[2] == outs[3], kind
+    print("ACCEPTANCE 14: PASS - byte-identical table CSV (prime, integer) across reruns, thread counts, and cache states")

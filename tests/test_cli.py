@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primetop import cli
+from primetop import FactorSieve, GraphKind, betti_numbers, build_graph, cli, induced_subgraph, whitney_complex
 
 
 def run_main(argv):
@@ -211,3 +211,46 @@ def test_verify_is_lazy(monkeypatch, capsys):
     monkeypatch.setattr(cli, "Filtration", forbidden)
     assert run_main(["verify", "--checks", "kummer,kunneth", "--d", "3", "--n-max", "30"]) == 0
     assert capsys.readouterr().out.count("pass") == 3
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 60), ("integer", 40), ("divisor", 210)])
+def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
+    cache = tmp_path / "cache.jsonl"
+    assert run_main(["table", "--kind", kind, "--n-max", str(n_max), "--cache", str(cache), "--out", str(tmp_path / "t.csv")]) == 0
+    G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert [rec["n"] for rec in records] == list(range(2, n_max + 1))
+    for rec in records:
+        K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= rec["n"]]))
+        assert rec["fvector"] == list(K.f_vector), rec
+        assert rec["betti"] == list(betti_numbers(K).b), rec
+        assert rec["chi"] == sum((-1) ** k * v for k, v in enumerate(K.f_vector)), rec
+
+
+def test_table_divisor_without_small_vertices(tmp_path):
+    # Divisor(35) has no vertex <= 4, so the first rows have an empty Betti vector
+    out = tmp_path / "t.csv"
+    assert run_main(["table", "--kind", "divisor", "--n-max", "35", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:4] for row in rows[:4]] == [["2", "0", "0", "0"], ["3", "-1", "0", "0"], ["4", "-1", "0", "0"], ["5", "-2", "1", "1"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "100", "--sieve-limit", "50"],
+        ["table", "--n-max", "100", "--sieve-limit", "99"],
+        ["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "50"],
+        ["series", "--what", "wu", "--n-max", "100", "--sieve-limit", "0"],
+    ],
+)
+def test_sieve_limit_below_range_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    assert "--sieve-limit" in capsys.readouterr().err
+
+
+def test_sieve_limit_at_range_is_accepted(capsys):
+    assert run_main(["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "100"]) == 0
+    assert "pass" in capsys.readouterr().out

@@ -25,23 +25,19 @@ from primetop.cohomology import (
     SimplicialComplex,
     rank_exact,
     rank_gf,
+    reduce_exact,
+    reduce_gf,
     wu_characteristic_bruteforce,
 )
 from primetop.errors import RankDiscrepancyError
 from primetop.graphs import Graph, complete_graph
 
-from conftest import betti_float_oracle, random_connected_graphs
+from conftest import betti_float_oracle, projective_plane_faces, random_connected_graphs
 
 
 def projective_plane_complex() -> SimplicialComplex:
     """Minimal 6-vertex triangulation of the projective plane (has 2-torsion)."""
-    triangles = [
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-    ]
-    edges = sorted({(s[i], s[j]) for s in triangles for i in range(3) for j in range(i + 1, 3)})
-    vertices = [(v,) for v in range(1, 7)]
-    return SimplicialComplex([vertices, edges, triangles])
+    return SimplicialComplex(projective_plane_faces())
 
 
 def test_whitney_examples(sieve):
@@ -266,3 +262,20 @@ def test_rank_discrepancy_detected_on_torsion():
     with pytest.raises(RankDiscrepancyError) as exc:
         betti_numbers(K, field_prime=2)
     assert exc.value.field_prime == 2
+
+
+def test_reducers_leave_rank_inputs_untouched_and_agree_with_rank():
+    rng = random.Random(8)
+    for _ in range(40):
+        columns = [
+            {i: v for i in range(6) if (v := rng.randint(-3, 3))} for _ in range(rng.randint(1, 7))
+        ]
+        copies = [dict(col) for col in columns]
+        gf_pivots, exact_pivots = {}, {}
+        gf_rows = [reduce_gf(dict(col), gf_pivots, 2**31 - 1) for col in columns]
+        exact_rows = [reduce_exact(dict(col), exact_pivots) for col in columns]
+        assert gf_rows == exact_rows  # the same columns survive, at the same pivot rows
+        assert sorted(gf_pivots) == sorted(r for r in gf_rows if r is not None)
+        assert all(gf_pivots[r][r] == 1 for r in gf_pivots)
+        assert rank_gf(columns, 2**31 - 1) == rank_exact(columns) == len(gf_pivots)
+        assert columns == copies

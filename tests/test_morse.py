@@ -8,6 +8,7 @@ from primetop import (
     Filtration,
     GraphKind,
     InvalidArgumentError,
+    RankDiscrepancyError,
     barycentric_morse_complex,
     barycentric_refinement,
     betti_numbers,
@@ -25,7 +26,9 @@ from primetop import (
     stable_sphere,
     whitney_complex,
 )
-from primetop.graphs import cliques, complete_graph, cycle_graph
+from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
+
+from conftest import projective_plane_faces
 
 ident = lambda v: v
 
@@ -275,3 +278,49 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
     assert calls == {"cliques": 1, "classify": G.n_vertices}
+
+
+def projective_plane_subdivision() -> Graph:
+    """Barycentric subdivision of the 6-vertex projective plane, as a graph.
+
+    Its 31 vertices are the faces, numbered by dimension and then
+    lexicographically (so the last one is a triangle), and two faces are
+    joined when one contains the other.
+    """
+    faces = [s for dim in projective_plane_faces() for s in dim]
+    label = {s: i + 1 for i, s in enumerate(faces)}
+    edges = [(label[a], label[b]) for a in faces for b in faces if len(a) < len(b) and set(a) < set(b)]
+    return Graph(range(1, len(faces) + 1), edges)
+
+
+def test_filtration_witness_names_first_torsion_step(sieve):
+    G = projective_plane_subdivision()
+    assert G.n_vertices == 31
+    # GF(2) sees the 2-torsion that closes up at the last triangle; Q does not
+    with pytest.raises(RankDiscrepancyError, match=r"first at n=31$") as exc:
+        Filtration(G, sieve, field_prime=2).betti
+    assert exc.value.field_prime == 2
+    betti = Filtration(G, sieve, field_prime=3).betti
+    assert tuple(int(betti[k][31]) for k in sorted(betti)) == (1, 0, 0)
+    assert [int(betti[1][n]) for n in (30, 31)] == [1, 0]  # Moebius band, then the closed surface
+
+
+def test_run_filtration_reads_the_filtration(sieve):
+    checkpoints = [2, 15, 30, 100, 105, 120]  # 100 and 120 are not vertices
+    events, reports = run_filtration(120, kind="prime", sieve=sieve, checkpoints=checkpoints)
+    G = build_graph(GraphKind.prime(120), sieve)
+
+    def complex_below(n):
+        return whitney_complex(induced_subgraph(G, [v for v in G.labels if v < n]))
+
+    for r in reports:
+        K = complex_below(r.n + 1)
+        assert r.betti == betti_numbers(K).b and r.chi == euler_characteristic(K)
+        assert list(r.critical_counts) == critical_counts(events, r.n)
+    for ev in events:
+        if ev.n in checkpoints:
+            now, prev = betti_numbers(complex_below(ev.n + 1)).b, betti_numbers(complex_below(ev.n)).b
+            prev += (0,) * (len(now) - len(prev))
+            assert ev.betti_delta == tuple(a - b for a, b in zip(now, prev)), ev.n
+        else:
+            assert ev.betti_delta is None
