@@ -554,8 +554,10 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")
         config.checks = names
-        if not 2 <= args.d <= 15:
-            parser.error("--d must be in [2, 15]")
+        # Divisor(primorial(6)) has 4,682 simplices, within the dense budget
+        # of the Lefschetz check; primorial(7) has 47,292
+        if not 2 <= args.d <= 6:
+            parser.error("--d must be in [2, 6]")
         config.d = args.d
     if args.command == "series":
         config.what = args.what

@@ -217,16 +217,12 @@ class BettiVector:
         return self.b[k] if 0 <= k < len(self.b) else 0
 
 
-def betti_numbers(
-    K: SimplicialComplex,
-    field_prime: int = DEFAULT_FIELD_PRIME,
-    rational_budget: int = DEFAULT_RATIONAL_BUDGET,
-) -> BettiVector:
+def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> BettiVector:
     """b_k = v_k - rank(d_k) - rank(d_{k+1}) over GF(field_prime).
 
-    Complexes with at most rational_budget simplices are recomputed with the
-    exact integer elimination; a disagreement raises RankDiscrepancyError so
-    the caller can retry with a different prime.
+    Complexes with at most DEFAULT_RATIONAL_BUDGET simplices are recomputed
+    with the exact integer elimination; a disagreement raises
+    RankDiscrepancyError so the caller can retry with a different prime.
     """
     fv = K.f_vector
     if not fv:
@@ -234,7 +230,7 @@ def betti_numbers(
     chain = boundary_matrices(K)
     ranks = [0] + [rank_gf(cols, field_prime) for cols in chain.boundaries] + [0]
     verified = False
-    if K.total <= rational_budget:
+    if K.total <= DEFAULT_RATIONAL_BUDGET:
         exact = [0] + [rank_exact(cols) for cols in chain.boundaries] + [0]
         if exact != ranks:
             raise RankDiscrepancyError(
@@ -404,6 +400,8 @@ def lefschetz_number(K: SimplicialComplex, T: dict[int, int]) -> tuple[int, int]
     (-1)^dim(x) sign(T|x) over setwise-fixed simplices.  The two agree for
     every simplicial automorphism.
     """
+    if K.total > DEFAULT_DENSE_BUDGET:
+        raise ResourceLimitError(f"{K.total} simplices exceed dense budget {DEFAULT_DENSE_BUDGET}")
     for s in K.all_simplices():
         if any(v not in T for v in s):
             raise InvalidArgumentError("T is not defined on every vertex")

@@ -34,7 +34,7 @@ from .errors import (
     RankDiscrepancyError,
 )
 from .graphs import Graph, GraphKind, build_graph, cliques, induced_subgraph
-from .topology import DEFAULT_RECURSION_CAP, sphere_dimension_within
+from .topology import sphere_dimension_within
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,7 @@ def stable_sphere(G: Graph, f, x: int) -> Graph:
     return induced_subgraph(G, below)
 
 
-def classify_vertex(
-    G: Graph,
-    f,
-    x: int,
-    sieve: FactorSieve,
-    cap: int = DEFAULT_RECURSION_CAP,
-) -> FiltrationEvent:
+def classify_vertex(G: Graph, f, x: int, sieve: FactorSieve) -> FiltrationEvent:
     """Classify the filtration step at x from its stable sphere.
 
     A sphere verdict makes x critical with morse_index = sphere dim + 1; a
@@ -113,7 +107,7 @@ def classify_vertex(
     """
     sphere = stable_sphere(G, f, x)
     ph = 1 - euler_characteristic(whitney_complex(sphere))
-    verdict = sphere_dimension_within(sphere, sphere.labels, cap=cap)
+    verdict = sphere_dimension_within(sphere, sphere.labels)
     mu = moebius(x, sieve)
     if verdict.is_sphere:
         return FiltrationEvent(
@@ -226,7 +220,6 @@ def run_filtration(
     checkpoints=(),
     sieve: FactorSieve | None = None,
     field_prime: int = DEFAULT_FIELD_PRIME,
-    cap: int = DEFAULT_RECURSION_CAP,
 ) -> tuple[list[FiltrationEvent], list[MorseReport]]:
     """Classify every vertex of the kind-(n_max) graph; report at checkpoints.
 
@@ -239,7 +232,7 @@ def run_filtration(
         raise InvalidArgumentError(f"checkpoint {points[-1]} beyond n_max {n_max}")
     if sieve is None:
         sieve = FactorSieve(max(n_max, 2))
-    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve, field_prime, cap=cap)
+    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve, field_prime)
     events = list(F.events)
     position = {ev.n: i for i, ev in enumerate(events)}
     mert = mertens_table(sieve, n_max)
@@ -324,17 +317,13 @@ def _verify_dd_zero(cells, derivatives) -> None:
                 raise InternalConsistencyError("Morse derivative does not square to zero")
 
 
-def morse_betti(
-    M: MorseComplex,
-    field_prime: int = DEFAULT_FIELD_PRIME,
-    rational_budget: int = DEFAULT_RATIONAL_BUDGET,
-) -> tuple[int, ...]:
+def morse_betti(M: MorseComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> tuple[int, ...]:
     """Betti vector of the Morse complex, via the shared rank engines."""
     counts = M.counts
     if not counts:
         return ()
     ranks = [rank_gf(cols, field_prime) for cols in M.derivatives]
-    if sum(counts) <= rational_budget:
+    if sum(counts) <= DEFAULT_RATIONAL_BUDGET:
         exact = [rank_exact(cols) for cols in M.derivatives]
         if exact != ranks:
             raise RankDiscrepancyError("Morse complex rank mismatch", field_prime)
@@ -345,9 +334,7 @@ def morse_betti(
 # --- filtration-wide invariants ---------------------------------------------
 
 
-def _timeline_top(G: Graph, n_max: int | None) -> int:
-    if n_max is not None:
-        return n_max
+def _timeline_top(G: Graph) -> int:
     if G.param is not None:
         return G.param
     return max(G.labels) if G.labels else 0
@@ -358,8 +345,7 @@ def _f_vector(simplices, top: int) -> np.ndarray:
     f = np.zeros((len(simplices), top + 1), dtype=np.int64)
     for k, dim in enumerate(simplices):
         for s in dim:
-            if s[-1] <= top:
-                f[k, s[-1]] += 1
+            f[k, s[-1]] += 1
     while len(f) and not f[-1].any():
         f = f[:-1]
     np.cumsum(f, axis=1, out=f)
@@ -400,7 +386,7 @@ def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[in
     RankDiscrepancyError naming the first failing n.
     """
     width, top = len(f), f.shape[1] - 1
-    order = sorted((s for dim in simplices for s in dim if s[-1] <= top), key=lambda s: (s[-1], len(s)))
+    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], len(s)))
     position = {s: j for j, s in enumerate(order)}
     b = _betti_reduce(order, position, width, top, lambda col, pivots: reduce_gf(col, pivots, field_prime))
     totals = f.sum(axis=0)
@@ -419,14 +405,12 @@ def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: s
         raise RankDiscrepancyError(message, field_prime)
 
 
-def chi_timeline(G: Graph, n_max: int | None = None) -> np.ndarray:
+def chi_timeline(G: Graph) -> np.ndarray:
     """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
-    return _chi(_f_vector(cliques(G), _timeline_top(G, n_max)))
+    return _chi(_f_vector(cliques(G), _timeline_top(G)))
 
 
-def betti_timeline(
-    G: Graph, field_prime: int = DEFAULT_FIELD_PRIME, n_max: int | None = None
-) -> dict[int, np.ndarray]:
+def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, np.ndarray]:
     """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
 
     Columns enter in the order their simplices appear (top vertex label, then
@@ -436,7 +420,7 @@ def betti_timeline(
     prefix within DEFAULT_RATIONAL_BUDGET simplices.
     """
     simplices = cliques(G)
-    return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G, n_max)), field_prime)
+    return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G)), field_prime)
 
 
 class Filtration:
@@ -449,18 +433,11 @@ class Filtration:
     is G.param (the largest label when G has no parameter).
     """
 
-    def __init__(
-        self,
-        G: Graph,
-        sieve: FactorSieve,
-        field_prime: int = DEFAULT_FIELD_PRIME,
-        cap: int = DEFAULT_RECURSION_CAP,
-    ):
+    def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
         self.G = G
         self.sieve = sieve
         self.field_prime = field_prime
-        self.cap = cap
-        self.top = _timeline_top(G, None)
+        self.top = _timeline_top(G)
 
     @cached_property
     def simplices(self) -> list[list[tuple[int, ...]]]:
@@ -485,7 +462,7 @@ class Filtration:
     @cached_property
     def events(self) -> list[FiltrationEvent]:
         """classify_vertex for every vertex of G under f(x) = x, in label order."""
-        return [classify_vertex(self.G, _identity, x, self.sieve, cap=self.cap) for x in self.G.labels]
+        return [classify_vertex(self.G, _identity, x, self.sieve) for x in self.G.labels]
 
     @cached_property
     def critical(self) -> np.ndarray:

@@ -8,16 +8,20 @@ leaves a contractible graph (one point is contractible, the empty graph is not).
 
 Exact recursion is exponential, so verdicts are memoized on the literal vertex
 subset inside a fixed ambient graph (the same subsets recur constantly in
-filtrations), pruned by screens that are theorems of the definition:
+filtrations).  Each public entry point looks the ambient graph's tables up once
+and passes them down the recursion.  The recursion is pruned by screens that
+are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
 * deleting a vertex whose subset-link is a cone preserves Betti numbers, and a
   contractible graph has the Betti numbers of a point.
 
-Above the configured recursion cap only certificate-based answers are given
-(greedy collapse to a point, disconnection, a non-point Betti vector); anything
-still ambiguous raises ResourceLimitError rather than guessing.
+Above the fixed recursion cap of RECURSION_CAP = 25 vertices only
+certificate-based answers are given (greedy collapse to a point, disconnection,
+a non-point Betti vector); anything still ambiguous raises ResourceLimitError
+rather than guessing.  Because the cap is fixed, every memoized verdict depends
+on the graph alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .cohomology import betti_numbers, whitney_complex
 from .errors import ResourceLimitError
 from .graphs import Graph, induced_subgraph
 
-DEFAULT_RECURSION_CAP = 25
+RECURSION_CAP = 25
 _BETTI_SCREEN_MIN = 10
 
 _memo_by_ambient: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
@@ -127,36 +131,36 @@ def _greedy_collapse(amb: Graph, sub: frozenset) -> frozenset:
     return frozenset(current)
 
 
-def _contractible(amb: Graph, sub: frozenset, cap: int) -> bool:
+def _contractible(amb: Graph, sub: frozenset, memo: dict) -> bool:
     if not sub:
         return False
     if len(sub) == 1:
         return True
-    memo = _memo(amb)["contract"]
-    if sub in memo:
-        return memo[sub]
-    result = _contractible_uncached(amb, sub, cap)
-    memo[sub] = result
+    table = memo["contract"]
+    if sub in table:
+        return table[sub]
+    result = _contractible_uncached(amb, sub, memo)
+    table[sub] = result
     return result
 
 
-def _contractible_uncached(amb: Graph, sub: frozenset, cap: int) -> bool:
+def _contractible_uncached(amb: Graph, sub: frozenset, memo: dict) -> bool:
     if not _connected(amb, sub):
         return False
     if _cone_apex(amb, sub) is not None:
         return True
-    if len(sub) > cap:
-        return _contractible_large(amb, sub, cap)
+    if len(sub) > RECURSION_CAP:
+        return _contractible_large(amb, sub, memo)
     if len(sub) >= _BETTI_SCREEN_MIN and not _is_point_pattern(_betti_of_subset(amb, sub)):
         return False
     for v in sorted(sub):
         link = _link(amb, sub, v)
-        if _contractible(amb, link, cap) and _contractible(amb, sub - {v}, cap):
+        if _contractible(amb, link, memo) and _contractible(amb, sub - {v}, memo):
             return True
     return False
 
 
-def _contractible_large(amb: Graph, sub: frozenset, cap: int) -> bool:
+def _contractible_large(amb: Graph, sub: frozenset, memo: dict) -> bool:
     reduced = _greedy_collapse(amb, sub)
     if len(reduced) == 1:
         return True
@@ -164,38 +168,38 @@ def _contractible_large(amb: Graph, sub: frozenset, cap: int) -> bool:
         return False
     if not _is_point_pattern(_betti_of_subset(amb, reduced)):
         return False
-    if len(reduced) <= cap and _contractible(amb, reduced, cap):
+    if len(reduced) <= RECURSION_CAP and _contractible(amb, reduced, memo):
         return True
     raise ResourceLimitError(
-        f"contractibility undecided for {len(sub)} vertices (cap {cap}): "
+        f"contractibility undecided for {len(sub)} vertices (cap {RECURSION_CAP}): "
         "collapse stalled with point-like Betti vector"
     )
 
 
-def is_contractible(G: Graph, cap: int = DEFAULT_RECURSION_CAP) -> bool:
+def is_contractible(G: Graph) -> bool:
     """Exact answer to the recursive contractibility definition."""
-    return _contractible(G, frozenset(G.labels), cap)
+    return _contractible(G, frozenset(G.labels), _memo(G))
 
 
-def _sphere(amb: Graph, sub: frozenset, cap: int) -> SphereVerdict:
+def _sphere(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
     if not sub:
         return SphereVerdict("sphere", -1, "exact")
-    memo = _memo(amb)["sphere"]
-    if sub in memo:
-        return memo[sub]
-    if len(sub) <= cap:
-        verdict = _sphere_exact(amb, sub, cap)
+    table = memo["sphere"]
+    if sub in table:
+        return table[sub]
+    if len(sub) <= RECURSION_CAP:
+        verdict = _sphere_exact(amb, sub, memo)
     else:
-        verdict = _sphere_fast(amb, sub, cap)
-    memo[sub] = verdict
+        verdict = _sphere_fast(amb, sub, memo)
+    table[sub] = verdict
     return verdict
 
 
-def _unit_sphere_dims(amb: Graph, sub: frozenset, cap: int) -> int | None:
+def _unit_sphere_dims(amb: Graph, sub: frozenset, memo: dict) -> int | None:
     """Common sphere dimension of all subset-links, or None if not a k-graph."""
     kdim: int | None = None
     for v in sorted(sub):
-        verd = _sphere(amb, _link(amb, sub, v), cap)
+        verd = _sphere(amb, _link(amb, sub, v), memo)
         if not verd.is_sphere:
             return None
         if kdim is None:
@@ -205,45 +209,45 @@ def _unit_sphere_dims(amb: Graph, sub: frozenset, cap: int) -> int | None:
     return kdim
 
 
-def _sphere_exact(amb: Graph, sub: frozenset, cap: int) -> SphereVerdict:
-    kdim = _unit_sphere_dims(amb, sub, cap)
+def _sphere_exact(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
+    kdim = _unit_sphere_dims(amb, sub, memo)
     if kdim is not None:
         k = kdim + 1
         for v in sorted(sub):
-            if _contractible(amb, sub - {v}, cap):
+            if _contractible(amb, sub - {v}, memo):
                 return SphereVerdict("sphere", k, "exact")
-    status = "contractible" if _contractible(amb, sub, cap) else "neither"
+    status = "contractible" if _contractible(amb, sub, memo) else "neither"
     return SphereVerdict(status, None, "exact")
 
 
-def _sphere_fast(amb: Graph, sub: frozenset, cap: int) -> SphereVerdict:
+def _sphere_fast(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
     try:
-        kdim = _unit_sphere_dims(amb, sub, cap)
+        kdim = _unit_sphere_dims(amb, sub, memo)
         if kdim is not None:
             k = kdim + 1
             if _sphere_pattern(_betti_of_subset(amb, sub), k):
                 return SphereVerdict("sphere", k, "fast")
-        status = "contractible" if _contractible(amb, sub, cap) else "neither"
+        status = "contractible" if _contractible(amb, sub, memo) else "neither"
         return SphereVerdict(status, None, "fast")
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
 
-def sphere_dimension(G: Graph, cap: int = DEFAULT_RECURSION_CAP) -> SphereVerdict:
+def sphere_dimension(G: Graph) -> SphereVerdict:
     """Recognize G as a discrete sphere, a contractible graph, or neither.
 
     Never raises: resource exhaustion degrades to an "unknown" verdict.
     """
     try:
-        return _sphere(G, frozenset(G.labels), cap)
+        return _sphere(G, frozenset(G.labels), _memo(G))
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
 
-def sphere_dimension_within(G: Graph, labels, cap: int = DEFAULT_RECURSION_CAP) -> SphereVerdict:
+def sphere_dimension_within(G: Graph, labels) -> SphereVerdict:
     """Sphere recognition of an induced subgraph, sharing G's memo tables."""
     try:
-        return _sphere(G, frozenset(labels), cap)
+        return _sphere(G, frozenset(labels), _memo(G))
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
@@ -251,36 +255,36 @@ def sphere_dimension_within(G: Graph, labels, cap: int = DEFAULT_RECURSION_CAP) 
 def inductive_dimension(G: Graph, within=None) -> Fraction:
     """Exact rational inductive dimension: dim(G) = 1 + avg over unit-sphere dims."""
     sub = frozenset(G.labels if within is None else within)
-    return _dim(G, sub)
+    return _dim(G, sub, _memo(G)["dim"])
 
 
-def _dim(amb: Graph, sub: frozenset) -> Fraction:
+def _dim(amb: Graph, sub: frozenset, table: dict) -> Fraction:
     if not sub:
         return Fraction(-1)
-    memo = _memo(amb)["dim"]
-    if sub in memo:
-        return memo[sub]
+    if sub in table:
+        return table[sub]
     total = Fraction(0)
     for v in sub:
-        total += _dim(amb, _link(amb, sub, v))
+        total += _dim(amb, _link(amb, sub, v), table)
     result = 1 + total / len(sub)
-    memo[sub] = result
+    table[sub] = result
     return result
 
 
-def homotopy_reduce(G: Graph, cap: int = DEFAULT_RECURSION_CAP) -> Graph:
+def homotopy_reduce(G: Graph) -> Graph:
     """Delete vertices with contractible unit spheres until none remains.
 
     Deletions scan labels in ascending order and restart after every removal,
     so the result is deterministic.  Betti numbers are preserved.
     """
+    memo = _memo(G)
     sub = set(G.labels)
     changed = True
     while changed:
         changed = False
         for v in sorted(sub):
             link = G.neighbor_set(v) & sub
-            if _contractible(G, frozenset(link), cap):
+            if _contractible(G, frozenset(link), memo):
                 sub.remove(v)
                 changed = True
                 break

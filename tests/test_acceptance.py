@@ -56,7 +56,7 @@ def events(G, big_sieve):
 
 @pytest.fixture(scope="module")
 def timeline(G):
-    return betti_timeline(G, n_max=N_MAX)
+    return betti_timeline(G)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def padded_eq(a, b):
 
 
 def test_c01_mertens_euler(G, big_sieve):
-    chi = chi_timeline(G, N_MAX)
+    chi = chi_timeline(G)
     mert = mertens_table(big_sieve, N_MAX)
     for n in range(2, N_MAX + 1):
         assert chi[n] == 1 - mert[n], f"n={n}"
@@ -89,7 +89,7 @@ def test_c01_mertens_euler(G, big_sieve):
 
 
 def test_c02_poincare_hopf(G, events, big_sieve):
-    chi = chi_timeline(G, N_MAX)
+    chi = chi_timeline(G)
     ph = np.zeros(N_MAX + 1, dtype=np.int64)
     for ev in events:
         ph[ev.n] = ev.ph_index

@@ -159,6 +159,7 @@ def test_cache_line_without_newline_is_not_glued_to_the_next(tmp_path):
         ["verify", "--checks", "mertens", "--d", "1"],
         ["verify", "--checks", "mertens", "--d", "0"],
         ["verify", "--checks", "kummer", "--d", "16"],
+        ["verify", "--checks", "kummer", "--d", "7"],
     ],
 )
 def test_invalid_configuration_usage_error(argv):
@@ -182,7 +183,7 @@ def test_sieve_sized_by_primorial_only_for_kummer(monkeypatch, capsys):
         return real_sieve(limit)
 
     monkeypatch.setattr(cli, "FactorSieve", small_sieve)
-    assert run_main(["verify", "--checks", "mertens", "--d", "15", "--n-max", "30"]) == 0
+    assert run_main(["verify", "--checks", "mertens", "--d", "6", "--n-max", "30"]) == 0
     assert run_main(["verify", "--checks", "kummer", "--d", "4", "--n-max", "30"]) == 0
     assert limits == [30, 210]
 

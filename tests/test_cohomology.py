@@ -30,7 +30,7 @@ from primetop.cohomology import (
     wu_characteristic_bruteforce,
 )
 from primetop.errors import RankDiscrepancyError
-from primetop.graphs import Graph, complete_graph
+from primetop.graphs import Graph, complete_graph, cycle_graph
 
 from conftest import betti_float_oracle, projective_plane_faces, random_connected_graphs
 
@@ -223,6 +223,13 @@ def test_lefschetz_rejects_non_automorphism(small_corpus):
     P = whitney_complex(Graph([1, 2, 3], [(1, 2)]))
     with pytest.raises(InvalidArgumentError):
         lefschetz_number(P, {1: 1, 2: 3, 3: 2})  # sends edge (1,2) to non-edge (1,3)
+
+
+def test_lefschetz_dense_budget():
+    K = whitney_complex(cycle_graph(3100))
+    assert K.total == 6200
+    with pytest.raises(ResourceLimitError):
+        lefschetz_number(K, {v: v for v in range(1, 3101)})
 
 
 def test_lefschetz_rotation_of_cycle(small_corpus):

@@ -174,7 +174,7 @@ def test_morse_derivative_entries(small_corpus):
 
 def test_chi_timeline(sieve):
     G = build_graph(GraphKind.prime(120), sieve)
-    chi = chi_timeline(G, 120)
+    chi = chi_timeline(G)
     for n in (2, 10, 30, 105, 120):
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= n]))
         assert chi[n] == euler_characteristic(K)
@@ -182,7 +182,7 @@ def test_chi_timeline(sieve):
 
 def test_betti_timeline_matches_from_scratch(sieve):
     G = build_graph(GraphKind.prime(120), sieve)
-    tl = betti_timeline(G, n_max=120)
+    tl = betti_timeline(G)
     for n in range(2, 121):
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= n]))
         bv = betti_numbers(K)
@@ -215,7 +215,7 @@ def test_sphere_birth_death_rule(sieve):
     # b2 jumps exactly at odd 3-fold products and drops exactly at their doubles
     n_max = 2310
     G = build_graph(GraphKind.prime(n_max), sieve)
-    tl = betti_timeline(G, n_max=n_max)
+    tl = betti_timeline(G)
     for n in range(3, n_max + 1):
         delta = int(tl[2][n] - tl[2][n - 1])
         sig = sieve.signature(n)

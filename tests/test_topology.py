@@ -34,13 +34,13 @@ def test_contractible_base_cases(small_corpus):
 
 
 def test_contractible_large_screens():
-    # screens answer far beyond the recursion cap when certificates exist
-    assert not is_contractible(cycle_graph(40), cap=10)
+    # screens answer far beyond the recursion cap (25) when certificates exist
+    assert not is_contractible(cycle_graph(40), )
     star = Graph(range(1, 41), [(1, v) for v in range(2, 41)])
-    assert is_contractible(star, cap=10)
-    assert is_contractible(path_graph(40), cap=10)
+    assert is_contractible(star, )
+    assert is_contractible(path_graph(40), )
     two_cliques = Graph(range(1, 61), [(a, b) for a in range(1, 31) for b in range(a + 1, 31)] + [(a, b) for a in range(31, 61) for b in range(a + 1, 61)])
-    assert not is_contractible(two_cliques, cap=5)
+    assert not is_contractible(two_cliques, )
 
 
 def test_sphere_dimension_examples(sieve):
@@ -84,7 +84,7 @@ def test_divisor_primorial_spheres(sieve):
 
 def test_fast_screen_on_large_sphere(sieve):
     D = build_graph(GraphKind.divisor(2310), sieve)
-    v = sphere_dimension(D, cap=25)
+    v = sphere_dimension(D)
     assert v.is_sphere and v.dim == 3 and v.method == "fast"
 
 
@@ -105,6 +105,22 @@ def test_inductive_dimension_within(sieve):
     G = build_graph(GraphKind.prime(30), sieve)
     sub = [v for v in G.labels if v <= 6]
     assert inductive_dimension(G, within=sub) == Fraction(3, 4)
+
+
+def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
+    # the memo is keyed structurally, so each lookup compares graphs; the
+    # recursion must reuse the tables found by the one public lookup
+    G = build_graph(GraphKind.prime(100), sieve)
+    calls = []
+    real_eq = Graph.__eq__
+
+    def counting_eq(self, other):
+        calls.append(1)
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Graph, "__eq__", counting_eq)
+    inductive_dimension(G, within=[v for v in G.labels if v <= 60])
+    assert len(calls) <= 1
 
 
 def test_homotopy_reduce_small(sieve, small_corpus):
