@@ -62,21 +62,26 @@ class FactorSieve:
         if not 1 <= x <= self.limit:
             raise InvalidArgumentError(f"{x} outside sieve range [1, {self.limit}]")
 
-    def signature(self, x: int) -> PrimeSignature:
-        """Factor x into its distinct primes via the spf chain."""
+    def factorization(self, x: int) -> tuple[tuple[int, int], ...]:
+        """(prime, exponent) pairs of x in increasing prime order, via the spf chain."""
         self.check_range(x)
-        factors = []
-        squarefree = True
+        out = []
         m = x
         while m > 1:
             p = int(self.spf[m])
-            factors.append(p)
-            m //= p
-            if m % p == 0:
-                squarefree = False
-                while m % p == 0:
-                    m //= p
-        return PrimeSignature(x=x, factors=tuple(factors), squarefree=squarefree)
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        return tuple(out)
+
+    def signature(self, x: int) -> PrimeSignature:
+        """Factor x into its distinct primes via the spf chain."""
+        pairs = self.factorization(x)
+        return PrimeSignature(
+            x=x, factors=tuple(p for p, _ in pairs), squarefree=all(e == 1 for _, e in pairs)
+        )
 
     def is_squarefree(self, x: int) -> bool:
         return self.signature(x).squarefree
@@ -191,15 +196,8 @@ def divisor_moebius_sum(n: int, sieve: FactorSieve) -> int:
     """Sum of mu(d) over divisors d of n with d != 1; equals -1 for every n >= 2."""
     if n < 2:
         raise InvalidArgumentError(f"divisor_moebius_sum needs n >= 2, got {n}")
-    sieve.check_range(n)
     divisors = [1]
-    m = n
-    while m > 1:
-        p = int(sieve.spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
+    for p, e in sieve.factorization(n):
         divisors = [d * p**j for d in divisors for j in range(e + 1)]
     return sum(moebius(d, sieve) for d in divisors if d != 1)
 

@@ -10,6 +10,7 @@ their vertices by a canonical sort of the underlying simplices.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -353,6 +354,13 @@ def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor
     filtration grows, so each pair needs checking only at the first n where
     both ends sit in the anchor's component; a BFS from every vertex at its
     own join time covers all pairs.
+
+    The BFS is skipped when upper bounds on the distance to the anchor
+    already certify the joining vertex: far[v] is 1 + the least far of v's
+    member neighbours when v joins, and stays an upper bound as distances
+    shrink, so d(v, w) <= far[v] + far[w] <= far[v] + max far for every
+    member w.  A vertex with no known path to the anchor keeps an infinite
+    bound and always gets the BFS, whose connectivity check then applies.
     """
     if not G.has_vertex(anchor):
         raise InvalidArgumentError(f"unknown anchor {anchor}")
@@ -365,14 +373,24 @@ def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor
         prime = i != anchor_index and (not adjacency[i] or adjacency[i][0] > i)
         joins.setdefault(2 * v if prime else v, []).append(i)
     member = bytearray(G.n_vertices)
+    far = [math.inf] * G.n_vertices
+    far[anchor_index] = 0
+    radius = 0
     size = 0
     for n in sorted(t for t in joins if t <= n_max):
-        for i in joins[n]:
+        joiners = joins[n]
+        for i in joiners:
             member[i] = 1
-        size += len(joins[n])
+        size += len(joiners)
+        for _ in joiners:  # joiners may reach the members only through each other
+            for i in joiners:
+                far[i] = min(far[i], 1 + min((far[w] for w in adjacency[i] if member[w]), default=math.inf))
+        radius = max(radius, *(far[i] for i in joiners))
         if n < 4:
             continue
-        for i in joins[n]:
+        for i in joiners:
+            if far[i] + radius <= bound:
+                continue
             eccentricity, reached = _eccentricity(adjacency, i, member)
             if reached != size:
                 raise InternalConsistencyError(f"anchor component disconnected at n={n}")

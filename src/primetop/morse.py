@@ -10,6 +10,7 @@ Morse complex whose cohomology matches the simplicial one.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +80,21 @@ class MorseComplex:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
+
+
+@dataclass(frozen=True)
+class Representative:
+    """The first vertex x of one sorted exponent signature, classified by classify_vertex.
+
+    primes lists the primes of x by (exponent descending, prime ascending);
+    sphere is the stable sphere of x, the target of every certificate that
+    reuses event for another vertex with the same signature.
+    """
+
+    x: int
+    primes: tuple[int, ...]
+    sphere: Graph
+    event: FiltrationEvent
 
 
 def stable_sphere(G: Graph, f, x: int) -> Graph:
@@ -428,8 +444,9 @@ class Filtration:
 
     Each field is computed on first use and then kept, so every check that
     reads the same field shares one computation: the f-vector, chi and Betti
-    timelines read one clique enumeration, and the critical counts read one
-    classification of every vertex.  Timelines run over n = 0..top, where top
+    timelines read one clique enumeration, and the critical counts read the
+    events, which classify one vertex per exponent signature and certify the
+    rest.  Timelines run over n = 0..top, where top
     is G.param (the largest label when G has no parameter).
     """
 
@@ -438,6 +455,10 @@ class Filtration:
         self.sieve = sieve
         self.field_prime = field_prime
         self.top = _timeline_top(G)
+        # filled by events: one representative per sorted exponent signature, and
+        # the number of vertices classified without being a representative
+        self.representatives: dict[tuple[int, ...], Representative] = {}
+        self.fallbacks = 0
 
     @cached_property
     def simplices(self) -> list[list[tuple[int, ...]]]:
@@ -461,8 +482,34 @@ class Filtration:
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
-        """classify_vertex for every vertex of G under f(x) = x, in label order."""
-        return [classify_vertex(self.G, _identity, x, self.sieve) for x in self.G.labels]
+        """classify_vertex(G, f, x, sieve) for every vertex x of G under f(x) = x, in label order.
+
+        Under f(x) = x the stable sphere of a vertex of a prime, integer or
+        divisor graph is the poset of its divisors 1 < d < x, whose shape
+        depends only on the sorted exponent signature of x.  classify_vertex
+        runs on the first vertex of each signature, which becomes that
+        signature's representative.  Every later vertex with the signature
+        takes the representative's verdict and indices once the map of its
+        divisors through their exponent vectors is checked to be an
+        isomorphism of the two stable spheres; mu is computed from the sieve.
+        A vertex that fails the check, and every vertex of a graph of any
+        other kind, is classified itself and counted in fallbacks.
+        """
+        by_signature = self.G.kind in _DIVISOR_KINDS
+        out = []
+        for x in self.G.labels:
+            key, primes = _exponent_signature(x, self.sieve) if by_signature else (None, ())
+            rep = self.representatives.get(key)
+            if rep is not None and _isomorphic_spheres(self.G, x, primes, rep):
+                out.append(dataclasses.replace(rep.event, n=x, mu=moebius(x, self.sieve)))
+                continue
+            event = classify_vertex(self.G, _identity, x, self.sieve)
+            if rep is None and key is not None:
+                self.representatives[key] = Representative(x, primes, stable_sphere(self.G, _identity, x), event)
+            else:
+                self.fallbacks += 1
+            out.append(event)
+        return out
 
     @cached_property
     def critical(self) -> np.ndarray:
@@ -497,3 +544,45 @@ def _trimmed(column: np.ndarray) -> list[int]:
 
 def _identity(x: int) -> int:
     return x
+
+
+_DIVISOR_KINDS = ("prime", "integer", "divisor")
+
+
+def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(exponents, primes) of x, ordered by exponent descending, then prime ascending."""
+    pairs = sorted(sieve.factorization(x), key=lambda pe: (-pe[1], pe[0]))
+    return tuple(e for _, e in pairs), tuple(p for p, _ in pairs)
+
+
+def _transport(y: int, primes: tuple[int, ...], targets: tuple[int, ...]) -> int:
+    """prod targets[i] ** v_{primes[i]}(y), or 0 when y has a prime outside primes."""
+    image = 1
+    for p, q in zip(primes, targets):
+        while y % p == 0:
+            y //= p
+            image *= q
+    return image if y == 1 else 0
+
+
+def _isomorphic_spheres(G: Graph, x: int, primes: tuple[int, ...], rep: Representative) -> bool:
+    """Whether y -> _transport(y, primes, rep.primes) maps the stable sphere of x onto rep.sphere.
+
+    Certified when the map is a bijection onto the vertices of rep.sphere,
+    sends every edge to an edge and both spheres have the same number of
+    edges, which together make it a graph isomorphism.
+    """
+    neighbors = G.neighbors(x)
+    below = neighbors[: bisect_left(neighbors, x)]
+    image = {y: _transport(y, primes, rep.primes) for y in below}
+    if sorted(image.values()) != list(rep.sphere.labels):
+        return False
+    inside = frozenset(below)
+    edges = 0
+    for y in below:
+        for z in G.neighbor_set(y) & inside:
+            if y < z:
+                if not rep.sphere.has_edge(image[y], image[z]):
+                    return False
+                edges += 1
+    return 2 * edges == sum(map(len, rep.sphere.adjacency))

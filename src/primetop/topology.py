@@ -7,15 +7,23 @@ is contractible when some vertex has a contractible unit sphere and deleting it
 leaves a contractible graph (one point is contractible, the empty graph is not).
 
 Exact recursion is exponential, so verdicts are memoized on the literal vertex
-subset inside a fixed ambient graph (the same subsets recur constantly in
-filtrations).  Each public entry point looks the ambient graph's tables up once
-and passes them down the recursion.  The recursion is pruned by screens that
-are theorems of the definition:
+subset inside a fixed ambient graph: one recognition meets the same subsets
+(links of links, vertex deletions) again and again.  Each public entry point
+looks the ambient graph's tables up once and passes them down the recursion.
+The memo does not carry verdicts from one stable sphere to the next:
+morse.classify_vertex passes each freshly built stable sphere as its own
+ambient graph.  Sharing across a filtration happens one level up, where
+morse.Filtration classifies one stable sphere per exponent signature and
+reuses the verdict through a checked isomorphism.  The recursion is pruned by
+screens that are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
 * deleting a vertex whose subset-link is a cone preserves Betti numbers, and a
-  contractible graph has the Betti numbers of a point.
+  contractible graph has the Betti numbers of a point over every field, so the
+  contractibility screens rank over GF(p) alone.  Sphere verdicts of the large
+  path keep the rationally witnessed Betti numbers: a sphere pattern over
+  GF(p) can hide torsion, as the projective plane over GF(2) does.
 
 Above the fixed recursion cap of RECURSION_CAP = 25 vertices only
 certificate-based answers are given (greedy collapse to a point, disconnection,
@@ -30,7 +38,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import betti_numbers, whitney_complex
+from .cohomology import DEFAULT_FIELD_PRIME, betti_numbers, boundary_matrices, rank_gf, whitney_complex
 from .errors import ResourceLimitError
 from .graphs import Graph, induced_subgraph
 
@@ -98,6 +106,18 @@ def _betti_of_subset(amb: Graph, sub: frozenset):
     return tuple(betti_numbers(K).b)
 
 
+def _betti_gf_of_subset(amb: Graph, sub: frozenset) -> tuple[int, ...]:
+    """Betti numbers of the subset over GF(DEFAULT_FIELD_PRIME) alone, without a witness.
+
+    Enough for the contractibility screens: a contractible complex has the
+    Betti numbers of a point over every field, so a non-point vector over one
+    field already proves it is not contractible.
+    """
+    K = whitney_complex(induced_subgraph(amb, sub))
+    ranks = [0] + [rank_gf(cols, DEFAULT_FIELD_PRIME) for cols in boundary_matrices(K).boundaries] + [0]
+    return tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(K.f_vector))
+
+
 def _is_point_pattern(b: tuple[int, ...]) -> bool:
     return len(b) >= 1 and b[0] == 1 and all(x == 0 for x in b[1:])
 
@@ -151,7 +171,7 @@ def _contractible_uncached(amb: Graph, sub: frozenset, memo: dict) -> bool:
         return True
     if len(sub) > RECURSION_CAP:
         return _contractible_large(amb, sub, memo)
-    if len(sub) >= _BETTI_SCREEN_MIN and not _is_point_pattern(_betti_of_subset(amb, sub)):
+    if len(sub) >= _BETTI_SCREEN_MIN and not _is_point_pattern(_betti_gf_of_subset(amb, sub)):
         return False
     for v in sorted(sub):
         link = _link(amb, sub, v)
@@ -166,7 +186,7 @@ def _contractible_large(amb: Graph, sub: frozenset, memo: dict) -> bool:
         return True
     if not _connected(amb, reduced):
         return False
-    if not _is_point_pattern(_betti_of_subset(amb, reduced)):
+    if not _is_point_pattern(_betti_gf_of_subset(amb, reduced)):
         return False
     if len(reduced) <= RECURSION_CAP and _contractible(amb, reduced, memo):
         return True

@@ -27,6 +27,7 @@ from primetop import (
     whitney_complex,
 )
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
+from primetop.morse import Representative
 
 from conftest import projective_plane_faces
 
@@ -238,6 +239,7 @@ def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
         assert np.array_equal(F.betti[k], want[k]), k
     events = [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
     assert F.events == events
+    assert F.fallbacks == 0
     for n in range(top + 1):
         assert F.critical_counts(n) == critical_counts(events, n), n
 
@@ -277,7 +279,71 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     assert calls == {"cliques": 1, "classify": 0}
     assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
-    assert calls == {"cliques": 1, "classify": G.n_vertices}
+    # one classification per exponent signature: primes, pairs and triples
+    assert calls == {"cliques": 1, "classify": 3}
+
+
+def oracle_events(G, sieve):
+    return [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
+
+
+def sorted_exponents(x, sieve):
+    return tuple(sorted((e for _, e in sieve.factorization(x)), reverse=True))
+
+
+@pytest.mark.parametrize("kind, n, signatures", [("prime", 2310, 5), ("integer", 520, 31), ("divisor", 2310, 4)])
+def test_events_classify_once_per_signature(sieve, kind, n, signatures):
+    G = build_graph(GraphKind(kind, n), sieve)
+    F = Filtration(G, sieve)
+    assert F.events == oracle_events(G, sieve)
+    assert F.fallbacks == 0
+    assert len(F.representatives) == signatures
+    first = {}
+    for x in G.labels:
+        first.setdefault(sorted_exponents(x, sieve), x)
+    assert {key: rep.x for key, rep in F.representatives.items()} == first
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
+def test_events_match_oracle_any_n(sieve, kind, n):
+    G = build_graph(GraphKind(kind, n), sieve)
+    F = Filtration(G, sieve)
+    assert F.events == oracle_events(G, sieve)
+    assert F.fallbacks == 0
+
+
+def test_tampered_representative_falls_back(sieve):
+    G = build_graph(GraphKind.prime(2310), sieve)
+    sphere = stable_sphere(G, ident, 30)  # the hexagon 2-6-3-15-5-10
+    dropped = Graph(sphere.labels, sphere.edges()[1:])
+    F = Filtration(G, sieve)
+    F.representatives[(1, 1, 1)] = Representative(30, (2, 3, 5), dropped, classify_vertex(G, ident, 30, sieve))
+    assert F.events == oracle_events(G, sieve)
+    assert F.fallbacks == sum(sieve.signature(x).nu == 3 for x in G.labels)
+    assert F.representatives[(1, 1, 1)].sphere is dropped
+
+
+def test_graph_without_kind_classifies_every_vertex(sieve, monkeypatch):
+    import primetop.morse as morse
+
+    calls = []
+    oracle = morse.classify_vertex
+    monkeypatch.setattr(morse, "classify_vertex", lambda G, f, x, sieve: calls.append(x) or oracle(G, f, x, sieve))
+    B = barycentric_refinement(cycle_graph(5))
+    F = Filtration(B, sieve)
+    assert F.events == oracle_events(B, sieve)
+    assert calls == list(B.labels)
+    assert F.representatives == {} and F.fallbacks == B.n_vertices
+
+
+def test_representative_raises_where_the_oracle_does(sieve):
+    # three incomparable divisors below 30: its stable sphere is neither
+    G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
+    with pytest.raises(ClassificationError, match="stable sphere of 30 "):
+        classify_vertex(G, ident, 30, sieve=sieve)
+    with pytest.raises(ClassificationError, match="stable sphere of 30 "):
+        Filtration(G, sieve).events
 
 
 def projective_plane_subdivision() -> Graph:

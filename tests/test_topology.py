@@ -43,6 +43,20 @@ def test_contractible_large_screens():
     assert not is_contractible(two_cliques, )
 
 
+def test_contractibility_screens_rank_over_one_field(monkeypatch):
+    import primetop.cohomology as cohomology
+
+    def no_exact(columns):
+        raise AssertionError("a contractibility screen ran exact elimination")
+
+    monkeypatch.setattr(cohomology, "rank_exact", no_exact)
+    # fresh labels keep the memo of other tests out; 12 vertices take the
+    # screen of the exact path, 40 the one after the stalled collapse
+    for k in (12, 40):
+        ring = Graph(range(1000, 1000 + k), [(1000 + i, 1000 + (i + 1) % k) for i in range(k)])
+        assert not is_contractible(ring)
+
+
 def test_sphere_dimension_examples(sieve):
     assert sphere_dimension(Graph([], [])).dim == -1
     v = sphere_dimension(Graph([1, 2], []))
