@@ -29,7 +29,7 @@ from .cohomology import (
     lefschetz_number,
     whitney_complex,
     witten_nullity,
-    wu_characteristic,
+    wu_timeline,
 )
 from .errors import RankDiscrepancyError
 from .graphs import (
@@ -45,7 +45,7 @@ from .graphs import (
     verify_component_diameter_bound,
 )
 from .morse import Filtration, barycentric_morse_complex, betti_formulas, morse_betti, morse_inequality_check
-from .topology import inductive_dimension, sphere_dimension
+from .topology import dimension_timeline, inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
 
@@ -467,9 +467,7 @@ def cmd_series(config: RunConfig) -> int:
     if config.what == "dimension":
         lines.append("n,dim_exact,dim_float")
         xs, ys = [], []
-        for n in range(6, config.n_max + 1):
-            sub = [v for v in G.labels if v <= n]
-            d = inductive_dimension(G, within=sub)
+        for n, d in enumerate(dimension_timeline(G, config.n_max)[6:], start=6):
             lines.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
             xs.append(n)
             ys.append(float(d))
@@ -479,11 +477,10 @@ def cmd_series(config: RunConfig) -> int:
         print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
     else:
         lines.append("n,wu,chi_scaled")
+        F = Filtration(G, sieve)
+        wu = wu_timeline(F.simplices, F.top)
         for n in range(2, config.n_max + 1):
-            sub = induced_subgraph(G, [v for v in G.labels if v <= n])
-            K = whitney_complex(sub)
-            wu = wu_characteristic(K)
-            lines.append(f"{n},{wu},{100 - 15 * euler_characteristic(K)}")
+            lines.append(f"{n},{wu[n]},{100 - 15 * int(F.chi[n])}")
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -335,31 +336,48 @@ def wu_characteristic(K: SimplicialComplex, budget: int = DEFAULT_WU_BUDGET) -> 
     where S runs over nonempty simplices; inclusion-exclusion over the shared
     vertex set makes this linear in the number of (simplex, subset) pairs.
     """
-    work = sum((2 ** len(s) - 1) for s in K.all_simplices())
+    return _wu_timeline(K.simplices, max((x[-1] for x in K.all_simplices()), default=0), budget)[-1]
+
+
+def wu_timeline(simplices, top: int) -> list[int]:
+    """wu_characteristic of K(n), the simplices whose largest vertex is at most n, for n = 0..top."""
+    return _wu_timeline(simplices, top, DEFAULT_WU_BUDGET)
+
+
+def _wu_timeline(simplices, top: int, budget: int) -> list[int]:
+    """wu_timeline within a budget on the number of (simplex, face) pairs, in one running pass.
+
+    Simplices enter by largest vertex; each simplex x adds (-1)^dim(x) to W(S)
+    for every nonempty face S, which changes the total by (-1)^(|S|+1) times
+    the change in W(S)^2.
+    """
+    order = sorted((x for dim in simplices for x in dim), key=lambda x: x[-1])
+    work = sum((2 ** len(x) - 1) for x in order)
     if work > budget:
         raise ResourceLimitError(f"{work} subset terms exceed budget {budget}")
     weight: dict[tuple[int, ...], int] = {}
-    for x in K.all_simplices():
+    delta = [0] * (top + 1)
+    for x in order:
         sign = -1 if (len(x) - 1) % 2 else 1
         m = len(x)
         for mask in range(1, 2**m):
             sub = tuple(x[i] for i in range(m) if mask >> i & 1)
-            weight[sub] = weight.get(sub, 0) + sign
-    total = 0
-    for sub, w in weight.items():
-        total += (-1) ** (len(sub) + 1) * w * w
-    return total
+            w = weight.get(sub, 0)
+            weight[sub] = w + sign
+            delta[x[-1]] += (1 if len(sub) % 2 else -1) * (2 * w * sign + 1)
+    return list(accumulate(delta))
 
 
 def wu_characteristic_bruteforce(K: SimplicialComplex) -> int:
     """Literal ordered-pair enumeration; quadratic, used as an oracle."""
-    sims = [(frozenset(s), len(s) - 1) for s in K.all_simplices()]
-    total = 0
-    for sx, dx in sims:
-        for sy, dy in sims:
-            if sx & sy:
-                total += (-1) ** (dx + dy)
-    return total
+    sims = list(K.all_simplices())
+    column = {v: j for j, v in enumerate(sorted({v for s in sims for v in s}))}
+    incidence = np.zeros((len(sims), len(column)), dtype=np.float32)
+    for i, s in enumerate(sims):
+        incidence[i, [column[v] for v in s]] = 1
+    meets = (incidence @ incidence.T > 0).astype(np.int64)  # meets[i, j]: simplices i and j share a vertex
+    sign = np.array([(-1) ** (len(s) - 1) for s in sims], dtype=np.int64)
+    return int(sign @ meets @ sign)
 
 
 # --- Lefschetz numbers ------------------------------------------------------

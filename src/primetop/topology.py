@@ -8,14 +8,13 @@ leaves a contractible graph (one point is contractible, the empty graph is not).
 
 Exact recursion is exponential, so verdicts are memoized on the literal vertex
 subset inside a fixed ambient graph: one recognition meets the same subsets
-(links of links, vertex deletions) again and again.  Each public entry point
-looks the ambient graph's tables up once and passes them down the recursion.
-The memo does not carry verdicts from one stable sphere to the next:
-morse.classify_vertex passes each freshly built stable sphere as its own
-ambient graph.  Sharing across a filtration happens one level up, where
-morse.Filtration classifies one stable sphere per exponent signature and
-reuses the verdict through a checked isomorphism.  The recursion is pruned by
-screens that are theorems of the definition:
+(links of links, vertex deletions) again and again.  The tables belong to one
+call: each public entry point builds its own and passes them down the
+recursion, and nothing outlives the call.  Sharing across a filtration happens
+one level up, where morse.Filtration classifies one stable sphere per exponent
+signature and reuses the verdict through a checked isomorphism, and
+dimension_timeline keeps one table for the whole timeline.  The recursion is
+pruned by screens that are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
@@ -34,7 +33,6 @@ on the graph alone.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,8 +42,6 @@ from .graphs import Graph, induced_subgraph
 
 RECURSION_CAP = 25
 _BETTI_SCREEN_MIN = 10
-
-_memo_by_ambient: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,6 @@ class SphereVerdict:
     @property
     def is_sphere(self) -> bool:
         return self.status == "sphere"
-
-
-def _memo(amb: Graph) -> dict:
-    m = _memo_by_ambient.get(amb)
-    if m is None:
-        m = {"contract": {}, "sphere": {}, "dim": {}}
-        _memo_by_ambient[amb] = m
-    return m
 
 
 def _link(amb: Graph, sub: frozenset, v: int) -> frozenset:
@@ -198,7 +186,7 @@ def _contractible_large(amb: Graph, sub: frozenset, memo: dict) -> bool:
 
 def is_contractible(G: Graph) -> bool:
     """Exact answer to the recursive contractibility definition."""
-    return _contractible(G, frozenset(G.labels), _memo(G))
+    return _contractible(G, frozenset(G.labels), {"contract": {}, "sphere": {}})
 
 
 def _sphere(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
@@ -259,23 +247,42 @@ def sphere_dimension(G: Graph) -> SphereVerdict:
     Never raises: resource exhaustion degrades to an "unknown" verdict.
     """
     try:
-        return _sphere(G, frozenset(G.labels), _memo(G))
+        return _sphere(G, frozenset(G.labels), {"contract": {}, "sphere": {}})
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
 
 def sphere_dimension_within(G: Graph, labels) -> SphereVerdict:
-    """Sphere recognition of an induced subgraph, sharing G's memo tables."""
+    """Sphere recognition of the subgraph of G induced on labels, without building it."""
     try:
-        return _sphere(G, frozenset(labels), _memo(G))
+        return _sphere(G, frozenset(labels), {"contract": {}, "sphere": {}})
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
 
-def inductive_dimension(G: Graph, within=None) -> Fraction:
+def inductive_dimension(G: Graph) -> Fraction:
     """Exact rational inductive dimension: dim(G) = 1 + avg over unit-sphere dims."""
-    sub = frozenset(G.labels if within is None else within)
-    return _dim(G, sub, _memo(G)["dim"])
+    return _dim(G, frozenset(G.labels), {})
+
+
+def dimension_timeline(G: Graph, top: int) -> list[Fraction]:
+    """inductive_dimension of G(n), the subgraph on the labels <= n, for n = 0..top.
+
+    One running pass: when x arrives, only the unit-sphere terms of x and of its
+    smaller neighbours change, and they are recomputed over one shared table.
+    """
+    table: dict = {}
+    terms: dict[int, Fraction] = {}
+    total, value, out = Fraction(0), Fraction(-1), []
+    for n in range(top + 1):
+        if G.has_vertex(n):
+            for v in [u for u in G.neighbors(n) if u < n] + [n]:
+                term = _dim(G, frozenset(u for u in G.neighbors(v) if u <= n), table)
+                total += term - terms.get(v, 0)
+                terms[v] = term
+            value = 1 + total / len(terms)
+        out.append(value)
+    return out
 
 
 def _dim(amb: Graph, sub: frozenset, table: dict) -> Fraction:
@@ -297,7 +304,7 @@ def homotopy_reduce(G: Graph) -> Graph:
     Deletions scan labels in ascending order and restart after every removal,
     so the result is deterministic.  Betti numbers are preserved.
     """
-    memo = _memo(G)
+    memo = {"contract": {}, "sphere": {}}
     sub = set(G.labels)
     changed = True
     while changed:

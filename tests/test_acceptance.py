@@ -34,6 +34,7 @@ from primetop import (
 from primetop.arithmetic import mertens_table, pi_k_tables
 from primetop.cli import main as cli_main
 from primetop.graphs import complete_graph, cycle_graph, verify_component_diameter_bound
+from primetop.topology import dimension_timeline
 from conftest import random_connected_graphs
 
 N_MAX = 2310
@@ -265,11 +266,9 @@ def test_c12_product_laws():
 
 def test_c13_figure_series(big_sieve):
     G = build_graph(GraphKind.prime(2690), big_sieve)
-    xs, ys = [], []
-    for n in range(6, 2691):
-        sub = [v for v in G.labels if v <= n]
-        xs.append(n)
-        ys.append(float(inductive_dimension(G, within=sub)))
+    dims = dimension_timeline(G, 2690)
+    xs = list(range(6, 2691))
+    ys = [float(dims[n]) for n in xs]
     A = np.column_stack([np.ones(len(xs)), np.array(xs, float), np.log(np.array(xs, float))])
     coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
     a, b, c = (float(v) for v in coef)

@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from primetop import FactorSieve, GraphKind, betti_numbers, build_graph, cli, induced_subgraph, whitney_complex
+from primetop import (
+    FactorSieve,
+    GraphKind,
+    betti_numbers,
+    build_graph,
+    cli,
+    euler_characteristic,
+    induced_subgraph,
+    inductive_dimension,
+    whitney_complex,
+)
+from primetop.cohomology import wu_characteristic_bruteforce
 
 
 def run_main(argv):
@@ -118,6 +130,39 @@ def test_series_wu(tmp_path):
         _, wu, _ = line.split(",")
         int(wu)  # integers throughout
     assert lines[1] == "2,1,85"
+
+
+def series_from_scratch(kind, n_max, what):
+    """The series rows and stderr, with G(n) rebuilt and measured by definition for every n."""
+    G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))
+
+    def G_at(n):
+        return induced_subgraph(G, [v for v in G.labels if v <= n])
+
+    if what == "wu":
+        rows = ["n,wu,chi_scaled"]
+        for n in range(2, n_max + 1):
+            K = whitney_complex(G_at(n))
+            rows.append(f"{n},{wu_characteristic_bruteforce(K)},{100 - 15 * euler_characteristic(K)}")
+        return "\n".join(rows) + "\n", ""
+    rows, xs, ys = ["n,dim_exact,dim_float"], [], []
+    for n in range(6, n_max + 1):
+        d = inductive_dimension(G_at(n))
+        rows.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
+        xs.append(n)
+        ys.append(float(d))
+    A = np.column_stack([np.ones(len(xs)), np.array(xs, dtype=float), np.log(np.array(xs, dtype=float))])
+    a, b, c = (float(v) for v in np.linalg.lstsq(A, np.array(ys), rcond=None)[0])
+    return "\n".join(rows) + "\n", f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}\n"
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 120), ("divisor", 77)])
+@pytest.mark.parametrize("what", ["dimension", "wu"])
+def test_series_matches_from_scratch(tmp_path, capsys, kind, n_max, what):
+    out = tmp_path / "series.csv"
+    argv = ["series", "--kind", kind, "--what", what, "--n-max", str(n_max), "--out", str(out)]
+    assert run_main(argv) == 0
+    assert (out.read_text(), capsys.readouterr().err) == series_from_scratch(kind, n_max, what)
 
 
 def test_table_corrupt_middle_line_keeps_both_sides(tmp_path, capsys):

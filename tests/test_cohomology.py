@@ -191,13 +191,20 @@ def test_wu_characteristic(small_corpus):
         wu_characteristic(whitney_complex(small_corpus["K3"]), budget=2)
 
 
+def wu_pair_loop(K):
+    """The ordered-pair definition as a plain double loop, the reference for the vectorized oracle."""
+    sims = [frozenset(s) for s in K.all_simplices()]
+    return sum((-1) ** (len(x) + len(y)) for x in sims for y in sims if x & y)
+
+
 def test_wu_matches_bruteforce(sieve):
     for G in random_connected_graphs(30, seed=9):
         K = whitney_complex(G)
-        assert wu_characteristic(K) == wu_characteristic_bruteforce(K)
+        assert wu_characteristic(K) == wu_characteristic_bruteforce(K) == wu_pair_loop(K)
     for n in (10, 30, 60):
         K = whitney_complex(build_graph(GraphKind.prime(n), sieve))
-        assert wu_characteristic(K) == wu_characteristic_bruteforce(K)
+        assert wu_characteristic(K) == wu_characteristic_bruteforce(K) == wu_pair_loop(K)
+    assert wu_characteristic(SimplicialComplex([])) == wu_characteristic_bruteforce(SimplicialComplex([])) == 0
 
 
 def test_lefschetz_identity_is_euler(sieve, small_corpus):

@@ -390,3 +390,17 @@ def test_run_filtration_reads_the_filtration(sieve):
             assert ev.betti_delta == tuple(a - b for a, b in zip(now, prev)), ev.n
         else:
             assert ev.betti_delta is None
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 300), ("integer", 200), ("divisor", 210)])
+def test_run_filtration_dense_checkpoints_match_formula_hypotheses(sieve, kind, n_max):
+    # the divisor graph of n_max breaks the formulas at many n, so both verdicts occur
+    events, reports = run_filtration(n_max, kind=kind, sieve=sieve, checkpoints=range(2, n_max + 1))
+    assert [r.n for r in reports] == list(range(2, n_max + 1))
+    for r in reports:
+        hyp = formula_hypotheses(r.n, sieve, r.betti, critical=r.critical_counts)
+        assert r.checks["b0_formula"] == hyp["h1"], r.n
+        assert r.checks["bk_formula"] == all(hyp["h3"].values()), r.n
+        below = [ev for ev in events if ev.n <= r.n]
+        pointwise = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
+        assert r.checks["poincare_hopf"] == (sum(ev.ph_index for ev in below) == r.chi and pointwise), r.n

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from primetop import (
     Graph,
     GraphKind,
@@ -12,8 +15,10 @@ from primetop import (
     sphere_dimension,
     whitney_complex,
 )
+from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
 from primetop.graphs import complete_graph, cycle_graph, path_graph
-from primetop.topology import sphere_dimension_within
+from primetop.morse import Filtration
+from primetop.topology import dimension_timeline, sphere_dimension_within
 
 
 def trimmed_betti(G):
@@ -50,8 +55,8 @@ def test_contractibility_screens_rank_over_one_field(monkeypatch):
         raise AssertionError("a contractibility screen ran exact elimination")
 
     monkeypatch.setattr(cohomology, "rank_exact", no_exact)
-    # fresh labels keep the memo of other tests out; 12 vertices take the
-    # screen of the exact path, 40 the one after the stalled collapse
+    # 12 vertices take the screen of the exact path, 40 the one after the
+    # stalled collapse
     for k in (12, 40):
         ring = Graph(range(1000, 1000 + k), [(1000 + i, 1000 + (i + 1) % k) for i in range(k)])
         assert not is_contractible(ring)
@@ -118,12 +123,12 @@ def test_inductive_dimension(small_corpus, sieve):
 def test_inductive_dimension_within(sieve):
     G = build_graph(GraphKind.prime(30), sieve)
     sub = [v for v in G.labels if v <= 6]
-    assert inductive_dimension(G, within=sub) == Fraction(3, 4)
+    assert inductive_dimension(induced_subgraph(G, sub)) == Fraction(3, 4)
 
 
 def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
-    # the memo is keyed structurally, so each lookup compares graphs; the
-    # recursion must reuse the tables found by the one public lookup
+    # the tables belong to the call, so no graph is ever looked up by
+    # structural comparison (a memo keyed on graphs would call Graph.__eq__)
     G = build_graph(GraphKind.prime(100), sieve)
     calls = []
     real_eq = Graph.__eq__
@@ -133,8 +138,22 @@ def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
         return real_eq(self, other)
 
     monkeypatch.setattr(Graph, "__eq__", counting_eq)
-    inductive_dimension(G, within=[v for v in G.labels if v <= 60])
+    inductive_dimension(induced_subgraph(G, [v for v in G.labels if v <= 60]))
     assert len(calls) <= 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 150))
+def test_timelines_match_from_scratch_any_n(sieve, kind, n):
+    # the running passes against G(m) rebuilt for every m, by the literal definitions
+    G = build_graph(GraphKind(kind, n), sieve)
+    dims = dimension_timeline(G, n)
+    wus = wu_timeline(Filtration(G, sieve).simplices, n)
+    assert len(dims) == len(wus) == n + 1
+    for m in range(n + 1):
+        Gm = induced_subgraph(G, [v for v in G.labels if v <= m])
+        assert dims[m] == inductive_dimension(Gm), m
+        assert wus[m] == wu_characteristic_bruteforce(whitney_complex(Gm)), m
 
 
 def test_homotopy_reduce_small(sieve, small_corpus):
