@@ -235,7 +235,6 @@ def cmd_table(config: RunConfig) -> int:
     sieve = FactorSieve(config.sieve_limit or max(n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
     mert = mertens_table(sieve, n_max)
-    tables = pi_k_tables(sieve, n_max, 4)
     cached = _load_cache(config.cache_path, config.kind, config.field_prime) if config.cache_path else {}
     fresh = {
         n: CacheRecord(
@@ -260,10 +259,9 @@ def cmd_table(config: RunConfig) -> int:
         + [f"c{k}" for k in range(BETTI_COLUMNS)]
         + ["weak", "strong", "h1", "h3"]
     )
-    lines = [",".join(header)]
-    for n in range(2, n_max + 1):
-        rec = cached.get(n) or fresh[n]
-        lines.append(_table_row(rec, tables))
+    records = [cached.get(n) or fresh[n] for n in range(2, n_max + 1)]
+    tables = pi_k_tables(sieve, n_max, max([4] + [len(rec.betti) for rec in records]))
+    lines = [",".join(header)] + [_table_row(rec, tables) for rec in records]
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 
@@ -328,14 +326,13 @@ def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tupl
 
 
 def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    tables = pi_k_tables(sieve, config.n_max, 4)
-    rows = [(n, *betti_formulas(n, tables, F.betti_numbers(n))) for n in range(4, config.n_max + 1)]
+    tables = pi_k_tables(sieve, config.n_max, max(len(F.betti), 4))
+    dims = sorted(F.betti)
+    rows = [(n, *betti_formulas(n, tables, [int(F.betti[k][n]) for k in dims])) for n in range(4, config.n_max + 1)]
     for n, h1, _ in rows:
         if not h1:
             return False, f"H1 fails first at n={n}"
-    for k in (1, 2, 3):
-        if k not in F.betti:
-            continue
+    for k in dims[1:]:
         for n, _, h3 in rows:
             if not h3[k]:
                 return False, f"H3(k={k}) fails first at n={n}"

@@ -141,9 +141,10 @@ def reduce_gf(col: Column, pivots: dict[int, Column], p: int) -> int | None:
         r = max(col)
         piv = pivots.get(r)
         if piv is None:
-            inv = pow(col[r], p - 2, p)
-            for i in col:
-                col[i] = col[i] * inv % p
+            if col[r] != 1:
+                inv = pow(col[r], p - 2, p)
+                for i in col:
+                    col[i] = col[i] * inv % p
             pivots[r] = col
             return r
         c = col[r]

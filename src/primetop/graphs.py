@@ -265,6 +265,33 @@ def cliques(G: Graph, dim_cap: int | None = None) -> list[list[tuple[int, ...]]]
     return by_dim
 
 
+def chains(G: Graph) -> list[list[tuple[int, ...]]]:
+    """cliques(G) for a divisibility graph (kind prime, integer or divisor), as its chains.
+
+    Every smaller neighbour y of x divides x, so every divisor of y is a
+    neighbour of x too, and the simplices with top vertex x are (x,) and
+    c + (x,) for every simplex c with top vertex y.  Labels are walked in
+    ascending order, which builds each simplex once; each dimension is then
+    sorted lexicographically, as cliques returns it.
+    """
+    by_dim: list[list[tuple[int, ...]]] = []
+    ending: dict[int, list[tuple[int, ...]]] = {}
+    for x in G.labels:
+        own = [(x,)]
+        for y in G.neighbors(x):
+            if y > x:
+                break
+            own += [c + (x,) for c in ending[y]]
+        ending[x] = own
+        for s in own:
+            if len(s) > len(by_dim):
+                by_dim.append([])
+            by_dim[len(s) - 1].append(s)
+    for dim in by_dim:
+        dim.sort()
+    return by_dim
+
+
 def barycentric_refinement(G: Graph) -> Graph:
     """Graph on the simplices of G, joined by strict containment.
 

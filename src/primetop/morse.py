@@ -13,6 +13,7 @@ import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     InvalidArgumentError,
     RankDiscrepancyError,
 )
-from .graphs import Graph, GraphKind, build_graph, cliques, induced_subgraph
+from .graphs import Graph, GraphKind, build_graph, chains, cliques, induced_subgraph
 from .topology import sphere_dimension_within
 
 
@@ -184,15 +185,17 @@ def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
     """H1 and H3 at n for the Betti vector b, with b_k = 0 where b is shorter.
 
     H1: b_0 = 1 + pi(n) - pi(n//2).  H3: b_k = pi_{k+1}(n, odd) -
-    pi_{k+1}(n//2, odd) for k = 1..3.  tables is pi_k_tables(sieve, N, k_max)
-    for some N >= n and k_max >= 4.
+    pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at least for k = 1..3.
+    tables is pi_k_tables(sieve, N, k_max) for some N >= n and
+    k_max >= max(len(b), 4).
     """
-    b = list(b) + [0] * 4
+    top = max(len(b), 4)
+    b = list(b) + [0] * (top - len(b))
 
     def diff(k, odd):
         return int(tables[(k, odd)][n]) - int(tables[(k, odd)][n // 2])
 
-    return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in (1, 2, 3)}
+    return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
 
 
 def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict:
@@ -200,8 +203,9 @@ def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict
 
     H1: b_0 = 1 + pi(n) - pi(n//2), meaningful for n >= 4 (None below).
     H2: c_m = pi_{m+1}(n) over all prime tuples, when counts are supplied.
-    H3: b_k = pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..3.
-    Raw columns of every pi variant are included for manual comparison.
+    H3: b_k = pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..len(b) - 1,
+    and at least for k = 1..3.  Raw columns of every pi variant are included
+    for manual comparison.
     """
     b = list(betti.b if hasattr(betti, "b") else betti)
     c = list(critical) if critical is not None else None
@@ -252,7 +256,7 @@ def run_filtration(
     events = list(F.events)
     position = {ev.n: i for i, ev in enumerate(events)}
     mert = mertens_table(sieve, n_max)
-    tables = pi_k_tables(sieve, n_max, 4)
+    tables = pi_k_tables(sieve, n_max, max(len(F.f), 4))
     reports = []
     seen, ph_sum, ph_pointwise = 0, 0, True
     for n in points:
@@ -377,44 +381,49 @@ def _chi(f: np.ndarray) -> np.ndarray:
     return signs @ f
 
 
-def _betti_reduce(order, position, width: int, top: int, reduce) -> np.ndarray:
-    """b[k, n] of the filtration whose simplices enter in `order`, by one column reduction.
+def _betti_reduce(order, top: int, reduce) -> np.ndarray:
+    """b[k, n] of the filtration whose k-simplices enter in order[k], by column reduction with clearing.
 
-    A column that reduces to zero creates a class in its dimension, otherwise
-    it kills the class of its pivot row one dimension down.
+    Dimensions are reduced from the top down, each in filtration order.  A
+    column that reduces to zero creates a class in its dimension, otherwise it
+    kills the class of its pivot row one dimension down.  A simplex that is
+    already the pivot row of a column one dimension up would reduce to zero,
+    so its column is skipped (cleared) and counted as a creation at its top
+    vertex: the twist of Chen and Kerber.
     """
-    delta = np.zeros((width, top + 1), dtype=np.int64)
-    pivots: dict[int, Column] = {}
-    for s in order:
-        dim = len(s) - 1
-        col = {position[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
-        if reduce(col, pivots) is None:
-            delta[dim, s[-1]] += 1
-        else:
-            delta[dim - 1, s[-1]] -= 1
+    delta = np.zeros((len(order), top + 1), dtype=np.int64)
+    above: dict[int, Column] = {}
+    for dim in reversed(range(len(order))):
+        rows = {s: j for j, s in enumerate(order[dim - 1])} if dim else {}
+        pivots: dict[int, Column] = {}
+        for j, s in enumerate(order[dim]):
+            if j in above:
+                delta[dim, s[-1]] += 1
+                continue
+            col = {rows[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
+            if reduce(col, pivots) is None:
+                delta[dim, s[-1]] += 1
+            else:
+                delta[dim - 1, s[-1]] -= 1
+        above = pivots
     return np.cumsum(delta, axis=1)
 
 
 def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[int, np.ndarray]:
-    """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness.
+    """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
-    The reduction is repeated with exact integer elimination over the prefix
-    of the filtration whose complex has at most DEFAULT_RATIONAL_BUDGET
-    simplices (every n that betti_numbers would verify rationally), and
-    Euler-Poincare is checked for every n; a disagreement raises
-    RankDiscrepancyError naming the first failing n.
+    Each dimension enters in filtration order: by top vertex label, then in
+    its order in simplices.  The reduction is repeated with exact integer
+    elimination over the whole filtration, and Euler-Poincare is checked for
+    every n; a disagreement raises RankDiscrepancyError naming the first
+    failing n.
     """
-    width, top = len(f), f.shape[1] - 1
-    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], len(s)))
-    position = {s: j for j, s in enumerate(order)}
-    b = _betti_reduce(order, position, width, top, lambda col, pivots: reduce_gf(col, pivots, field_prime))
-    totals = f.sum(axis=0)
-    covered = int(np.count_nonzero(totals <= DEFAULT_RATIONAL_BUDGET))
-    if covered:
-        exact = _betti_reduce(order[: totals[covered - 1]], position, width, covered - 1, reduce_exact)
-        _first_mismatch(b[:, :covered], exact, field_prime, "exact rational rank")
+    top = f.shape[1] - 1
+    order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
+    b = _betti_reduce(order, top, lambda col, pivots: reduce_gf(col, pivots, field_prime))
+    _first_mismatch(b, _betti_reduce(order, top, reduce_exact), field_prime, "exact rational rank")
     _first_mismatch(_chi(b)[None], _chi(f)[None], field_prime, "Euler-Poincare")
-    return {k: b[k] for k in range(width)}
+    return {k: b[k] for k in range(len(b))}
 
 
 def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: str) -> None:
@@ -432,11 +441,12 @@ def chi_timeline(G: Graph) -> np.ndarray:
 def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, np.ndarray]:
     """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
 
-    Columns enter in the order their simplices appear (top vertex label, then
-    dimension); a column that reduces to zero over GF(p) creates a class in
-    its dimension, otherwise it kills the class of its pivot row.  Exact over
-    GF(field_prime), and checked against exact rational elimination on the
-    prefix within DEFAULT_RATIONAL_BUDGET simplices.
+    Dimensions are reduced from the top down, the columns of each in the
+    order their simplices enter (top vertex label); a column that reduces to
+    zero over GF(p) creates a class in its dimension, otherwise it kills the
+    class of its pivot row, and the column of a simplex that is already a
+    pivot row is skipped as a creation (clearing).  Exact over
+    GF(field_prime), and checked against exact rational elimination at every n.
     """
     simplices = cliques(G)
     return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G)), field_prime)
@@ -447,10 +457,13 @@ class Filtration:
 
     Each field is computed on first use and then kept, so every check that
     reads the same field shares one computation: the f-vector, chi and Betti
-    timelines read one clique enumeration, and the critical counts read the
-    events, which classify one vertex per exponent signature and certify the
-    rest.  Timelines run over n = 0..top, where top
-    is G.param (the largest label when G has no parameter).
+    timelines read one enumeration of the simplices (the chains of the
+    divisor poset on a prime, integer or divisor graph), and the critical
+    counts read the events, which classify one vertex per exponent signature
+    and certify the rest.  The Betti timeline over GF(field_prime) is
+    witnessed by exact rational elimination at every n.  Timelines run over
+    n = 0..top, where top is G.param (the largest label when G has no
+    parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -465,8 +478,12 @@ class Filtration:
 
     @cached_property
     def simplices(self) -> list[list[tuple[int, ...]]]:
-        """cliques(G): every simplex of the Whitney complex, by dimension."""
-        return cliques(self.G)
+        """cliques(G): every simplex of the Whitney complex, by dimension.
+
+        Enumerated as chains of the divisor poset for a prime, integer or
+        divisor graph, by the generic clique search otherwise.
+        """
+        return chains(self.G) if self.G.kind in _DIVISOR_KINDS else cliques(self.G)
 
     @cached_property
     def f(self) -> np.ndarray:

@@ -18,6 +18,10 @@ pruned by screens that are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
+* a greedy collapse deletes only vertices whose link is a point or a cone,
+  both contractible, so when it reaches one vertex the definition, applied to
+  its deletions in reverse, makes every graph on the way contractible; this
+  certificate runs before the Betti screen below;
 * deleting a vertex whose subset-link is a cone preserves Betti numbers, and a
   contractible graph has the Betti numbers of a point over every field, so the
   contractibility screens rank over GF(p) alone.  Sphere verdicts of the large
@@ -157,8 +161,11 @@ def _contractible_uncached(amb: Graph, sub: frozenset, memo: dict) -> bool:
         return False
     if _cone_apex(amb, sub) is not None:
         return True
+    reduced = _greedy_collapse(amb, sub)
+    if len(reduced) == 1:
+        return True
     if len(sub) > RECURSION_CAP:
-        return _contractible_large(amb, sub, memo)
+        return _contractible_large(amb, sub, reduced, memo)
     if len(sub) >= _BETTI_SCREEN_MIN and not _is_point_pattern(_betti_gf_of_subset(amb, sub)):
         return False
     for v in sorted(sub):
@@ -168,10 +175,8 @@ def _contractible_uncached(amb: Graph, sub: frozenset, memo: dict) -> bool:
     return False
 
 
-def _contractible_large(amb: Graph, sub: frozenset, memo: dict) -> bool:
-    reduced = _greedy_collapse(amb, sub)
-    if len(reduced) == 1:
-        return True
+def _contractible_large(amb: Graph, sub: frozenset, reduced: frozenset, memo: dict) -> bool:
+    """Certificates for sub above the recursion cap, where greedy collapse stalled at reduced."""
     if not _connected(amb, reduced):
         return False
     if not _is_point_pattern(_betti_gf_of_subset(amb, reduced)):

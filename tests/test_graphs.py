@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primetop import (
     Graph,
@@ -20,7 +22,7 @@ from primetop import (
     whitney_complex,
 )
 from primetop.errors import InternalConsistencyError
-from primetop.graphs import bfs_distances, cliques, complete_graph, cycle_graph, verify_component_diameter_bound
+from primetop.graphs import bfs_distances, chains, cliques, complete_graph, cycle_graph, verify_component_diameter_bound
 
 
 def test_build_graph_examples(sieve):
@@ -160,6 +162,13 @@ def test_divisor_vertex_count(sieve):
     # squarefree m with d+1 prime factors: 2^(d+1) - 2 vertices
     for m, count in ((6, 2), (30, 6), (210, 14), (2310, 30)):
         assert build_graph(GraphKind.divisor(m), sieve).n_vertices == count
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 1500))
+def test_chains_are_the_cliques(sieve, kind, n):
+    G = build_graph(GraphKind(kind, n), sieve)
+    assert chains(G) == cliques(G)
 
 
 def test_barycentric_refinement_small():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,11 @@ from primetop import (
     stable_sphere,
     whitney_complex,
 )
+from primetop.arithmetic import FactorSieve, pi_k_tables
+from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
-from primetop.morse import Representative
+from primetop.cohomology import reduce_exact, reduce_gf
+from primetop.morse import Representative, _betti_reduce, betti_formulas
 
 from conftest import projective_plane_faces
 
@@ -142,6 +147,30 @@ def test_formula_hypotheses(sieve):
     assert row_c["h2"] is True
 
 
+def test_betti_formulas_read_b4():
+    sieve = FactorSieve(15015)
+    tables = pi_k_tables(sieve, 15015, 5)
+    # 15015 = 3*5*7*11*13 is the first odd number with five prime factors
+    assert int(tables[(5, True)][15015]) - int(tables[(5, True)][7507]) == 1
+    b = [1 + int(tables[(1, False)][15015] - tables[(1, False)][7507])]
+    b += [int(tables[(k + 1, True)][15015] - tables[(k + 1, True)][7507]) for k in (1, 2, 3)]
+    h1, h3 = betti_formulas(15015, tables, b + [1])
+    assert h1 and h3 == {1: True, 2: True, 3: True, 4: True}
+    assert betti_formulas(15015, tables, b + [0])[1][4] is False
+    assert betti_formulas(15015, tables, b)[1] == {1: True, 2: True, 3: True}
+
+
+def test_check_formulas_reads_every_dimension(sieve):
+    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    top = np.zeros(31, dtype=np.int64)
+    top[20:] = 1  # no odd number up to 30 has five prime factors
+    betti = dict(F.betti) | {3: np.zeros(31, dtype=np.int64), 4: top}
+    ok, message = check_formulas(SimpleNamespace(n_max=30), sieve, SimpleNamespace(betti=betti))
+    assert not ok and message == "H3(k=4) fails first at n=20"
+    ok, _ = check_formulas(SimpleNamespace(n_max=30), sieve, F)
+    assert ok
+
+
 def test_barycentric_morse_complex_examples():
     M = barycentric_morse_complex(complete_graph(2))
     assert M.counts == (2, 1)
@@ -189,6 +218,35 @@ def test_betti_timeline_matches_from_scratch(sieve):
         bv = betti_numbers(K)
         for k in tl:
             assert tl[k][n] == bv[k], (n, k)
+
+
+def reduce_without_clearing(simplices, top, reduce):
+    """b[k, n] by reducing every column, all dimensions mixed in entry order (top vertex, then dimension)."""
+    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], len(s)))
+    position = {s: j for j, s in enumerate(order)}
+    delta = np.zeros((len(simplices), top + 1), dtype=np.int64)
+    pivots = {}
+    for s in order:
+        dim = len(s) - 1
+        col = {position[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
+        if reduce(col, pivots) is None:
+            delta[dim, s[-1]] += 1
+        else:
+            delta[dim - 1, s[-1]] -= 1
+    return np.cumsum(delta, axis=1)
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 520), ("divisor", 2310)])
+def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
+    simplices = cliques(build_graph(GraphKind(kind, n), sieve))
+    order = [sorted(dim, key=lambda s: s[-1]) for dim in simplices]
+    for reduce in (lambda col, pivots: reduce_gf(col, pivots, 2), reduce_exact):
+        reduced = []
+        got = _betti_reduce(order, n, lambda col, pivots: reduced.append(col) or reduce(col, pivots))
+        assert np.array_equal(got, reduce_without_clearing(simplices, n, reduce))
+        # each of the rank(boundary) nonzero columns clears the column of its pivot row
+        total = sum(map(len, simplices))
+        assert len(reduced) == total - (total - int(got[:, n].sum())) // 2
 
 
 def test_events_to_csv(sieve):
@@ -262,7 +320,7 @@ def test_filtration_fields_match_oracles_any_n(sieve, kind, n, field_prime):
 def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     import primetop.morse as morse
 
-    calls = {"cliques": 0, "classify": 0}
+    calls = {"chains": 0, "classify": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -270,21 +328,36 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
+    # a prime graph's simplices are enumerated as chains of the divisor poset
+    monkeypatch.setattr(morse, "chains", counting("chains", morse.chains))
+    monkeypatch.setattr(morse, "cliques", lambda G: pytest.fail("Filtration of a prime graph ran cliques"))
     monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
     G = build_graph(GraphKind.prime(60), sieve)
     F = Filtration(G, sieve)
-    assert calls == {"cliques": 0, "classify": 0}
+    assert calls == {"chains": 0, "classify": 0}
     assert F.chi is F.chi and F.betti is F.betti
-    assert calls == {"cliques": 1, "classify": 0}
+    assert calls == {"chains": 1, "classify": 0}
     assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
     # one classification per exponent signature: primes, pairs and triples
-    assert calls == {"cliques": 1, "classify": 3}
+    assert calls == {"chains": 1, "classify": 3}
 
 
 def oracle_events(G, sieve):
     return [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
+
+
+@pytest.mark.parametrize("kind, n", [("integer", 520), ("prime", 2310)])
+def test_events_run_no_betti_screen(sieve, kind, n, monkeypatch):
+    # every stable sphere here is a sphere or collapses to a point
+    import primetop.topology as topology
+
+    screens = []
+    oracle = topology._betti_gf_of_subset
+    monkeypatch.setattr(topology, "_betti_gf_of_subset", lambda amb, sub: screens.append(sub) or oracle(amb, sub))
+    F = Filtration(build_graph(GraphKind(kind, n), sieve), sieve)
+    assert len(F.events) == F.G.n_vertices
+    assert screens == []
 
 
 def sorted_exponents(x, sieve):
@@ -346,17 +419,17 @@ def test_representative_raises_where_the_oracle_does(sieve):
         Filtration(G, sieve).events
 
 
-def projective_plane_subdivision() -> Graph:
+def projective_plane_subdivision(first: int = 1) -> Graph:
     """Barycentric subdivision of the 6-vertex projective plane, as a graph.
 
-    Its 31 vertices are the faces, numbered by dimension and then
+    Its 31 vertices are the faces, numbered from first by dimension and then
     lexicographically (so the last one is a triangle), and two faces are
     joined when one contains the other.
     """
     faces = [s for dim in projective_plane_faces() for s in dim]
-    label = {s: i + 1 for i, s in enumerate(faces)}
+    label = {s: first + i for i, s in enumerate(faces)}
     edges = [(label[a], label[b]) for a in faces for b in faces if len(a) < len(b) and set(a) < set(b)]
-    return Graph(range(1, len(faces) + 1), edges)
+    return Graph(label.values(), edges)
 
 
 def test_filtration_witness_names_first_torsion_step(sieve):
@@ -369,6 +442,16 @@ def test_filtration_witness_names_first_torsion_step(sieve):
     betti = Filtration(G, sieve, field_prime=3).betti
     assert tuple(int(betti[k][31]) for k in sorted(betti)) == (1, 0, 0)
     assert [int(betti[1][n]) for n in (30, 31)] == [1, 0]  # Moebius band, then the closed surface
+
+
+def test_filtration_witness_beyond_2000_simplices(sieve):
+    # a star on labels 1..2002 (4003 simplices) enters before the projective plane
+    plane = projective_plane_subdivision(first=2003)
+    G = Graph(range(1, 2034), [(1, v) for v in range(2, 2003)] + plane.edges())
+    with pytest.raises(RankDiscrepancyError, match=r"first at n=2033$"):
+        Filtration(G, sieve, field_prime=2).betti
+    betti = Filtration(G, sieve, field_prime=3).betti
+    assert tuple(int(betti[k][2033]) for k in sorted(betti)) == (2, 0, 0)
 
 
 def test_run_filtration_reads_the_filtration(sieve):

@@ -38,6 +38,36 @@ def test_contractible_base_cases(small_corpus):
     assert not is_contractible(Graph([1, 2], []))
 
 
+def contractible_by_definition(G):
+    """The recursive definition with no screen: some vertex has a contractible
+    link and deleting it leaves a contractible graph; one point is
+    contractible, the empty graph is not."""
+    memo = {}
+
+    def contractible(sub):
+        if len(sub) <= 1:
+            return len(sub) == 1
+        if sub not in memo:
+            memo[sub] = any(contractible(G.neighbor_set(v) & sub) and contractible(sub - {v}) for v in sub)
+        return memo[sub]
+
+    return contractible(frozenset(G.labels))
+
+
+@st.composite
+def small_graphs(draw, max_vertices=9):
+    k = draw(st.integers(0, max_vertices))
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(1, k + 1), [e for e, keep in zip(pairs, present) if keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=small_graphs())
+def test_contractible_matches_definition(G):
+    assert is_contractible(G) == contractible_by_definition(G)
+
+
 def test_contractible_large_screens():
     # screens answer far beyond the recursion cap (25) when certificates exist
     assert not is_contractible(cycle_graph(40), )
