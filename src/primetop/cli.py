@@ -16,6 +16,7 @@ import random
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -341,17 +342,13 @@ def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tupl
 
 def check_morse_equiv(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     G = F.G
-    for H in _corpus_small_graphs():
+    corpus = ((f"corpus graph with {H.n_vertices} vertices", H) for H in _corpus_small_graphs())
+    top = min(config.n_max, 120)
+    prefixes = ((f"Prime({n})", induced_subgraph(G, [v for v in G.labels if v <= n])) for n in range(2, top + 1))
+    for name, H in chain(corpus, prefixes):
         got = morse_betti(barycentric_morse_complex(H), field_prime=config.field_prime)
-        want = tuple(betti_numbers(whitney_complex(H), field_prime=config.field_prime).b)
-        if got != want:
-            return False, f"corpus graph with {H.n_vertices} vertices disagrees"
-    for n in range(2, min(config.n_max, 120) + 1):
-        sub = induced_subgraph(G, [v for v in G.labels if v <= n])
-        got = morse_betti(barycentric_morse_complex(sub), field_prime=config.field_prime)
-        want = tuple(betti_numbers(whitney_complex(sub), field_prime=config.field_prime).b)
-        if got != want:
-            return False, f"Prime({n}) disagrees"
+        if got != betti_numbers(whitney_complex(H), field_prime=config.field_prime).b:
+            return False, f"{name} disagrees"
     return True, "Morse cohomology equals simplicial cohomology on the corpus"
 
 
@@ -547,6 +544,9 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
         for name in names:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")
+        # Divisor(m) has the vertex 2 only when m is even and larger than 2
+        if "diameter" in names and config.kind == "divisor" and (config.n_max % 2 or config.n_max == 2):
+            parser.error(f"the diameter check is anchored at vertex 2, which Divisor({config.n_max}) does not have")
         config.checks = names
         # Divisor(primorial(6)) has 4,682 simplices, within the dense budget
         # of the Lefschetz check; primorial(7) has 47,292

@@ -1,19 +1,23 @@
 """Whitney complexes, boundary operators, exact Betti numbers, Hodge blocks.
 
-Rank strategy: sparse Gaussian elimination over GF(p) (default p = 2^31 - 1)
-is the fast path; on small complexes an exact fraction-free integer
-elimination recomputes every rank and any disagreement raises, it is never
-silently ignored.  Floating point appears only in the Hodge/Witten spectral
-cross-checks and in the Lefschetz supertrace, each of which has an exact
-counterpart elsewhere in the package.
+Every Betti number comes from one column reduction with clearing
+(_betti_changes), run over GF(p) (default p = 2^31 - 1) and again by exact
+fraction-free integer elimination at every size, then checked against
+Euler-Poincare; any disagreement raises, it is never silently ignored.
+Floating point appears only in the Hodge/Witten spectral cross-checks and in
+the Lefschetz supertrace, each of which has an exact counterpart elsewhere in
+the package.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .errors import InvalidArgumentError, RankDiscrepancyError, ResourceLimitErr
 from .graphs import Graph, cliques
 
 DEFAULT_FIELD_PRIME = 2**31 - 1
-DEFAULT_RATIONAL_BUDGET = 2000
 DEFAULT_DENSE_BUDGET = 6000
 DEFAULT_WU_BUDGET = 50_000_000
 HODGE_TOL = 1e-8
@@ -203,14 +206,11 @@ def rank_exact(columns: list[Column]) -> int:
 
 @dataclass(frozen=True)
 class BettiVector:
-    """Betti numbers with provenance of the rank computation."""
+    """Betti numbers over GF(field_prime); verified_rational records the exact rational witness."""
 
     b: tuple[int, ...]
     field_prime: int
     verified_rational: bool
-
-    def padded(self, length: int) -> tuple[int, ...]:
-        return self.b + (0,) * (length - len(self.b))
 
     def __iter__(self):
         return iter(self.b)
@@ -219,30 +219,104 @@ class BettiVector:
         return self.b[k] if 0 <= k < len(self.b) else 0
 
 
-def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> BettiVector:
-    """b_k = v_k - rank(d_k) - rank(d_{k+1}) over GF(field_prime).
+def _betti_changes(order, reduce) -> list[Counter]:
+    """{top vertex: change of b_k} for each k, of the complex whose k-simplices are order[k].
 
-    Complexes with at most DEFAULT_RATIONAL_BUDGET simplices are recomputed
-    with the exact integer elimination; a disagreement raises
-    RankDiscrepancyError so the caller can retry with a different prime.
+    Dimensions are reduced from the top down, each in its given order.  A
+    column that reduces to zero creates a class in its dimension, otherwise it
+    kills the class of its pivot row one dimension down.  A simplex that is
+    already the pivot row of a column one dimension up would reduce to zero,
+    so its column is skipped (cleared) and counted as a creation at its top
+    vertex: the twist of Chen and Kerber.  The changes of dimension k sum to
+    b_k; when each order[k] is sorted by top vertex, those up to n sum to b_k
+    of the subcomplex on the vertices <= n.
     """
-    fv = K.f_vector
-    if not fv:
-        return BettiVector(b=(), field_prime=field_prime, verified_rational=True)
-    chain = boundary_matrices(K)
-    ranks = [0] + [rank_gf(cols, field_prime) for cols in chain.boundaries] + [0]
-    verified = False
-    if K.total <= DEFAULT_RATIONAL_BUDGET:
-        exact = [0] + [rank_exact(cols) for cols in chain.boundaries] + [0]
-        if exact != ranks:
-            raise RankDiscrepancyError(
-                f"rank over GF({field_prime}) disagrees with exact rational rank", field_prime
-            )
-        verified = True
-    b = tuple(fv[k] - ranks[k] - ranks[k + 1] for k in range(len(fv)))
+    changes = [Counter() for _ in order]
+    above: dict[int, Column] = {}
+    for dim in reversed(range(len(order))):
+        rows = {s: j for j, s in enumerate(order[dim - 1])} if dim else {}
+        pivots: dict[int, Column] = {}
+        for j, s in enumerate(order[dim]):
+            if j in above:
+                changes[dim][s[-1]] += 1
+                continue
+            col = {rows[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
+            if reduce(col, pivots) is None:
+                changes[dim][s[-1]] += 1
+            else:
+                changes[dim - 1][s[-1]] -= 1
+        above = pivots
+    return changes
+
+
+def _betti_sums(simplices, reduce) -> tuple[int, ...]:
+    """Betti vector of the complex with these simplices: each dimension's changes, summed."""
+    return tuple(sum(change.values()) for change in _betti_changes(simplices, reduce))
+
+
+def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> BettiVector:
+    """b_k over GF(field_prime), witnessed by exact integer elimination and Euler-Poincare at every size.
+
+    A disagreement raises RankDiscrepancyError so the caller can retry with a
+    different prime.
+    """
+    b = _betti_sums(K.simplices, partial(reduce_gf, p=field_prime))
+    if _betti_sums(K.simplices, reduce_exact) != b:
+        raise RankDiscrepancyError(f"rank over GF({field_prime}) disagrees with exact rational rank", field_prime)
     if sum((-1) ** k * v for k, v in enumerate(b)) != euler_characteristic(K):
         raise RankDiscrepancyError("Betti numbers violate Euler-Poincare", field_prime)
-    return BettiVector(b=b, field_prime=field_prime, verified_rational=verified)
+    return BettiVector(b=b, field_prime=field_prime, verified_rational=True)
+
+
+def _f_vector(simplices, top: int) -> np.ndarray:
+    """f[k, n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
+    f = np.zeros((len(simplices), top + 1), dtype=np.int64)
+    for k, dim in enumerate(simplices):
+        for s in dim:
+            f[k, s[-1]] += 1
+    while len(f) and not f[-1].any():
+        f = f[:-1]
+    np.cumsum(f, axis=1, out=f)
+    return f
+
+
+def _chi(f: np.ndarray) -> np.ndarray:
+    """chi(n) as the alternating sum over k of the cumulative f-vector."""
+    signs = np.where(np.arange(len(f)) % 2, -1, 1)
+    return signs @ f
+
+
+def _betti_timeline(order, top: int, reduce) -> np.ndarray:
+    """b[k, n] for n = 0..top: the cumulative sum of _betti_changes over top vertices."""
+    b = np.zeros((len(order), top + 1), dtype=np.int64)
+    for k, change in enumerate(_betti_changes(order, reduce)):
+        for n, d in change.items():
+            b[k, n] = d
+    return np.cumsum(b, axis=1)
+
+
+def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[int, np.ndarray]:
+    """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
+
+    Each dimension enters in filtration order: by top vertex label, then in
+    its order in simplices.  The reduction is repeated with exact integer
+    elimination over the whole filtration, and Euler-Poincare is checked for
+    every n; a disagreement raises RankDiscrepancyError naming the first
+    failing n.
+    """
+    top = f.shape[1] - 1
+    order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
+    b = _betti_timeline(order, top, partial(reduce_gf, p=field_prime))
+    _first_mismatch(b, _betti_timeline(order, top, reduce_exact), field_prime, "exact rational rank")
+    _first_mismatch(_chi(b)[None], _chi(f)[None], field_prime, "Euler-Poincare")
+    return {k: b[k] for k in range(len(b))}
+
+
+def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: str) -> None:
+    bad = np.flatnonzero((got != want).any(axis=0))
+    if len(bad):
+        message = f"Betti numbers over GF({field_prime}) disagree with {what} first at n={bad[0]}"
+        raise RankDiscrepancyError(message, field_prime)
 
 
 # --- spectral cross-checks --------------------------------------------------

@@ -13,20 +13,19 @@ import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
-    DEFAULT_RATIONAL_BUDGET,
     Column,
+    _betti_from_simplices,
+    _chi,
+    _f_vector,
     euler_characteristic,
     rank_exact,
     rank_gf,
-    reduce_exact,
-    reduce_gf,
     whitney_complex,
 )
 from .errors import (
@@ -341,15 +340,13 @@ def _verify_dd_zero(cells, derivatives) -> None:
 
 
 def morse_betti(M: MorseComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> tuple[int, ...]:
-    """Betti vector of the Morse complex, via the shared rank engines."""
+    """Betti vector of the Morse complex from the ranks of its derivatives, over GF(field_prime) and exactly."""
     counts = M.counts
     if not counts:
         return ()
     ranks = [rank_gf(cols, field_prime) for cols in M.derivatives]
-    if sum(counts) <= DEFAULT_RATIONAL_BUDGET:
-        exact = [rank_exact(cols) for cols in M.derivatives]
-        if exact != ranks:
-            raise RankDiscrepancyError("Morse complex rank mismatch", field_prime)
+    if [rank_exact(cols) for cols in M.derivatives] != ranks:
+        raise RankDiscrepancyError("Morse complex rank mismatch", field_prime)
     ranks = [0] + ranks + [0]
     return tuple(counts[m] - ranks[m] - ranks[m + 1] for m in range(len(counts)))
 
@@ -363,76 +360,6 @@ def _timeline_top(G: Graph) -> int:
     return max(G.labels) if G.labels else 0
 
 
-def _f_vector(simplices, top: int) -> np.ndarray:
-    """f[k, n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
-    f = np.zeros((len(simplices), top + 1), dtype=np.int64)
-    for k, dim in enumerate(simplices):
-        for s in dim:
-            f[k, s[-1]] += 1
-    while len(f) and not f[-1].any():
-        f = f[:-1]
-    np.cumsum(f, axis=1, out=f)
-    return f
-
-
-def _chi(f: np.ndarray) -> np.ndarray:
-    """chi(n) as the alternating sum over k of the cumulative f-vector."""
-    signs = np.where(np.arange(len(f)) % 2, -1, 1)
-    return signs @ f
-
-
-def _betti_reduce(order, top: int, reduce) -> np.ndarray:
-    """b[k, n] of the filtration whose k-simplices enter in order[k], by column reduction with clearing.
-
-    Dimensions are reduced from the top down, each in filtration order.  A
-    column that reduces to zero creates a class in its dimension, otherwise it
-    kills the class of its pivot row one dimension down.  A simplex that is
-    already the pivot row of a column one dimension up would reduce to zero,
-    so its column is skipped (cleared) and counted as a creation at its top
-    vertex: the twist of Chen and Kerber.
-    """
-    delta = np.zeros((len(order), top + 1), dtype=np.int64)
-    above: dict[int, Column] = {}
-    for dim in reversed(range(len(order))):
-        rows = {s: j for j, s in enumerate(order[dim - 1])} if dim else {}
-        pivots: dict[int, Column] = {}
-        for j, s in enumerate(order[dim]):
-            if j in above:
-                delta[dim, s[-1]] += 1
-                continue
-            col = {rows[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
-            if reduce(col, pivots) is None:
-                delta[dim, s[-1]] += 1
-            else:
-                delta[dim - 1, s[-1]] -= 1
-        above = pivots
-    return np.cumsum(delta, axis=1)
-
-
-def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[int, np.ndarray]:
-    """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
-
-    Each dimension enters in filtration order: by top vertex label, then in
-    its order in simplices.  The reduction is repeated with exact integer
-    elimination over the whole filtration, and Euler-Poincare is checked for
-    every n; a disagreement raises RankDiscrepancyError naming the first
-    failing n.
-    """
-    top = f.shape[1] - 1
-    order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
-    b = _betti_reduce(order, top, lambda col, pivots: reduce_gf(col, pivots, field_prime))
-    _first_mismatch(b, _betti_reduce(order, top, reduce_exact), field_prime, "exact rational rank")
-    _first_mismatch(_chi(b)[None], _chi(f)[None], field_prime, "Euler-Poincare")
-    return {k: b[k] for k in range(len(b))}
-
-
-def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: str) -> None:
-    bad = np.flatnonzero((got != want).any(axis=0))
-    if len(bad):
-        message = f"Betti numbers over GF({field_prime}) disagree with {what} first at n={bad[0]}"
-        raise RankDiscrepancyError(message, field_prime)
-
-
 def chi_timeline(G: Graph) -> np.ndarray:
     """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
     return _chi(_f_vector(cliques(G), _timeline_top(G)))
@@ -441,12 +368,10 @@ def chi_timeline(G: Graph) -> np.ndarray:
 def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, np.ndarray]:
     """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
 
-    Dimensions are reduced from the top down, the columns of each in the
-    order their simplices enter (top vertex label); a column that reduces to
-    zero over GF(p) creates a class in its dimension, otherwise it kills the
-    class of its pivot row, and the column of a simplex that is already a
-    pivot row is skipped as a creation (clearing).  Exact over
-    GF(field_prime), and checked against exact rational elimination at every n.
+    The columns of each dimension enter in the order of their top vertex
+    label, through the clearing reduction that also gives betti_numbers.
+    Exact over GF(field_prime), and checked against exact rational
+    elimination and Euler-Poincare at every n.
     """
     simplices = cliques(G)
     return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G)), field_prime)

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .cohomology import DEFAULT_FIELD_PRIME, betti_numbers, boundary_matrices, rank_gf, whitney_complex
+from .cohomology import DEFAULT_FIELD_PRIME, _betti_sums, betti_numbers, reduce_gf, whitney_complex
 from .errors import ResourceLimitError
 from .graphs import Graph, induced_subgraph
 
@@ -94,20 +95,18 @@ def _cone_apex(amb: Graph, sub: frozenset) -> int | None:
 
 
 def _betti_of_subset(amb: Graph, sub: frozenset):
-    K = whitney_complex(induced_subgraph(amb, sub))
-    return tuple(betti_numbers(K).b)
+    return betti_numbers(whitney_complex(induced_subgraph(amb, sub))).b
 
 
 def _betti_gf_of_subset(amb: Graph, sub: frozenset) -> tuple[int, ...]:
-    """Betti numbers of the subset over GF(DEFAULT_FIELD_PRIME) alone, without a witness.
+    """Betti numbers of the subset over GF(DEFAULT_FIELD_PRIME) alone: the GF(p) pass of betti_numbers.
 
     Enough for the contractibility screens: a contractible complex has the
     Betti numbers of a point over every field, so a non-point vector over one
     field already proves it is not contractible.
     """
     K = whitney_complex(induced_subgraph(amb, sub))
-    ranks = [0] + [rank_gf(cols, DEFAULT_FIELD_PRIME) for cols in boundary_matrices(K).boundaries] + [0]
-    return tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(K.f_vector))
+    return _betti_sums(K.simplices, partial(reduce_gf, p=DEFAULT_FIELD_PRIME))
 
 
 def _is_point_pattern(b: tuple[int, ...]) -> bool:

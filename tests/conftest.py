@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own rank/recursion engines:
-moebius by trial division, Betti numbers by numpy floating-point matrix rank,
+moebius by trial division, Betti numbers by numpy floating-point matrix rank
+or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
 tuple counts by direct enumeration.
 """
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from primetop import FactorSieve, Graph, boundary_matrices
+from primetop.cohomology import rank_exact
 from primetop.graphs import complete_graph, components, cycle_graph
 
 
@@ -76,6 +78,13 @@ def betti_float_oracle(K) -> tuple[int, ...]:
     return tuple(fv[k] - ranks[k] - ranks[k + 1] for k in range(len(fv)))
 
 
+def betti_rank_oracle(K) -> tuple[int, ...]:
+    """b_k = f_k - rank d_k - rank d_{k+1}, each rank by exact elimination of one boundary matrix."""
+    fv = K.f_vector
+    ranks = [0] + [rank_exact(cols) for cols in boundary_matrices(K).boundaries] + [0]
+    return tuple(fv[k] - ranks[k] - ranks[k + 1] for k in range(len(fv)))
+
+
 # minimal 6-vertex triangulation of the projective plane (its H_1 over Z is Z/2)
 PROJECTIVE_PLANE_TRIANGLES = (
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -88,6 +97,25 @@ def projective_plane_faces() -> list[list[tuple[int, ...]]]:
     triangles = list(PROJECTIVE_PLANE_TRIANGLES)
     edges = sorted({(s[i], s[j]) for s in triangles for i in range(3) for j in range(i + 1, 3)})
     return [[(v,) for v in range(1, 7)], edges, triangles]
+
+
+def projective_plane_subdivision(first: int = 1) -> Graph:
+    """Barycentric subdivision of the 6-vertex projective plane, as a graph.
+
+    Its 31 vertices are the faces, numbered from first by dimension and then
+    lexicographically (so the last one is a triangle), and two faces are
+    joined when one contains the other.
+    """
+    faces = [s for dim in projective_plane_faces() for s in dim]
+    label = {s: first + i for i, s in enumerate(faces)}
+    edges = [(label[a], label[b]) for a in faces for b in faces if len(a) < len(b) and set(a) < set(b)]
+    return Graph(label.values(), edges)
+
+
+def projective_plane_behind_star() -> Graph:
+    """A star on labels 1..2002 (4003 simplices), then the projective plane on 2003..2033: 4,184 simplices."""
+    plane = projective_plane_subdivision(first=2003)
+    return Graph(range(1, 2034), [(1, v) for v in range(2, 2003)] + plane.edges())
 
 
 def random_connected_graphs(count: int, seed: int = 11, max_vertices: int = 7) -> list[Graph]:

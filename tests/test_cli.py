@@ -6,7 +6,6 @@ import pytest
 from primetop import (
     FactorSieve,
     GraphKind,
-    betti_numbers,
     build_graph,
     cli,
     euler_characteristic,
@@ -15,6 +14,8 @@ from primetop import (
     whitney_complex,
 )
 from primetop.cohomology import wu_characteristic_bruteforce
+
+from conftest import betti_rank_oracle
 
 
 def run_main(argv):
@@ -213,6 +214,28 @@ def test_invalid_configuration_usage_error(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "divisor", "--n-max", "35", "--checks", "diameter"],
+        ["verify", "--kind", "divisor", "--n-max", "2", "--checks", "mertens,diameter"],
+        ["verify", "--kind", "divisor", "--n-max", "35"],  # the default checks include diameter
+    ],
+)
+def test_diameter_without_vertex_2_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "vertex 2" in err and "Traceback" not in err
+
+
+def test_diameter_on_even_divisor_graph(capsys):
+    assert run_main(["verify", "--kind", "divisor", "--n-max", "30", "--checks", "diameter"]) == 0
+    assert run_main(["verify", "--kind", "divisor", "--n-max", "35", "--checks", "hopf"]) == 0
+    assert capsys.readouterr().out.count("pass") == 2
+
+
 def test_small_field_prime_accepted(capsys):
     assert run_main(["verify", "--checks", "formulas,morse-strong", "--n-max", "60", "--field-prime", "3"]) == 0
     assert capsys.readouterr().out.count("pass") == 2
@@ -269,7 +292,7 @@ def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
     for rec in records:
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= rec["n"]]))
         assert rec["fvector"] == list(K.f_vector), rec
-        assert rec["betti"] == list(betti_numbers(K).b), rec
+        assert rec["betti"] == list(betti_rank_oracle(K)), rec
         assert rec["chi"] == sum((-1) ** k * v for k, v in enumerate(K.f_vector)), rec
 
 

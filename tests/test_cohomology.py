@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from primetop import (
+    FactorSieve,
     GraphKind,
     InvalidArgumentError,
     ResourceLimitError,
+    barycentric_morse_complex,
     barycentric_refinement,
     betti_numbers,
     boundary_matrices,
@@ -17,6 +19,7 @@ from primetop import (
     inductive_dimension,
     kummer_involution,
     lefschetz_number,
+    morse_betti,
     whitney_complex,
     witten_nullity,
     wu_characteristic,
@@ -32,7 +35,7 @@ from primetop.cohomology import (
 from primetop.errors import RankDiscrepancyError
 from primetop.graphs import Graph, complete_graph, cycle_graph
 
-from conftest import betti_float_oracle, projective_plane_faces, random_connected_graphs
+from conftest import betti_float_oracle, projective_plane_behind_star, projective_plane_faces, random_connected_graphs
 
 
 def projective_plane_complex() -> SimplicialComplex:
@@ -110,6 +113,21 @@ def test_betti_examples(sieve):
     bv = betti_numbers(whitney_complex(build_graph(GraphKind.divisor(210), sieve)))
     assert bv.b == (1, 0, 1)
     assert bv.verified_rational
+    # 4,682 simplices: the exact witness runs at every size
+    K = whitney_complex(build_graph(GraphKind.divisor(30030), FactorSieve(30030)))
+    assert K.total == 4682
+    bv = betti_numbers(K)
+    assert bv.b == (1, 0, 0, 0, 1)
+    assert bv.verified_rational
+
+
+def test_betti_numbers_of_large_labels():
+    # the reduction keys its changes by vertex label, so no array is sized by one
+    big = 10**12
+    K = whitney_complex(Graph([1, 2, big, big + 1], [(1, 2), (2, big), (big, big + 1), (1, big + 1)]))
+    assert betti_numbers(K).b == (1, 1) == betti_float_oracle(K)
+    K = whitney_complex(Graph([3, big], []))
+    assert betti_numbers(K, field_prime=3).b == (2,)
 
 
 def test_betti_against_float_oracle(sieve):
@@ -276,6 +294,15 @@ def test_rank_discrepancy_detected_on_torsion():
     with pytest.raises(RankDiscrepancyError) as exc:
         betti_numbers(K, field_prime=2)
     assert exc.value.field_prime == 2
+    # the same torsion behind a star, 4,184 simplices in all: still witnessed
+    G = projective_plane_behind_star()
+    K = whitney_complex(G)
+    assert K.total == 4184
+    assert betti_numbers(K).b == (2, 0, 0)
+    with pytest.raises(RankDiscrepancyError):
+        betti_numbers(K, field_prime=2)
+    with pytest.raises(RankDiscrepancyError):
+        morse_betti(barycentric_morse_complex(G), field_prime=2)
 
 
 def test_reducers_leave_rank_inputs_untouched_and_agree_with_rank():

@@ -31,10 +31,10 @@ from primetop import (
 from primetop.arithmetic import FactorSieve, pi_k_tables
 from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
-from primetop.cohomology import reduce_exact, reduce_gf
-from primetop.morse import Representative, _betti_reduce, betti_formulas
+from primetop.cohomology import _betti_timeline, reduce_exact, reduce_gf
+from primetop.morse import Representative, betti_formulas
 
-from conftest import projective_plane_faces
+from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
 ident = lambda v: v
 
@@ -242,7 +242,7 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
     order = [sorted(dim, key=lambda s: s[-1]) for dim in simplices]
     for reduce in (lambda col, pivots: reduce_gf(col, pivots, 2), reduce_exact):
         reduced = []
-        got = _betti_reduce(order, n, lambda col, pivots: reduced.append(col) or reduce(col, pivots))
+        got = _betti_timeline(order, n, lambda col, pivots: reduced.append(col) or reduce(col, pivots))
         assert np.array_equal(got, reduce_without_clearing(simplices, n, reduce))
         # each of the rank(boundary) nonzero columns clears the column of its pivot row
         total = sum(map(len, simplices))
@@ -419,19 +419,6 @@ def test_representative_raises_where_the_oracle_does(sieve):
         Filtration(G, sieve).events
 
 
-def projective_plane_subdivision(first: int = 1) -> Graph:
-    """Barycentric subdivision of the 6-vertex projective plane, as a graph.
-
-    Its 31 vertices are the faces, numbered from first by dimension and then
-    lexicographically (so the last one is a triangle), and two faces are
-    joined when one contains the other.
-    """
-    faces = [s for dim in projective_plane_faces() for s in dim]
-    label = {s: first + i for i, s in enumerate(faces)}
-    edges = [(label[a], label[b]) for a in faces for b in faces if len(a) < len(b) and set(a) < set(b)]
-    return Graph(label.values(), edges)
-
-
 def test_filtration_witness_names_first_torsion_step(sieve):
     G = projective_plane_subdivision()
     assert G.n_vertices == 31
@@ -446,8 +433,7 @@ def test_filtration_witness_names_first_torsion_step(sieve):
 
 def test_filtration_witness_beyond_2000_simplices(sieve):
     # a star on labels 1..2002 (4003 simplices) enters before the projective plane
-    plane = projective_plane_subdivision(first=2003)
-    G = Graph(range(1, 2034), [(1, v) for v in range(2, 2003)] + plane.edges())
+    G = projective_plane_behind_star()
     with pytest.raises(RankDiscrepancyError, match=r"first at n=2033$"):
         Filtration(G, sieve, field_prime=2).betti
     betti = Filtration(G, sieve, field_prime=3).betti
@@ -464,11 +450,11 @@ def test_run_filtration_reads_the_filtration(sieve):
 
     for r in reports:
         K = complex_below(r.n + 1)
-        assert r.betti == betti_numbers(K).b and r.chi == euler_characteristic(K)
+        assert r.betti == betti_rank_oracle(K) and r.chi == euler_characteristic(K)
         assert list(r.critical_counts) == critical_counts(events, r.n)
     for ev in events:
         if ev.n in checkpoints:
-            now, prev = betti_numbers(complex_below(ev.n + 1)).b, betti_numbers(complex_below(ev.n)).b
+            now, prev = betti_rank_oracle(complex_below(ev.n + 1)), betti_rank_oracle(complex_below(ev.n))
             prev += (0,) * (len(now) - len(prev))
             assert ev.betti_delta == tuple(a - b for a, b in zip(now, prev)), ev.n
         else:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,15 +82,18 @@ def test_contractible_large_screens():
 def test_contractibility_screens_rank_over_one_field(monkeypatch):
     import primetop.cohomology as cohomology
 
-    def no_exact(columns):
+    def no_exact(col, pivots):
         raise AssertionError("a contractibility screen ran exact elimination")
 
-    monkeypatch.setattr(cohomology, "rank_exact", no_exact)
+    monkeypatch.setattr(cohomology, "reduce_exact", no_exact)
     # 12 vertices take the screen of the exact path, 40 the one after the
-    # stalled collapse
-    for k in (12, 40):
-        ring = Graph(range(1000, 1000 + k), [(1000 + i, 1000 + (i + 1) % k) for i in range(k)])
-        assert not is_contractible(ring)
+    # stalled collapse; labels from 10^12 would show an array sized by label
+    for first in (1000, 10**12):
+        for k in (12, 40):
+            ring = Graph(range(first, first + k), [(first + i, first + (i + 1) % k) for i in range(k)])
+            assert not is_contractible(ring)
+    with pytest.raises(AssertionError, match="exact elimination"):
+        betti_numbers(whitney_complex(cycle_graph(4)))  # the patch reaches the witness
 
 
 def test_sphere_dimension_examples(sieve):
