@@ -8,9 +8,11 @@ of that table.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import InvalidArgumentError
 
@@ -19,6 +21,7 @@ DEFAULT_SIEVE_LIMIT = 10**6
 # Enough primes for every primorial expressible in 64 bits (15 primes).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _INT64_MAX = 2**63 - 1
+_SLICE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -36,26 +39,37 @@ class PrimeSignature:
 
 
 class FactorSieve:
-    """Smallest-prime-factor table covering [2, limit]."""
+    """Smallest-prime-factor table covering [2, limit].
+
+    spf is an array('l') with spf[x] the smallest prime factor of x for
+    2 <= x <= limit (spf[0] = spf[1] = 0).  It starts as the identity and every
+    prime p <= sqrt(limit), largest first, writes p over its multiples from p^2
+    on by slice assignment, so the smallest prime factor writes last; an entry
+    left equal to its index is prime.  Each slice covers at most _SLICE
+    multiples, which bounds the temporary right-hand side.
+    """
 
     def __init__(self, limit: int):
         if limit < 2:
             raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
         self.limit = int(limit)
-        spf = np.zeros(self.limit + 1, dtype=np.int64)
-        for i in range(2, self.limit + 1):
-            if spf[i] == 0:
-                block = spf[i::i]
-                block[block == 0] = i
+        spf = array("l", range(self.limit + 1))
+        spf[1] = 0
+        root = math.isqrt(self.limit)
+        small = [p for p in range(2, root + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        for p in reversed(small):
+            for start in range(p * p, self.limit + 1, p * _SLICE):
+                stop = min(start + p * _SLICE, self.limit + 1)
+                spf[start:stop:p] = array("l", [p]) * len(range(start, stop, p))
         self.spf = spf
-        self._primes: np.ndarray | None = None
+        self._primes: list[int] | None = None
 
     @property
-    def primes(self) -> np.ndarray:
-        """Sorted array of all primes <= limit."""
+    def primes(self) -> list[int]:
+        """Sorted list of all primes <= limit."""
         if self._primes is None:
-            idx = np.arange(self.limit + 1)
-            self._primes = idx[(idx >= 2) & (self.spf == idx)]
+            spf = self.spf
+            self._primes = [x for x in range(2, self.limit + 1) if spf[x] == x]
         return self._primes
 
     def check_range(self, x: int) -> None:
@@ -68,7 +82,7 @@ class FactorSieve:
         out = []
         m = x
         while m > 1:
-            p = int(self.spf[m])
+            p = self.spf[m]
             e = 0
             while m % p == 0:
                 m //= p
@@ -109,15 +123,10 @@ def mertens(n: int, sieve: FactorSieve) -> int:
     return sum(moebius(k, sieve) for k in range(1, n + 1))
 
 
-def mertens_table(sieve: FactorSieve, n: int) -> np.ndarray:
-    """Array M[0..n] of Mertens values (M[0] = 0), for sweep-style consumers."""
+def mertens_table(sieve: FactorSieve, n: int) -> list[int]:
+    """List M[0..n] of Mertens values (M[0] = 0), for sweep-style consumers."""
     sieve.check_range(n)
-    out = np.zeros(n + 1, dtype=np.int64)
-    acc = 0
-    for k in range(1, n + 1):
-        acc += moebius(k, sieve)
-        out[k] = acc
-    return out
+    return list(accumulate((moebius(k, sieve) for k in range(1, n + 1)), initial=0))
 
 
 def prime_pi(x: float, sieve: FactorSieve) -> int:
@@ -126,8 +135,7 @@ def prime_pi(x: float, sieve: FactorSieve) -> int:
         raise InvalidArgumentError(f"prime_pi needs x >= 0, got {x}")
     if x > sieve.limit:
         raise InvalidArgumentError(f"{x} outside sieve range [0, {sieve.limit}]")
-    fx = int(x)
-    return int(np.searchsorted(sieve.primes, fx, side="right"))
+    return bisect_right(sieve.primes, int(x))
 
 
 def pi_k(k: int, x: float, odd_only: bool, sieve: FactorSieve) -> int:
@@ -153,24 +161,22 @@ def pi_k(k: int, x: float, odd_only: bool, sieve: FactorSieve) -> int:
     return count
 
 
-def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool], np.ndarray]:
-    """Cumulative pi_k arrays for all 1 <= k <= k_max and both parities.
+def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool], list[int]]:
+    """Cumulative pi_k lists for all 1 <= k <= k_max and both parities.
 
-    Returns {(k, odd_only): array A with A[x] = pi_k(k, x, odd_only)} for x in
+    Returns {(k, odd_only): list A with A[x] = pi_k(k, x, odd_only)} for x in
     [0, n].  One pass over the sieve; intended for per-n sweeps where calling
     pi_k repeatedly would be quadratic.
     """
     sieve.check_range(n)
-    tables = {(k, odd): np.zeros(n + 1, dtype=np.int64) for k in range(1, k_max + 1) for odd in (False, True)}
+    tables = {(k, odd): [0] * (n + 1) for k in range(1, k_max + 1) for odd in (False, True)}
     for m in range(2, n + 1):
         sig = sieve.signature(m)
         if sig.squarefree and 1 <= sig.nu <= k_max:
             tables[(sig.nu, False)][m] = 1
             if m % 2 == 1:
                 tables[(sig.nu, True)][m] = 1
-    for arr in tables.values():
-        np.cumsum(arr, out=arr)
-    return tables
+    return {key: list(accumulate(marks)) for key, marks in tables.items()}
 
 
 def kummer_number(d: int) -> int:

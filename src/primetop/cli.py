@@ -3,7 +3,9 @@
 All outputs are byte-deterministic for a fixed configuration: rows are
 assembled in ascending n, floats are printed with repr, exact rationals as
 "p/q", and booleans as lowercase true/false.  `--threads` is accepted and
-ignored; every command runs in one thread.
+ignored; every command runs in one thread.  numpy is imported only where
+floats are needed (the dimension fit, and through cohomology the spectral
+checks), so launching the CLI and every exact command do without it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
 
 from . import __version__
 from .arithmetic import FactorSieve, mertens_table, pi_k_tables, primorial
@@ -243,8 +243,8 @@ def cmd_table(config: RunConfig) -> int:
             n=n,
             fvector=F.f_vector(n),
             betti=F.betti_numbers(n),
-            chi=int(F.chi[n]),
-            mertens=int(mert[n]),
+            chi=F.chi[n],
+            mertens=mert[n],
             critical_counts=F.critical_counts(n),
             tool_version=__version__,
             field_prime=config.field_prime,
@@ -329,7 +329,7 @@ def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tupl
 def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     tables = pi_k_tables(sieve, config.n_max, max(len(F.betti), 4))
     dims = sorted(F.betti)
-    rows = [(n, *betti_formulas(n, tables, [int(F.betti[k][n]) for k in dims])) for n in range(4, config.n_max + 1)]
+    rows = [(n, *betti_formulas(n, tables, [F.betti[k][n] for k in dims])) for n in range(4, config.n_max + 1)]
     for n, h1, _ in rows:
         if not h1:
             return False, f"H1 fails first at n={n}"
@@ -465,16 +465,20 @@ def cmd_series(config: RunConfig) -> int:
             lines.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
             xs.append(n)
             ys.append(float(d))
-        A = np.column_stack([np.ones(len(xs)), np.array(xs, dtype=float), np.log(np.array(xs, dtype=float))])
-        coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-        a, b, c = (float(v) for v in coef)
-        print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
+        # three unknowns: with fewer rows the fit would be a guess
+        if len(xs) >= 3:
+            import numpy as np
+
+            A = np.column_stack([np.ones(len(xs)), np.array(xs, dtype=float), np.log(np.array(xs, dtype=float))])
+            coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
+            a, b, c = (float(v) for v in coef)
+            print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
     else:
         lines.append("n,wu,chi_scaled")
         F = Filtration(G, sieve)
         wu = wu_timeline(F.simplices, F.top)
         for n in range(2, config.n_max + 1):
-            lines.append(f"{n},{wu[n]},{100 - 15 * int(F.chi[n])}")
+            lines.append(f"{n},{wu[n]},{100 - 15 * F.chi[n]}")
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 

@@ -4,9 +4,10 @@ Every Betti number comes from one column reduction with clearing
 (_betti_changes), run over GF(p) (default p = 2^31 - 1) and again by exact
 fraction-free integer elimination at every size, then checked against
 Euler-Poincare; any disagreement raises, it is never silently ignored.
-Floating point appears only in the Hodge/Witten spectral cross-checks and in
-the Lefschetz supertrace, each of which has an exact counterpart elsewhere in
-the package.
+Timelines are lists of Python ints, indexed [k][n].  Floating point appears
+only in the Hodge/Witten spectral cross-checks and in the Lefschetz
+supertrace, each of which has an exact counterpart elsewhere in the package;
+only those functions, and the Wu oracle, import numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from functools import partial
 from itertools import accumulate
 from math import gcd
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, RankDiscrepancyError, ResourceLimitError
 from .graphs import Graph, cliques
@@ -29,6 +29,9 @@ DEFAULT_DENSE_BUDGET = 6000
 DEFAULT_WU_BUDGET = 50_000_000
 HODGE_TOL = 1e-8
 WITTEN_TOL = 1e-6
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Column = dict[int, int]
 
@@ -88,6 +91,8 @@ class ChainComplex:
 
     def dense(self, k: int) -> np.ndarray:
         """Boundary matrix of dimension k as a dense int64 array."""
+        import numpy as np
+
         rows, cols = self.shapes[k - 1]
         out = np.zeros((rows, cols), dtype=np.int64)
         for j, col in enumerate(self.boundaries[k - 1]):
@@ -268,34 +273,37 @@ def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) 
     return BettiVector(b=b, field_prime=field_prime, verified_rational=True)
 
 
-def _f_vector(simplices, top: int) -> np.ndarray:
-    """f[k, n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
-    f = np.zeros((len(simplices), top + 1), dtype=np.int64)
-    for k, dim in enumerate(simplices):
-        for s in dim:
-            f[k, s[-1]] += 1
-    while len(f) and not f[-1].any():
-        f = f[:-1]
-    np.cumsum(f, axis=1, out=f)
+def _cumulative(changes, top: int) -> list[int]:
+    """t[n] = the sum of changes[m] over m <= n, for n = 0..top; changes maps each m to its change."""
+    t = [0] * (top + 1)
+    for m, d in changes.items():
+        t[m] = d
+    return list(accumulate(t))
+
+
+def _f_vector(simplices, top: int) -> list[list[int]]:
+    """f[k][n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
+    f = [_cumulative(Counter(s[-1] for s in dim), top) for dim in simplices]
+    while f and not any(f[-1]):
+        f.pop()
     return f
 
 
-def _chi(f: np.ndarray) -> np.ndarray:
-    """chi(n) as the alternating sum over k of the cumulative f-vector."""
-    signs = np.where(np.arange(len(f)) % 2, -1, 1)
-    return signs @ f
+def _chi(f: list[list[int]], top: int) -> list[int]:
+    """chi(n) for n = 0..top, the alternating sum over k of the cumulative f-vector."""
+    chi = [0] * (top + 1)
+    for k, row in enumerate(f):
+        sign = -1 if k % 2 else 1
+        chi = [c + sign * v for c, v in zip(chi, row)]
+    return chi
 
 
-def _betti_timeline(order, top: int, reduce) -> np.ndarray:
-    """b[k, n] for n = 0..top: the cumulative sum of _betti_changes over top vertices."""
-    b = np.zeros((len(order), top + 1), dtype=np.int64)
-    for k, change in enumerate(_betti_changes(order, reduce)):
-        for n, d in change.items():
-            b[k, n] = d
-    return np.cumsum(b, axis=1)
+def _betti_timeline(order, top: int, reduce) -> list[list[int]]:
+    """b[k][n] for n = 0..top: the cumulative sum of _betti_changes over top vertices."""
+    return [_cumulative(change, top) for change in _betti_changes(order, reduce)]
 
 
-def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[int, np.ndarray]:
+def _betti_from_simplices(simplices, f: list[list[int]], top: int, field_prime: int) -> dict[int, list[int]]:
     """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
     Each dimension enters in filtration order: by top vertex label, then in
@@ -304,19 +312,19 @@ def _betti_from_simplices(simplices, f: np.ndarray, field_prime: int) -> dict[in
     every n; a disagreement raises RankDiscrepancyError naming the first
     failing n.
     """
-    top = f.shape[1] - 1
     order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
     b = _betti_timeline(order, top, partial(reduce_gf, p=field_prime))
     _first_mismatch(b, _betti_timeline(order, top, reduce_exact), field_prime, "exact rational rank")
-    _first_mismatch(_chi(b)[None], _chi(f)[None], field_prime, "Euler-Poincare")
-    return {k: b[k] for k in range(len(b))}
+    _first_mismatch([_chi(b, top)], [_chi(f, top)], field_prime, "Euler-Poincare")
+    return dict(enumerate(b))
 
 
-def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: str) -> None:
-    bad = np.flatnonzero((got != want).any(axis=0))
-    if len(bad):
-        message = f"Betti numbers over GF({field_prime}) disagree with {what} first at n={bad[0]}"
-        raise RankDiscrepancyError(message, field_prime)
+def _first_mismatch(got: list[list[int]], want: list[list[int]], field_prime: int, what: str) -> None:
+    """Raise RankDiscrepancyError at the first n where the timelines got[k][n] and want[k][n] differ."""
+    for n, (g, w) in enumerate(zip(zip(*got), zip(*want))):
+        if g != w:
+            message = f"Betti numbers over GF({field_prime}) disagree with {what} first at n={n}"
+            raise RankDiscrepancyError(message, field_prime)
 
 
 # --- spectral cross-checks --------------------------------------------------
@@ -324,6 +332,8 @@ def _first_mismatch(got: np.ndarray, want: np.ndarray, field_prime: int, what: s
 
 def _derivative_dense(K: SimplicialComplex, chain: ChainComplex, k: int) -> np.ndarray:
     """Exterior derivative d_k: k-forms -> (k+1)-forms, as a dense float array."""
+    import numpy as np
+
     if k + 1 > K.dim:
         return np.zeros((0, K.f_vector[k] if k <= K.dim else 0))
     return chain.dense(k + 1).T.astype(float)
@@ -339,6 +349,8 @@ def _laplacian_block(K: SimplicialComplex, chain: ChainComplex, k: int) -> np.nd
 
 
 def _nullity(mat: np.ndarray, tol: float) -> int:
+    import numpy as np
+
     if mat.shape[0] == 0:
         return 0
     eigs = np.linalg.eigvalsh(mat)
@@ -358,6 +370,8 @@ def hodge_nullity(K: SimplicialComplex, k: int, tol: float = HODGE_TOL, dense_bu
 
 def simplex_function(K: SimplicialComplex, f: dict[int, float]) -> list[np.ndarray]:
     """Extend a vertex function to all simplices by taking the max vertex value."""
+    import numpy as np
+
     out = []
     for dim in K.simplices:
         out.append(np.array([max(f[v] for v in s) for s in dim], dtype=float))
@@ -376,6 +390,8 @@ def witten_nullity(
     The kernel dimensions are independent of s; that contract is what the
     cross-checks assert.
     """
+    import numpy as np
+
     if K.total > dense_budget:
         raise ResourceLimitError(f"{K.total} simplices exceed dense budget {dense_budget}")
     for v in K.simplices[0] if K.simplices else []:
@@ -445,6 +461,8 @@ def _wu_timeline(simplices, top: int, budget: int) -> list[int]:
 
 def wu_characteristic_bruteforce(K: SimplicialComplex) -> int:
     """Literal ordered-pair enumeration; quadratic, used as an oracle."""
+    import numpy as np
+
     sims = list(K.all_simplices())
     column = {v: j for j, v in enumerate(sorted({v for s in sims for v in s}))}
     incidence = np.zeros((len(sims), len(column)), dtype=np.float32)
@@ -471,6 +489,8 @@ def _perm_sign(values: list[int]) -> int:
 
 def _automorphism_matrices(K: SimplicialComplex, T: dict[int, int]) -> list[np.ndarray]:
     """Signed permutation matrices of the induced chain map, one per dimension."""
+    import numpy as np
+
     mats = []
     for k, dim in enumerate(K.simplices):
         n = len(dim)
@@ -493,6 +513,8 @@ def lefschetz_number(K: SimplicialComplex, T: dict[int, int]) -> tuple[int, int]
     (-1)^dim(x) sign(T|x) over setwise-fixed simplices.  The two agree for
     every simplicial automorphism.
     """
+    import numpy as np
+
     if K.total > DEFAULT_DENSE_BUDGET:
         raise ResourceLimitError(f"{K.total} simplices exceed dense budget {DEFAULT_DENSE_BUDGET}")
     for s in K.all_simplices():

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables
 from .cohomology import (
@@ -22,6 +21,7 @@ from .cohomology import (
     Column,
     _betti_from_simplices,
     _chi,
+    _cumulative,
     _f_vector,
     euler_characteristic,
     rank_exact,
@@ -192,7 +192,7 @@ def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
     b = list(b) + [0] * (top - len(b))
 
     def diff(k, odd):
-        return int(tables[(k, odd)][n]) - int(tables[(k, odd)][n // 2])
+        return tables[(k, odd)][n] - tables[(k, odd)][n // 2]
 
     return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
 
@@ -211,10 +211,10 @@ def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict
     kmax = max(4, len(b), (len(c) + 1) if c else 0)
     tabs = pi_k_tables(sieve, max(n, 2), kmax)
     half = n // 2
-    pi_all = {k: int(tabs[(k, False)][n]) for k in range(1, kmax + 1)}
-    pi_all_half = {k: int(tabs[(k, False)][half]) for k in range(1, kmax + 1)}
-    pi_odd = {k: int(tabs[(k, True)][n]) for k in range(1, kmax + 1)}
-    pi_odd_half = {k: int(tabs[(k, True)][half]) for k in range(1, kmax + 1)}
+    pi_all = {k: tabs[(k, False)][n] for k in range(1, kmax + 1)}
+    pi_all_half = {k: tabs[(k, False)][half] for k in range(1, kmax + 1)}
+    pi_odd = {k: tabs[(k, True)][n] for k in range(1, kmax + 1)}
+    pi_odd_half = {k: tabs[(k, True)][half] for k in range(1, kmax + 1)}
     h1, h3 = betti_formulas(n, tabs, b)
     h2 = None
     if c is not None:
@@ -260,10 +260,10 @@ def run_filtration(
     seen, ph_sum, ph_pointwise = 0, 0, True
     for n in points:
         b = F.betti_numbers(n)
-        chi = int(F.chi[n])
+        chi = F.chi[n]
         c = F.critical_counts(n)
         if n in position:
-            delta = tuple(int(F.betti[k][n] - F.betti[k][n - 1]) for k in range(len(b)))
+            delta = tuple(F.betti[k][n] - F.betti[k][n - 1] for k in range(len(b)))
             events[position[n]] = dataclasses.replace(events[position[n]], betti_delta=delta)
         weak, strong, _ = morse_inequality_check(b, c)
         h1, h3 = betti_formulas(n, tables, b)
@@ -273,7 +273,7 @@ def run_filtration(
             ph_pointwise &= ev.kind != "critical" or ev.ph_index == -ev.mu
             seen += 1
         checks = {
-            "mertens_euler": chi == 1 - int(mert[n]),
+            "mertens_euler": chi == 1 - mert[n],
             "poincare_hopf": ph_sum == chi and ph_pointwise,
             "weak": weak,
             "strong": strong,
@@ -282,7 +282,7 @@ def run_filtration(
         }
         reports.append(
             MorseReport(
-                n=n, mertens=int(mert[n]), chi=chi, betti=tuple(b),
+                n=n, mertens=mert[n], chi=chi, betti=tuple(b),
                 critical_counts=tuple(c), checks=checks,
             )
         )
@@ -360,12 +360,13 @@ def _timeline_top(G: Graph) -> int:
     return max(G.labels) if G.labels else 0
 
 
-def chi_timeline(G: Graph) -> np.ndarray:
+def chi_timeline(G: Graph) -> list[int]:
     """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
-    return _chi(_f_vector(cliques(G), _timeline_top(G)))
+    top = _timeline_top(G)
+    return _chi(_f_vector(cliques(G), top), top)
 
 
-def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, np.ndarray]:
+def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, list[int]]:
     """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
 
     The columns of each dimension enter in the order of their top vertex
@@ -373,8 +374,8 @@ def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int
     Exact over GF(field_prime), and checked against exact rational
     elimination and Euler-Poincare at every n.
     """
-    simplices = cliques(G)
-    return _betti_from_simplices(simplices, _f_vector(simplices, _timeline_top(G)), field_prime)
+    simplices, top = cliques(G), _timeline_top(G)
+    return _betti_from_simplices(simplices, _f_vector(simplices, top), top, field_prime)
 
 
 class Filtration:
@@ -386,9 +387,9 @@ class Filtration:
     divisor poset on a prime, integer or divisor graph), and the critical
     counts read the events, which classify one vertex per exponent signature
     and certify the rest.  The Betti timeline over GF(field_prime) is
-    witnessed by exact rational elimination at every n.  Timelines run over
-    n = 0..top, where top is G.param (the largest label when G has no
-    parameter).
+    witnessed by exact rational elimination at every n.  Timelines are lists
+    of Python ints over n = 0..top, where top is G.param (the largest label
+    when G has no parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -411,19 +412,19 @@ class Filtration:
         return chains(self.G) if self.G.kind in _DIVISOR_KINDS else cliques(self.G)
 
     @cached_property
-    def f(self) -> np.ndarray:
-        """f[k, n] = number of k-simplices of G(n), for n = 0..top."""
+    def f(self) -> list[list[int]]:
+        """f[k][n] = number of k-simplices of G(n), for n = 0..top."""
         return _f_vector(self.simplices, self.top)
 
     @cached_property
-    def chi(self) -> np.ndarray:
+    def chi(self) -> list[int]:
         """chi_timeline(G): chi(G(n)) for n = 0..top, the alternating sum of f."""
-        return _chi(self.f)
+        return _chi(self.f, self.top)
 
     @cached_property
-    def betti(self) -> dict[int, np.ndarray]:
+    def betti(self) -> dict[int, list[int]]:
         """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top."""
-        return _betti_from_simplices(self.simplices, self.f, self.field_prime)
+        return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime)
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
@@ -457,34 +458,33 @@ class Filtration:
         return out
 
     @cached_property
-    def critical(self) -> np.ndarray:
-        """critical[m, n] = c_m(n), the critical events of index m up to n."""
+    def critical(self) -> list[list[int]]:
+        """critical[m][n] = c_m(n), the critical events of index m up to n."""
         width = 1 + max((ev.morse_index for ev in self.events if ev.kind == "critical"), default=-1)
-        out = np.zeros((width, self.top + 1), dtype=np.int64)
+        counts = [Counter() for _ in range(width)]
         for ev in self.events:
             if ev.kind == "critical":
-                out[ev.morse_index, ev.n] += 1
-        np.cumsum(out, axis=1, out=out)
-        return out
+                counts[ev.morse_index][ev.n] += 1
+        return [_cumulative(c, self.top) for c in counts]
 
     def f_vector(self, n: int) -> list[int]:
         """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
-        return _trimmed(self.f[:, n])
+        return _trimmed([row[n] for row in self.f])
 
     def betti_numbers(self, n: int) -> list[int]:
         """betti_numbers(whitney_complex(G(n))).b: one entry per dimension of G(n)."""
-        return [int(self.betti[k][n]) for k in range(len(self.f_vector(n)))]
+        return [self.betti[k][n] for k in range(len(self.f_vector(n)))]
 
     def critical_counts(self, n: int) -> list[int]:
         """critical_counts(events, n), read from the cumulative counts."""
-        return _trimmed(self.critical[:, n])
+        return _trimmed([row[n] for row in self.critical])
 
 
-def _trimmed(column: np.ndarray) -> list[int]:
-    out = column.tolist()
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _trimmed(column: list[int]) -> list[int]:
+    """column without its trailing zeros, trimmed in place."""
+    while column and not column[-1]:
+        column.pop()
+    return column
 
 
 def _identity(x: int) -> int:

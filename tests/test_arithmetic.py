@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from primetop import (
@@ -13,7 +15,7 @@ from primetop import (
     prime_signature,
     primorial,
 )
-from primetop.arithmetic import mertens_table, pi_k_tables
+from primetop.arithmetic import _SLICE, mertens_table, pi_k_tables
 
 from conftest import distinct_primes_bruteforce, moebius_bruteforce
 
@@ -174,3 +176,43 @@ def test_divisor_moebius_sum_is_minus_one_everywhere(sieve):
 def test_sieve_primes_listing():
     s = FactorSieve(50)
     assert list(s.primes) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def smallest_factor_by_trial_division(x: int) -> int:
+    return next((p for p in range(2, math.isqrt(x) + 1) if x % p == 0), x)
+
+
+SPF_300 = {x: smallest_factor_by_trial_division(x) for x in range(2, 301)}
+
+
+def test_sieve_matches_trial_division_at_every_limit():
+    # every p^2 slice start and every square limit falls in this range
+    for limit in range(2, 301):
+        s = FactorSieve(limit)
+        assert [s.spf[x] for x in range(2, limit + 1)] == [SPF_300[x] for x in range(2, limit + 1)], limit
+        assert s.primes == [x for x in range(2, limit + 1) if SPF_300[x] == x], limit
+        assert all(type(p) is int for p in s.primes)
+
+
+def test_sieve_across_slice_boundaries():
+    # the multiples of 2 and of 3 are written in several slices of at most _SLICE entries
+    limit = 5 * _SLICE + 7
+    s = FactorSieve(limit)
+    small = [p for p in range(2, math.isqrt(limit) + 1) if smallest_factor_by_trial_division(p) == p]
+    for x in range(2, limit + 1):
+        assert s.spf[x] == next((p for p in small if x % p == 0), x), x
+
+
+def test_prime_pi_at_every_x(sieve):
+    is_prime = [x >= 2 and smallest_factor_by_trial_division(x) == x for x in range(sieve.limit + 1)]
+    for x in range(sieve.limit + 1):
+        want = sum(is_prime[: x + 1])
+        assert prime_pi(x, sieve) == want, x
+        assert prime_pi(min(x + 0.5, sieve.limit), sieve) == want, x
+
+
+def test_tables_hold_python_ints(sieve):
+    # a fixed-width entry could wrap; a Python int cannot
+    assert all(type(v) is int for v in mertens_table(sieve, 3000))
+    for table in pi_k_tables(sieve, 3000, 5).values():
+        assert len(table) == 3001 and all(type(v) is int for v in table)

@@ -166,6 +166,16 @@ def test_series_matches_from_scratch(tmp_path, capsys, kind, n_max, what):
     assert (out.read_text(), capsys.readouterr().err) == series_from_scratch(kind, n_max, what)
 
 
+@pytest.mark.parametrize("n_max", [5, 6, 7, 8])
+def test_dimension_fit_needs_three_rows(tmp_path, capsys, n_max):
+    # a + b*n + c*log(n) has three unknowns; the rows start at n = 6
+    out = tmp_path / "dim.csv"
+    assert run_main(["series", "--what", "dimension", "--n-max", str(n_max), "--out", str(out)]) == 0
+    rows, fit = series_from_scratch("prime", n_max, "dimension")
+    assert out.read_text() == rows
+    assert capsys.readouterr().err == (fit if n_max >= 8 else "")
+
+
 def test_table_corrupt_middle_line_keeps_both_sides(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     out, out2 = tmp_path / "o.csv", tmp_path / "o2.csv"

@@ -246,7 +246,7 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
         assert np.array_equal(got, reduce_without_clearing(simplices, n, reduce))
         # each of the rank(boundary) nonzero columns clears the column of its pivot row
         total = sum(map(len, simplices))
-        assert len(reduced) == total - (total - int(got[:, n].sum())) // 2
+        assert len(reduced) == total - (total - sum(row[n] for row in got)) // 2
 
 
 def test_events_to_csv(sieve):
@@ -315,6 +315,16 @@ def test_filtration_fields_match_oracles(sieve, kind, n):
 )
 def test_filtration_fields_match_oracles_any_n(sieve, kind, n, field_prime):
     assert_filtration_matches_oracles(build_graph(GraphKind(kind, n), sieve), sieve, field_prime)
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200), ("divisor", 210), ("divisor", 7)])
+def test_timelines_hold_python_ints(sieve, kind, n):
+    # a fixed-width entry could wrap; a Python int cannot
+    G = build_graph(GraphKind(kind, n), sieve)
+    F = Filtration(G, sieve)
+    rows = [*F.f, F.chi, *F.betti.values(), *F.critical, chi_timeline(G), *betti_timeline(G).values()]
+    for row in rows:
+        assert len(row) == n + 1 and all(type(v) is int for v in row)
 
 
 def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
