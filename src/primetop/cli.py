@@ -236,10 +236,12 @@ def cmd_table(config: RunConfig) -> int:
     sieve = FactorSieve(config.sieve_limit or max(n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
     mert = mertens_table(sieve, n_max)
-    cached = _load_cache(config.cache_path, config.kind, config.field_prime) if config.cache_path else {}
+    # G(n) of Divisor(m) depends on m, so its records are keyed by m too
+    kind = f"divisor({n_max})" if config.kind == "divisor" else config.kind
+    cached = _load_cache(config.cache_path, kind, config.field_prime) if config.cache_path else {}
     fresh = {
         n: CacheRecord(
-            kind=config.kind,
+            kind=kind,
             n=n,
             fvector=F.f_vector(n),
             betti=F.betti_numbers(n),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .arithmetic import FactorSieve
@@ -376,54 +376,105 @@ def path_graph(k: int) -> Graph:
 def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor: int = 2) -> int | None:
     """First n in [4, n_max] where the anchor component's diameter exceeds bound.
 
-    G is a prime, integer or divisor graph.  Returns None when the bound holds
-    everywhere.  Distances between existing vertices only shrink as the
-    filtration grows, so each pair needs checking only at the first n where
-    both ends sit in the anchor's component; a BFS from every vertex at its
-    own join time covers all pairs.
+    Returns None when the bound holds everywhere.  A composite (a label with
+    a smaller neighbour) attaches on arrival and a prime p when 2p arrives;
+    the members are the vertices attached so far.  Distances between members
+    only shrink as the filtration grows, so each pair needs checking only at
+    the first n where both ends are members: an eccentricity check of every
+    vertex at its own join time covers all pairs.  Two certificates bound
+    that eccentricity; a BFS runs only where they do not reach bound, and its
+    connectivity check then applies.  On the prime, integer and divisor
+    graphs no BFS runs at bound 5; other graphs (kind None) get only the
+    first certificate.
 
-    The BFS is skipped when upper bounds on the distance to the anchor
-    already certify the joining vertex: far[v] is 1 + the least far of v's
-    member neighbours when v joins, and stays an upper bound as distances
-    shrink, so d(v, w) <= far[v] + far[w] <= far[v] + max far for every
-    member w.  A vertex with no known path to the anchor keeps an infinite
-    bound and always gets the BFS, whose connectivity check then applies.
+    Far bounds.  far[v] is an upper bound on the distance from v to the
+    anchor.  A joiner x gets 1 + the least far of its member neighbours, and
+    then each member neighbour y gets min(far[y], far[x] + 1), so an odd x
+    drops from far 3 to far 2 once 2x arrives.  A far bound stays valid as
+    distances shrink, and d(x, w) <= far[x] + far[w] for every member w, so
+    ecc(x) <= far[x] + radius, the radius being the largest far of a member.
+    A vertex with no known path to the anchor keeps an infinite bound.
+
+    Smallest-divisor bridge (kinds prime, integer and divisor).  The smallest
+    neighbour s(v) of a composite v is its smallest prime factor, so
+    s(v)**2 <= v.  Let v and w be composite members at n.  If s(v) = s(w),
+    v - s(v) - w has length 2.  Otherwise v - s(v) - s(v)s(w) - s(w) - w has
+    length 4.  Here s(v)s(w) <= sqrt(v)sqrt(w) <= n is a product of two
+    distinct primes: a vertex of the prime and integer graphs, and a divisor
+    of m other than m in Divisor(m), since Divisor(pq) has no composite.  It
+    is composite, hence a member.  Each s is the anchor or a prime with
+    2s <= s**2 <= n, hence a member too.  So d(v, w) <= 4, and a composite x
+    has ecc(x) <= max(4, far[x] + the largest far of the anchor and the prime
+    members), which can settle x only for bounds of 4 and up.
     """
     if not G.has_vertex(anchor):
         raise InvalidArgumentError(f"unknown anchor {anchor}")
+    for n, i, certified, _, member in _certified_joins(G, n_max, anchor):
+        if certified <= bound:
+            continue
+        eccentricity, reached = _eccentricity(G.adjacency, i, member)
+        if reached != member.count(1):
+            raise InternalConsistencyError(f"anchor component disconnected at n={n}")
+        if eccentricity > bound:
+            return n
+    return None
+
+
+def _certified_joins(G: Graph, n_max: int, anchor: int):
+    """(n, i, certified, far, member) for each vertex index i joining at n in [4, n_max].
+
+    certified is the certificates' upper bound on the eccentricity of i among
+    the members (math.inf when they give none); far and member are the live
+    far bounds and member flags, valid until the next n.
+    """
     adjacency = G.adjacency
     anchor_index = G._index[anchor]
-    # A composite attaches on arrival and a prime p joins when 2p arrives.  In
-    # a divisibility graph a label is prime iff it has no smaller neighbour.
+    bridge = G.kind in ("prime", "integer", "divisor")
+    # In a divisibility graph a label is composite iff it has a smaller neighbour.
+    composite = [i != anchor_index and bool(row) and row[0] < i for i, row in enumerate(adjacency)]
     joins: dict[int, list[int]] = {}
     for i, v in enumerate(G.labels):
-        prime = i != anchor_index and (not adjacency[i] or adjacency[i][0] > i)
-        joins.setdefault(2 * v if prime else v, []).append(i)
+        joins.setdefault(v if composite[i] or i == anchor_index else 2 * v, []).append(i)
     member = bytearray(G.n_vertices)
     far = [math.inf] * G.n_vertices
     far[anchor_index] = 0
-    radius = 0
-    size = 0
+    members_at = Counter()  # members per far value
+    primes_at = Counter()  # the same for the anchor and the primes
     for n in sorted(t for t in joins if t <= n_max):
         joiners = joins[n]
         for i in joiners:
             member[i] = 1
-        size += len(joiners)
         for _ in joiners:  # joiners may reach the members only through each other
             for i in joiners:
                 far[i] = min(far[i], 1 + min((far[w] for w in adjacency[i] if member[w]), default=math.inf))
-        radius = max(radius, *(far[i] for i in joiners))
+        for i in joiners:
+            members_at[far[i]] += 1
+            if not composite[i]:
+                primes_at[far[i]] += 1
+        for i in joiners:
+            closer = far[i] + 1
+            for w in adjacency[i]:
+                if member[w] and closer < far[w]:
+                    _recount(members_at, far[w], closer)
+                    if not composite[w]:
+                        _recount(primes_at, far[w], closer)
+                    far[w] = closer
         if n < 4:
             continue
+        radius = max(members_at)
         for i in joiners:
-            if far[i] + radius <= bound:
-                continue
-            eccentricity, reached = _eccentricity(adjacency, i, member)
-            if reached != size:
-                raise InternalConsistencyError(f"anchor component disconnected at n={n}")
-            if eccentricity > bound:
-                return n
-    return None
+            certified = far[i] + radius
+            if bridge and composite[i]:
+                certified = min(certified, max(4, far[i] + max(primes_at)))
+            yield n, i, certified, far, member
+
+
+def _recount(counts: Counter, old, new) -> None:
+    """Move one member from far value old to new."""
+    counts[old] -= 1
+    if not counts[old]:
+        del counts[old]
+    counts[new] += 1
 
 
 def _eccentricity(adjacency, source: int, member: bytearray) -> tuple[int, int]:

@@ -195,6 +195,23 @@ def test_table_corrupt_middle_line_keeps_both_sides(tmp_path, capsys):
     assert sorted(json.loads(line)["n"] for line in cache.read_text().splitlines()) == list(range(2, 13))
 
 
+def test_divisor_cache_serves_only_the_same_m(tmp_path):
+    # G(n) of Divisor(m) depends on m: Divisor(30)'s n = 5 row has b0 = 3, Divisor(42)'s has b0 = 2
+    cache, out, plain = tmp_path / "cache.jsonl", tmp_path / "t.csv", tmp_path / "plain.csv"
+    assert run_main(["table", "--kind", "divisor", "--n-max", "30", "--cache", str(cache), "--out", str(out)]) == 0
+    legacy = cache.read_text().replace('"kind":"divisor(30)"', '"kind":"divisor"')  # records keyed without m
+    cache.write_text(legacy)
+    assert run_main(["table", "--kind", "divisor", "--n-max", "42", "--cache", str(cache), "--out", str(out)]) == 0
+    assert run_main(["table", "--kind", "divisor", "--n-max", "42", "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert out.read_text().splitlines()[4].startswith("5,-2,2,2,")
+    assert cache.read_text().startswith(legacy)  # kept, never served
+    assert {json.loads(line)["kind"] for line in cache.read_text().splitlines()} == {"divisor", "divisor(42)"}
+    assert run_main(["table", "--kind", "divisor", "--n-max", "30", "--cache", str(cache), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[4].startswith("5,-2,3,3,")
+    assert len(cache.read_text().splitlines()) == 29 + 41 + 29
+
+
 def test_cache_line_without_newline_is_not_glued_to_the_next(tmp_path):
     cache = tmp_path / "cache.jsonl"
     out = tmp_path / "o.csv"
@@ -290,6 +307,12 @@ def test_verify_is_lazy(monkeypatch, capsys):
     monkeypatch.setattr(cli, "Filtration", forbidden)
     assert run_main(["verify", "--checks", "kummer,kunneth", "--d", "3", "--n-max", "30"]) == 0
     assert capsys.readouterr().out.count("pass") == 3
+
+
+def test_diameter_at_scale(capsys):
+    # the certificates settle every join, so this takes well under a second
+    assert run_main(["verify", "--kind", "prime", "--checks", "diameter", "--n-max", "20000"]) == 0
+    assert capsys.readouterr().out == "diameter: pass - component diameter <= 5 for 4 <= n <= 20000\n"
 
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 60), ("integer", 40), ("divisor", 210)])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primetop import (
+    FactorSieve,
     Graph,
     GraphKind,
     InvalidArgumentError,
@@ -14,6 +15,7 @@ from primetop import (
     components,
     euler_characteristic,
     graph_product,
+    graphs,
     heteroclinic,
     induced_subgraph,
     kummer_involution,
@@ -22,7 +24,15 @@ from primetop import (
     whitney_complex,
 )
 from primetop.errors import InternalConsistencyError
-from primetop.graphs import bfs_distances, chains, cliques, complete_graph, cycle_graph, verify_component_diameter_bound
+from primetop.graphs import (
+    _certified_joins,
+    bfs_distances,
+    chains,
+    cliques,
+    complete_graph,
+    cycle_graph,
+    verify_component_diameter_bound,
+)
 
 
 def test_build_graph_examples(sieve):
@@ -147,6 +157,68 @@ def test_diameter_bound_disconnection_error(sieve):
     for sweep in (verify_component_diameter_bound, diameter_bound_oracle):
         with pytest.raises(InternalConsistencyError, match="disconnected at n=4"):
             sweep(P, 30, anchor=3)
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except InternalConsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400), bound=st.integers(1, 5))
+def test_diameter_bound_matches_literal_sweep_any_n(sieve, kind, n, bound):
+    if kind == "divisor":  # Divisor(m) has the anchor 2 only for an even m > 2; Divisor(2p) is disconnected
+        n = max(4, n - n % 2)
+    G = build_graph(GraphKind(kind, n), sieve)
+    assert _outcome(verify_component_diameter_bound, G, n, bound) == _outcome(diameter_bound_oracle, G, n, bound)
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 2310), ("integer", 520), ("divisor", 30030)])
+def test_diameter_certificates_are_upper_bounds(kind, n_max):
+    G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))
+    joined = []
+    for n, i, certified, far, member in _certified_joins(G, n_max, 2):
+        members = {v for v, flag in zip(G.labels, member) if flag}
+        to_anchor = bfs_distances(G, 2, within=members)
+        assert to_anchor.keys() == members, n
+        assert all(bound >= to_anchor[v] for v, bound in zip(G.labels, far) if v in members), n
+        x = G.labels[i]
+        assert certified >= max(bfs_distances(G, x, within=members).values()), (n, x)
+        joined.append(x)
+    assert sorted(joined) == [v for v in G.labels if v != 2 and (2 * v if _is_prime_label(v) else v) <= n_max]
+
+
+def _count_bfs(monkeypatch):
+    calls = []
+    bfs = graphs._eccentricity
+
+    def counted(*args):
+        calls.append(args[1])
+        return bfs(*args)
+
+    monkeypatch.setattr(graphs, "_eccentricity", counted)
+    return calls
+
+
+def test_diameter_certificates_settle_every_join(monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    sieve = FactorSieve(20000)
+    for kind, n_max in (("prime", 2310), ("integer", 520), ("prime", 20000)):
+        assert verify_component_diameter_bound(build_graph(GraphKind(kind, n_max), sieve), n_max) is None
+    assert calls == []
+
+
+def test_diameter_bfs_fallback_on_kindless_graph(sieve, monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    G = build_graph(GraphKind.prime(2310), sieve)
+    kindless = Graph(G.labels, G.edges())
+    assert kindless.kind is None
+    assert verify_component_diameter_bound(kindless, 2310) is None
+    assert calls
+    # the far bounds still settle every even joiner
+    assert all(kindless.labels[i] % 2 for i in calls)
 
 
 def test_prime_is_squarefree_restriction_of_integer(sieve):
