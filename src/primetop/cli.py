@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 
@@ -446,10 +447,11 @@ def cmd_verify(config: RunConfig) -> int:
     if not GRAPH_FREE_CHECKS.issuperset(config.checks):
         F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve, config.field_prime)
     all_ok = True
-    for name in config.checks:
-        ok, detail = CHECK_FUNCS[name](config, sieve, F)
-        all_ok &= ok
-        print(f"{name}: {'pass' if ok else 'FAIL'} - {detail}")
+    with open(config.output_path, "w", encoding="utf-8") if config.output_path else nullcontext(sys.stdout) as out:
+        for name in config.checks:
+            ok, detail = CHECK_FUNCS[name](config, sieve, F)
+            all_ok &= ok
+            print(f"{name}: {'pass' if ok else 'FAIL'} - {detail}", file=out)
     return 0 if all_ok else 1
 
 
@@ -550,9 +552,10 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
         for name in names:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")
-        # Divisor(m) has the vertex 2 only when m is even and larger than 2
-        if "diameter" in names and config.kind == "divisor" and (config.n_max % 2 or config.n_max == 2):
-            parser.error(f"the diameter check is anchored at vertex 2, which Divisor({config.n_max}) does not have")
+        # Divisor(m) lacks the vertex 2 for odd m and m = 2; Divisor(2p) is 2 and p, unjoined
+        m = config.n_max
+        if "diameter" in names and config.kind == "divisor" and (m % 2 or m == 2 or _is_odd_prime(m // 2)):
+            parser.error(f"the diameter check is anchored at vertex 2, which Divisor({m}) lacks or leaves isolated")
         config.checks = names
         # Divisor(primorial(6)) has 4,682 simplices, within the dense budget
         # of the Lefschetz check; primorial(7) has 47,292

@@ -3,7 +3,8 @@
 Every Betti number comes from one column reduction with clearing
 (_betti_changes), run over GF(p) (default p = 2^31 - 1) and again by exact
 fraction-free integer elimination at every size, then checked against
-Euler-Poincare; any disagreement raises, it is never silently ignored.
+Euler-Poincare; any disagreement raises.  The exact pass of morse.Filtration
+on a divisibility graph reduces the prime complex Delta(n) instead.
 Timelines are lists of Python ints, indexed [k][n].  Floating point appears
 only in the Hodge/Witten spectral cross-checks and in the Lefschetz
 supertrace, each of which has an exact counterpart elsewhere in the package;
@@ -16,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -120,17 +121,15 @@ def boundary_matrices(K: SimplicialComplex) -> ChainComplex:
     shapes = []
     boundaries = []
     for k in range(1, K.dim + 1):
-        cols = []
-        for s in K.simplices[k]:
-            col: Column = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                row = K.index[face][1]
-                col[row] = -1 if i % 2 else 1
-            cols.append(col)
+        rows = {s: j for j, s in enumerate(K.simplices[k - 1])}
+        boundaries.append([{rows[face]: sign for face, sign in _faces(s)} for s in K.simplices[k]])
         shapes.append((len(K.simplices[k - 1]), len(K.simplices[k])))
-        boundaries.append(cols)
     return ChainComplex(shapes=shapes, boundaries=boundaries)
+
+
+def _faces(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(face, sign) pairs of the simplex s: the face without s[i] has sign (-1)^i."""
+    return [(s[:i] + s[i + 1 :], -1 if i % 2 else 1) for i in range(len(s))]
 
 
 # --- rank engines -----------------------------------------------------------
@@ -224,17 +223,17 @@ class BettiVector:
         return self.b[k] if 0 <= k < len(self.b) else 0
 
 
-def _betti_changes(order, reduce) -> list[Counter]:
-    """{top vertex: change of b_k} for each k, of the complex whose k-simplices are order[k].
+def _betti_changes(order, key, faces, reduce) -> list[Counter]:
+    """{key: change of b_k} for each k, of the complex whose k-cells are order[k].
 
-    Dimensions are reduced from the top down, each in its given order.  A
-    column that reduces to zero creates a class in its dimension, otherwise it
-    kills the class of its pivot row one dimension down.  A simplex that is
-    already the pivot row of a column one dimension up would reduce to zero,
-    so its column is skipped (cleared) and counted as a creation at its top
-    vertex: the twist of Chen and Kerber.  The changes of dimension k sum to
-    b_k; when each order[k] is sorted by top vertex, those up to n sum to b_k
-    of the subcomplex on the vertices <= n.
+    key(s) is the filtration key of the cell s and faces(s) its boundary as
+    (face, sign) pairs.  Dimensions are reduced from the top down, each in
+    its given order.  A column that reduces to zero creates a class, else it
+    kills the class of its pivot row one dimension down.  A cell already the
+    pivot row of a column one dimension up would reduce to zero, so its
+    column is skipped (cleared), a creation at its key: the twist of Chen
+    and Kerber.  The changes of dimension k sum to b_k; when each order[k] is
+    sorted by key, those up to n sum to b_k of the cells with keys <= n.
     """
     changes = [Counter() for _ in order]
     above: dict[int, Column] = {}
@@ -243,20 +242,20 @@ def _betti_changes(order, reduce) -> list[Counter]:
         pivots: dict[int, Column] = {}
         for j, s in enumerate(order[dim]):
             if j in above:
-                changes[dim][s[-1]] += 1
+                changes[dim][key(s)] += 1
                 continue
-            col = {rows[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))} if dim else {}
+            col = {rows[face]: sign for face, sign in faces(s)} if dim else {}
             if reduce(col, pivots) is None:
-                changes[dim][s[-1]] += 1
+                changes[dim][key(s)] += 1
             else:
-                changes[dim - 1][s[-1]] -= 1
+                changes[dim - 1][key(s)] -= 1
         above = pivots
     return changes
 
 
 def _betti_sums(simplices, reduce) -> tuple[int, ...]:
     """Betti vector of the complex with these simplices: each dimension's changes, summed."""
-    return tuple(sum(change.values()) for change in _betti_changes(simplices, reduce))
+    return tuple(sum(change.values()) for change in _betti_changes(simplices, itemgetter(-1), _faces, reduce))
 
 
 def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> BettiVector:
@@ -298,23 +297,29 @@ def _chi(f: list[list[int]], top: int) -> list[int]:
     return chi
 
 
-def _betti_timeline(order, top: int, reduce) -> list[list[int]]:
-    """b[k][n] for n = 0..top: the cumulative sum of _betti_changes over top vertices."""
-    return [_cumulative(change, top) for change in _betti_changes(order, reduce)]
+def _betti_timeline(order, top: int, reduce, key=itemgetter(-1), faces=_faces) -> list[list[int]]:
+    """b[k][n] for n = 0..top: the cumulative sum of _betti_changes over keys (by default, top vertices)."""
+    return [_cumulative(change, top) for change in _betti_changes(order, key, faces, reduce)]
 
 
-def _betti_from_simplices(simplices, f: list[list[int]], top: int, field_prime: int) -> dict[int, list[int]]:
+def _betti_from_simplices(
+    simplices, f: list[list[int]], top: int, field_prime: int, witness=None
+) -> dict[int, list[int]]:
     """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
     Each dimension enters in filtration order: by top vertex label, then in
-    its order in simplices.  The reduction is repeated with exact integer
-    elimination over the whole filtration, and Euler-Poincare is checked for
-    every n; a disagreement raises RankDiscrepancyError naming the first
-    failing n.
+    its order in simplices.  The exact witness reduces witness, the (cells,
+    key, faces) of a complex with the same homology at every n, or else the
+    same simplices again, by exact integer elimination; a dimension it lacks
+    reads as zeros.  Euler-Poincare is checked for every n; a disagreement
+    raises RankDiscrepancyError naming the first failing n.
     """
     order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
     b = _betti_timeline(order, top, partial(reduce_gf, p=field_prime))
-    _first_mismatch(b, _betti_timeline(order, top, reduce_exact), field_prime, "exact rational rank")
+    cells, key, faces = witness or (order, itemgetter(-1), _faces)
+    exact = _betti_timeline(cells, top, reduce_exact, key, faces)
+    exact += [[0] * (top + 1)] * (len(b) - len(exact))
+    _first_mismatch(b, exact, field_prime, "exact rational rank")
     _first_mismatch([_chi(b, top)], [_chi(f, top)], field_prime, "Euler-Poincare")
     return dict(enumerate(b))
 
@@ -372,10 +377,7 @@ def simplex_function(K: SimplicialComplex, f: dict[int, float]) -> list[np.ndarr
     """Extend a vertex function to all simplices by taking the max vertex value."""
     import numpy as np
 
-    out = []
-    for dim in K.simplices:
-        out.append(np.array([max(f[v] for v in s) for s in dim], dtype=float))
-    return out
+    return [np.array([max(f[v] for v in s) for s in dim], dtype=float) for dim in K.simplices]
 
 
 def witten_nullity(
@@ -478,13 +480,7 @@ def wu_characteristic_bruteforce(K: SimplicialComplex) -> int:
 
 def _perm_sign(values: list[int]) -> int:
     """Parity of the permutation sorting the given distinct values."""
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in combinations(values, 2)) % 2 else 1
 
 
 def _automorphism_matrices(K: SimplicialComplex, T: dict[int, int]) -> list[np.ndarray]:

@@ -14,6 +14,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, zip_longest
+from math import prod
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables
 from .cohomology import (
@@ -23,6 +25,7 @@ from .cohomology import (
     _chi,
     _cumulative,
     _f_vector,
+    _faces,
     euler_characteristic,
     rank_exact,
     rank_gf,
@@ -165,19 +168,10 @@ def morse_inequality_check(b, c) -> tuple[bool, bool, list[int]]:
     r_k = sum_{j<=k} (-1)^(k-j) (c_j - b_j) is nonnegative and the full
     alternating sum telescopes to zero (Euler-Poincare).
     """
-    b = list(b)
-    c = list(c)
-    length = max(len(b), len(c), 1)
-    b += [0] * (length - len(b))
-    c += [0] * (length - len(c))
-    weak = all(b[k] <= c[k] for k in range(length))
-    r: list[int] = []
-    acc = 0
-    for k in range(length):
-        acc = (c[k] - b[k]) - acc
-        r.append(acc)
-    strong = all(x >= 0 for x in r) and sum((-1) ** k * (c[k] - b[k]) for k in range(length)) == 0
-    return weak, strong, r
+    d = [ck - bk for bk, ck in zip_longest(b, c, fillvalue=0)] or [0]
+    r = list(accumulate(d, lambda acc, dk: dk - acc))
+    strong = all(x >= 0 for x in r) and sum((-1) ** k * dk for k, dk in enumerate(d)) == 0
+    return all(dk >= 0 for dk in d), strong, r
 
 
 def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
@@ -309,32 +303,24 @@ def barycentric_morse_complex(G: Graph) -> MorseComplex:
     number n(x, y) is (-1)^i when y omits the i-th vertex of x and 0 else.
     The composition of consecutive derivatives is verified to vanish.
     """
-    by_dim = cliques(G)
-    cells = tuple(tuple(dim) for dim in by_dim)
-    index = {}
-    for m, dim in enumerate(cells):
-        for pos, s in enumerate(dim):
-            index[s] = pos
-    derivatives: list[list[Column]] = []
-    for m in range(len(cells) - 1):
-        cols: list[Column] = [{} for _ in cells[m]]
+    cells = tuple(tuple(dim) for dim in cliques(G))
+    derivatives: list[list[Column]] = [[{} for _ in dim] for dim in cells[:-1]]
+    for m, cols in enumerate(derivatives):
+        index = {s: pos for pos, s in enumerate(cells[m])}
         for row, x in enumerate(cells[m + 1]):
-            for i in range(len(x)):
-                y = x[:i] + x[i + 1 :]
-                cols[index[y]][row] = -1 if i % 2 else 1
-        derivatives.append(cols)
-    _verify_dd_zero(cells, derivatives)
+            for y, sign in _faces(x):
+                cols[index[y]][row] = sign
+    _verify_dd_zero(derivatives)
     return MorseComplex(cells=cells, derivatives=derivatives)
 
 
-def _verify_dd_zero(cells, derivatives) -> None:
-    for m in range(len(derivatives) - 1):
-        nxt = derivatives[m + 1]
-        for col in derivatives[m]:
-            acc: Column = {}
+def _verify_dd_zero(derivatives) -> None:
+    for d, nxt in zip(derivatives, derivatives[1:]):
+        for col in d:
+            acc = Counter()
             for row, v in col.items():
                 for row2, w in nxt[row].items():
-                    acc[row2] = acc.get(row2, 0) + v * w
+                    acc[row2] += v * w
             if any(acc.values()):
                 raise InternalConsistencyError("Morse derivative does not square to zero")
 
@@ -342,8 +328,6 @@ def _verify_dd_zero(cells, derivatives) -> None:
 def morse_betti(M: MorseComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> tuple[int, ...]:
     """Betti vector of the Morse complex from the ranks of its derivatives, over GF(field_prime) and exactly."""
     counts = M.counts
-    if not counts:
-        return ()
     ranks = [rank_gf(cols, field_prime) for cols in M.derivatives]
     if [rank_exact(cols) for cols in M.derivatives] != ranks:
         raise RankDiscrepancyError("Morse complex rank mismatch", field_prime)
@@ -387,9 +371,10 @@ class Filtration:
     divisor poset on a prime, integer or divisor graph), and the critical
     counts read the events, which classify one vertex per exponent signature
     and certify the rest.  The Betti timeline over GF(field_prime) is
-    witnessed by exact rational elimination at every n.  Timelines are lists
-    of Python ints over n = 0..top, where top is G.param (the largest label
-    when G has no parameter).
+    witnessed at every n by exact rational elimination of the prime complex
+    Delta(n) on a prime, integer or divisor graph, of the simplices again on
+    any other.  Timelines are lists of Python ints over n = 0..top, where top
+    is G.param (the largest label when G has no parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -423,8 +408,16 @@ class Filtration:
 
     @cached_property
     def betti(self) -> dict[int, list[int]]:
-        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top."""
-        return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime)
+        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top.
+
+        On a prime, integer or divisor graph the exact witness is Delta(n)
+        (_prime_complex): G(n) on its squarefree labels is its barycentric
+        subdivision.  On the integer graph it rests on a theorem too: each
+        non-squarefree x arrives as a homotopy deformation, since its divisors
+        1 < d < x form a contractible poset; events checks this vertex by vertex.
+        """
+        witness = _prime_complex(self.G, self.sieve) if self.G.kind in _DIVISOR_KINDS else None
+        return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime, witness)
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
@@ -492,6 +485,24 @@ def _identity(x: int) -> int:
 
 
 _DIVISOR_KINDS = ("prime", "integer", "divisor")
+
+
+def _prime_complex(G: Graph, sieve: FactorSieve):
+    """The prime complex Delta(n) on G's squarefree labels, as (cells, key, faces) for _betti_timeline.
+
+    cells[k] lists the labels with k + 1 primes, each keyed by itself; x =
+    p_0 p_1 ... p_k, primes ascending, has the boundary sum_i (-1)^i x / p_i.
+    None when some x / p_i is not a label, as on a hand-built graph.
+    """
+    cells: list[list[int]] = []
+    for x in G.labels:
+        sig = sieve.signature(x)
+        if sig.squarefree:
+            if sig.nu > 1 and not all(G.has_vertex(x // p) for p in sig.factors):
+                return None
+            cells += [[] for _ in range(sig.nu - len(cells))]
+            cells[sig.nu - 1].append(x)
+    return cells, _identity, lambda x: [(prod(face), sign) for face, sign in _faces(sieve.signature(x).factors)]
 
 
 def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:

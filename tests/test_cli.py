@@ -101,6 +101,22 @@ def test_verify_pass_and_exit_codes(capsys):
     assert out.count("pass") == 2
 
 
+def test_verify_out_equals_stdout(tmp_path, capsys):
+    argv = ["verify", "--checks", "mertens,formulas,kunneth", "--n-max", "60"]
+    assert run_main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "verify.txt"
+    assert run_main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == stdout and stdout.count("pass") == 3
+    # a failing check exits 1 and still writes its line
+    failing = ["verify", "--kind", "divisor", "--n-max", "210", "--checks", "formulas"]
+    assert run_main(failing) == 1
+    stdout = capsys.readouterr().out
+    assert run_main(failing + ["--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == stdout and "FAIL" in stdout
+
+
 def test_verify_kummer(capsys):
     assert run_main(["verify", "--checks", "kummer", "--d", "3", "--n-max", "30"]) == 0
     assert "Divisor(30)" in capsys.readouterr().out
@@ -247,6 +263,10 @@ def test_invalid_configuration_usage_error(argv):
         ["verify", "--kind", "divisor", "--n-max", "35", "--checks", "diameter"],
         ["verify", "--kind", "divisor", "--n-max", "2", "--checks", "mertens,diameter"],
         ["verify", "--kind", "divisor", "--n-max", "35"],  # the default checks include diameter
+        # Divisor(2p) is the vertices 2 and p with no edge between them
+        ["verify", "--kind", "divisor", "--n-max", "6", "--checks", "diameter"],
+        ["verify", "--kind", "divisor", "--n-max", "10", "--checks", "diameter"],
+        ["verify", "--kind", "divisor", "--n-max", "14"],
     ],
 )
 def test_diameter_without_vertex_2_is_usage_error(argv, capsys):
@@ -261,6 +281,13 @@ def test_diameter_on_even_divisor_graph(capsys):
     assert run_main(["verify", "--kind", "divisor", "--n-max", "30", "--checks", "diameter"]) == 0
     assert run_main(["verify", "--kind", "divisor", "--n-max", "35", "--checks", "hopf"]) == 0
     assert capsys.readouterr().out.count("pass") == 2
+
+
+@pytest.mark.parametrize("m", [4, 12, 18])
+def test_diameter_on_divisor_graph_joined_at_2(m, capsys):
+    # Divisor(4) is the vertex 2 alone; Divisor(12) and Divisor(18) join 2 and 3 through 6
+    assert run_main(["verify", "--kind", "divisor", "--n-max", str(m), "--checks", "diameter"]) == 0
+    assert capsys.readouterr().out.startswith("diameter: pass")
 
 
 def test_small_field_prime_accepted(capsys):

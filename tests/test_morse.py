@@ -32,7 +32,7 @@ from primetop.arithmetic import FactorSieve, pi_k_tables
 from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, reduce_exact, reduce_gf
-from primetop.morse import Representative, betti_formulas
+from primetop.morse import Representative, _prime_complex, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
@@ -247,6 +247,51 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
         # each of the rank(boundary) nonzero columns clears the column of its pivot row
         total = sum(map(len, simplices))
         assert len(reduced) == total - (total - sum(row[n] for row in got)) // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(["prime", "divisor"]), st.integers(2, 400)),
+        st.tuples(st.just("integer"), st.integers(2, 300)),
+    )
+)
+def test_prime_complex_has_the_betti_timeline_of_the_subdivision(sieve, case):
+    kind, n = case
+    G = build_graph(GraphKind(kind, n), sieve)
+    cells, key, faces = _prime_complex(G, sieve)
+    assert sorted(x for dim in cells for x in dim) == [x for x in G.labels if sieve.is_squarefree(x)]
+    got = _betti_timeline(cells, n, reduce_exact, key, faces)
+    want = _betti_timeline([sorted(dim, key=lambda s: s[-1]) for dim in cliques(G)], n, reduce_exact)
+    # the integer graph has chains such as 2 | 4 | 8, longer than any face of Delta(n)
+    assert len(got) <= len(want)
+    assert got + [[0] * (n + 1)] * (len(want) - len(got)) == want
+    if kind == "integer":
+        # the theorem the witness rests on there: no non-squarefree arrival is critical
+        events = Filtration(G, sieve).events
+        assert all(ev.kind == "homotopy" for ev in events if not sieve.is_squarefree(ev.n))
+
+
+@pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
+def test_exact_witness_reduces_one_column_per_squarefree_label(sieve, monkeypatch, kind, n, squarefree):
+    import primetop.cohomology as cohomology
+
+    calls = []
+    oracle = cohomology.reduce_exact
+    monkeypatch.setattr(cohomology, "reduce_exact", lambda col, pivots: calls.append(len(col)) or oracle(col, pivots))
+    G = build_graph(GraphKind(kind, n), sieve)
+    assert sum(map(sieve.is_squarefree, G.labels)) == squarefree
+    betti = Filtration(G, sieve).betti
+    # the subdivisions have 11,830 (prime) and 15,850 (integer) simplices
+    assert 0 < len(calls) <= squarefree
+    assert betti == betti_timeline(G)
+
+
+def test_graph_without_its_prime_complex_is_witnessed_by_its_simplices(sieve):
+    # 30 without 6, 10 and 15: labels not closed under division have no Delta(n)
+    G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
+    assert _prime_complex(G, sieve) is None
+    assert Filtration(G, sieve).betti == betti_timeline(G)
 
 
 def test_events_to_csv(sieve):
