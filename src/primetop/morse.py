@@ -411,10 +411,10 @@ class Filtration:
         """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top.
 
         On a prime, integer or divisor graph the exact witness is Delta(n)
-        (_prime_complex): G(n) on its squarefree labels is its barycentric
-        subdivision.  On the integer graph it rests on a theorem too: each
-        non-squarefree x arrives as a homotopy deformation, since its divisors
-        1 < d < x form a contractible poset; events checks this vertex by vertex.
+        (_prime_complex), whose subdivision is the Whitney complex of G(n) on its
+        squarefree labels.  On the integer graph it also rests on a theorem,
+        checked by events vertex by vertex: each non-squarefree x arrives as a
+        homotopy deformation, its divisors 1 < d < x forming a contractible poset.
         """
         witness = _prime_complex(self.G, self.sieve) if self.G.kind in _DIVISOR_KINDS else None
         return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime, witness)
