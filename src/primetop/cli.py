@@ -18,7 +18,7 @@ import random
 import sys
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 from . import __version__
@@ -71,7 +71,6 @@ class RunConfig:
     n_max: int = 250
     kind: str = "prime"
     field_prime: int = DEFAULT_FIELD_PRIME
-    sieve_limit: int | None = None
     cache_path: str | None = None
     output_path: str | None = None
     format: str = "csv"
@@ -93,20 +92,7 @@ class CacheRecord:
     field_prime: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n": self.n,
-                "fvector": self.fvector,
-                "betti": self.betti,
-                "chi": self.chi,
-                "mertens": self.mertens,
-                "critical_counts": self.critical_counts,
-                "tool_version": self.tool_version,
-                "field_prime": self.field_prime,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 _RECORD_TYPES = {
@@ -205,7 +191,7 @@ def _bool(x) -> str:
 
 
 def cmd_build(config: RunConfig) -> int:
-    sieve = FactorSieve(config.sieve_limit or max(config.n_max, 2))
+    sieve = FactorSieve(max(config.n_max, 2))
     G = build_graph(GraphKind(config.kind, config.n_max), sieve)
     if config.format == "json":
         text = G.to_json() + "\n"
@@ -234,7 +220,7 @@ def _table_row(rec: CacheRecord, tables) -> str:
 
 def cmd_table(config: RunConfig) -> int:
     n_max = config.n_max
-    sieve = FactorSieve(config.sieve_limit or max(n_max, 2))
+    sieve = FactorSieve(max(n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
     mert = mertens_table(sieve, n_max)
     # G(n) of Divisor(m) depends on m, so its records are keyed by m too
@@ -357,8 +343,6 @@ def check_morse_equiv(config: RunConfig, sieve: FactorSieve, F: Filtration) -> t
 
 def check_kummer(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
     m = primorial(config.d)
-    if m > sieve.limit:
-        sieve = FactorSieve(m)
     D = build_graph(GraphKind.divisor(m), sieve)
     verdict = sphere_dimension(D)
     want_dim = config.d - 2
@@ -442,7 +426,7 @@ GRAPH_FREE_CHECKS = frozenset({"kummer", "kunneth"})
 
 def cmd_verify(config: RunConfig) -> int:
     divisor_m = primorial(config.d) if "kummer" in config.checks else 0
-    sieve = FactorSieve(config.sieve_limit or max(config.n_max, divisor_m, 2))
+    sieve = FactorSieve(max(config.n_max, divisor_m, 2))
     F = None
     if not GRAPH_FREE_CHECKS.issuperset(config.checks):
         F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve, config.field_prime)
@@ -459,7 +443,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_series(config: RunConfig) -> int:
-    sieve = FactorSieve(config.sieve_limit or max(config.n_max, 2))
+    sieve = FactorSieve(max(config.n_max, 2))
     G = build_graph(GraphKind(config.kind, config.n_max), sieve)
     lines = []
     if config.what == "dimension":
@@ -497,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--kind", choices=["prime", "integer", "divisor"], default="prime")
         p.add_argument("--field-prime", type=int, default=DEFAULT_FIELD_PRIME)
-        p.add_argument("--sieve-limit", type=int, default=None)
         p.add_argument("--threads", type=int, help="accepted and ignored")
         p.add_argument("--cache", dest="cache_path", default=None)
         p.add_argument("--out", dest="output_path", default=None)
@@ -532,7 +515,6 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
     if not (3 <= args.field_prime <= 2**31 - 1 and _is_odd_prime(args.field_prime)):
         parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
     config.field_prime = args.field_prime
-    config.sieve_limit = args.sieve_limit
     config.cache_path = args.cache_path
     config.output_path = args.output_path
     if args.command == "build":
@@ -544,9 +526,6 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
         config.n_max = args.n_max
         if config.n_max < 2:
             parser.error("--n-max must be at least 2")
-    if config.sieve_limit is not None and config.sieve_limit < config.n_max:
-        size = "--n" if args.command == "build" else "--n-max"
-        parser.error(f"--sieve-limit {config.sieve_limit} is below {size} {config.n_max}")
     if args.command == "verify":
         names = tuple(x for x in args.checks.split(",") if x)
         for name in names:

@@ -344,12 +344,11 @@ def _derivative_dense(K: SimplicialComplex, chain: ChainComplex, k: int) -> np.n
     return chain.dense(k + 1).T.astype(float)
 
 
-def _laplacian_block(K: SimplicialComplex, chain: ChainComplex, k: int) -> np.ndarray:
-    dk = _derivative_dense(K, chain, k)
-    lk = dk.T @ dk
+def _laplacian_block(ds: list[np.ndarray], k: int) -> np.ndarray:
+    """L_k = d_k^* d_k + d_{k-1} d_{k-1}^* from the derivatives ds[0..k]."""
+    lk = ds[k].T @ ds[k]
     if k >= 1:
-        dkm = _derivative_dense(K, chain, k - 1)
-        lk = lk + dkm @ dkm.T
+        lk = lk + ds[k - 1] @ ds[k - 1].T
     return lk
 
 
@@ -370,7 +369,7 @@ def hodge_nullity(K: SimplicialComplex, k: int, tol: float = HODGE_TOL, dense_bu
     if k > K.dim or k < 0:
         return 0
     chain = boundary_matrices(K)
-    return _nullity(_laplacian_block(K, chain, k), tol)
+    return _nullity(_laplacian_block([_derivative_dense(K, chain, j) for j in range(k + 1)], k), tol)
 
 
 def simplex_function(K: SimplicialComplex, f: dict[int, float]) -> list[np.ndarray]:
@@ -409,13 +408,7 @@ def witten_nullity(
         if dk.shape[0]:
             dk = np.exp(-s * fs[k + 1])[:, None] * dk * np.exp(s * fs[k])[None, :]
         deformed.append(dk)
-    out = []
-    for k in range(K.dim + 1):
-        lk = deformed[k].T @ deformed[k]
-        if k >= 1:
-            lk = lk + deformed[k - 1] @ deformed[k - 1].T
-        out.append(_nullity(lk, tol))
-    return out
+    return [_nullity(_laplacian_block(deformed, k), tol) for k in range(K.dim + 1)]
 
 
 # --- Wu characteristic ------------------------------------------------------
@@ -520,9 +513,10 @@ def lefschetz_number(K: SimplicialComplex, T: dict[int, int]) -> tuple[int, int]
     if not K.simplices:
         return (0, 0)
     chain = boundary_matrices(K)
+    ds = [_derivative_dense(K, chain, k) for k in range(K.dim + 1)]
     supertrace = 0.0
     for k in range(K.dim + 1):
-        lk = _laplacian_block(K, chain, k)
+        lk = _laplacian_block(ds, k)
         if lk.shape[0] == 0:
             continue
         eigs, vecs = np.linalg.eigh(lk)

@@ -1,7 +1,8 @@
 """Finite simple graphs with integer vertex labels, and the divisibility graphs.
 
 Graphs are immutable after construction.  Vertex identity is the integer label;
-adjacency is stored as sorted index lists with label-level views precomputed.
+adjacency is stored once, as a dict from each label to the frozenset of its
+neighbours, and neighbors() sorts on demand for the callers that need order.
 All constructions are deterministic: vertices ascend, edges are emitted in
 ascending lexicographic order, and derived graphs (refinement, product) label
 their vertices by a canonical sort of the underlying simplices.
@@ -19,7 +20,11 @@ from .errors import InternalConsistencyError, InvalidArgumentError
 
 
 class Graph:
-    """Immutable finite simple graph on distinct positive-integer labels."""
+    """Immutable finite simple graph on distinct positive-integer labels.
+
+    A graph given a kind (prime, integer or divisor) must have exactly the
+    divisibility pairs of its labels as edges: chains() relies on it.
+    """
 
     def __init__(self, labels, edges, kind: str | None = None, param: int | None = None):
         labels = tuple(sorted(labels))
@@ -27,23 +32,21 @@ class Graph:
             raise InvalidArgumentError("duplicate vertex labels")
         if labels and labels[0] < 1:
             raise InvalidArgumentError("vertex labels must be positive integers")
-        index = {v: i for i, v in enumerate(labels)}
-        nbrs: list[set[int]] = [set() for _ in labels]
+        nbrs: dict[int, set[int]] = {v: set() for v in labels}
         for a, b in edges:
             if a == b:
                 raise InvalidArgumentError(f"self-loop at {a}")
-            if a not in index or b not in index:
+            if a not in nbrs or b not in nbrs:
                 raise InvalidArgumentError(f"edge ({a},{b}) uses unknown labels")
-            nbrs[index[a]].add(b)
-            nbrs[index[b]].add(a)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         self.labels = labels
         self.kind = kind
         self.param = param
-        self._index = index
-        self._nbr_labels = tuple(tuple(sorted(s)) for s in nbrs)
-        self._nbr_sets = {v: frozenset(self._nbr_labels[i]) for i, v in enumerate(labels)}
-        self.adjacency = tuple(tuple(index[u] for u in row) for row in self._nbr_labels)
+        self._nbr_sets = {v: frozenset(s) for v, s in nbrs.items()}
         self._hash: int | None = None
+        if kind is not None and not _only_divisibility_edges(labels, nbrs):
+            raise InvalidArgumentError(f"a {kind} graph needs exactly the divisibility pairs as edges")
 
     # --- basic queries -------------------------------------------------
 
@@ -52,12 +55,11 @@ class Graph:
         return len(self.labels)
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._index
+        return v in self._nbr_sets
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in self._index:
-            raise InvalidArgumentError(f"unknown vertex label {v}")
-        return self._nbr_labels[self._index[v]]
+        """The neighbours of v in ascending order."""
+        return tuple(sorted(self.neighbor_set(v)))
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         if v not in self._nbr_sets:
@@ -69,24 +71,19 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, in ascending lexicographic order."""
-        out = []
-        for v in self.labels:
-            for u in self.neighbors(v):
-                if v < u:
-                    out.append((v, u))
-        return out
+        return [(v, u) for v in self.labels for u in self.neighbors(v) if v < u]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.neighbor_set(v))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self._nbr_labels == other._nbr_labels
+        return self._nbr_sets == other._nbr_sets
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.labels, self._nbr_labels))
+            self._hash = hash(frozenset(self._nbr_sets.items()))
         return self._hash
 
     def __repr__(self):
@@ -150,17 +147,24 @@ def squarefree_divisors(m: int, sieve: FactorSieve) -> list[int]:
     return sorted(divs)
 
 
-def _divisibility_edges(vertices: list[int]) -> list[tuple[int, int]]:
+def _divisibility_edges(vertices):
+    """The pairs (a, b) of vertices with a | b and a < b, in ascending order."""
     present = set(vertices)
     top = max(vertices) if vertices else 0
-    edges = []
     for a in vertices:
-        b = 2 * a
-        while b <= top:
+        for b in range(2 * a, top + 1, a):
             if b in present:
-                edges.append((a, b))
-            b += a
-    return edges
+                yield a, b
+
+
+def _only_divisibility_edges(labels, nbrs) -> bool:
+    """Whether the adjacency nbrs joins exactly the divisibility pairs of labels."""
+    pairs = 0
+    for a, b in _divisibility_edges(labels):
+        if b not in nbrs[a]:
+            return False
+        pairs += 1
+    return 2 * pairs == sum(map(len, nbrs.values()))
 
 
 def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
@@ -197,18 +201,10 @@ def components(G: Graph) -> list[set[int]]:
     seen: set[int] = set()
     out = []
     for v in G.labels:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in G.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(comp)
+        if v not in seen:
+            comp = set(bfs_distances(G, v))
+            seen |= comp
+            out.append(comp)
     return out
 
 
@@ -220,7 +216,7 @@ def bfs_distances(G: Graph, source: int, within: set[int] | None = None) -> dict
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in G.neighbors(u):
+        for w in G.neighbor_set(u):
             if w in dist or (within is not None and w not in within):
                 continue
             dist[w] = dist[u] + 1
@@ -412,10 +408,11 @@ def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor
     for n, i, certified, _, member in _certified_joins(G, n_max, anchor):
         if certified <= bound:
             continue
-        eccentricity, reached = _eccentricity(G.adjacency, i, member)
-        if reached != member.count(1):
+        members = {v for v, flag in zip(G.labels, member) if flag}
+        dist = bfs_distances(G, G.labels[i], within=members)
+        if len(dist) != len(members):
             raise InternalConsistencyError(f"anchor component disconnected at n={n}")
-        if eccentricity > bound:
+        if max(dist.values()) > bound:
             return n
     return None
 
@@ -427,11 +424,12 @@ def _certified_joins(G: Graph, n_max: int, anchor: int):
     the members (math.inf when they give none); far and member are the live
     far bounds and member flags, valid until the next n.
     """
-    adjacency = G.adjacency
-    anchor_index = G._index[anchor]
+    index = {v: i for i, v in enumerate(G.labels)}
+    adjacency = [[index[u] for u in G.neighbor_set(v)] for v in G.labels]
+    anchor_index = index[anchor]
     bridge = G.kind in ("prime", "integer", "divisor")
     # In a divisibility graph a label is composite iff it has a smaller neighbour.
-    composite = [i != anchor_index and bool(row) and row[0] < i for i, row in enumerate(adjacency)]
+    composite = [i != anchor_index and min(row, default=i) < i for i, row in enumerate(adjacency)]
     joins: dict[int, list[int]] = {}
     for i, v in enumerate(G.labels):
         joins.setdefault(v if composite[i] or i == anchor_index else 2 * v, []).append(i)
@@ -475,23 +473,3 @@ def _recount(counts: Counter, old, new) -> None:
     if not counts[old]:
         del counts[old]
     counts[new] += 1
-
-
-def _eccentricity(adjacency, source: int, member: bytearray) -> tuple[int, int]:
-    """(eccentricity of source, vertices reached) by BFS inside member."""
-    unseen = member[:]
-    unseen[source] = 0
-    frontier = [source]
-    depth, reached = 0, 1
-    while True:
-        nxt = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if unseen[w]:
-                    unseen[w] = 0
-                    nxt.append(w)
-        if not nxt:
-            return depth, reached
-        depth += 1
-        reached += len(nxt)
-        frontier = nxt

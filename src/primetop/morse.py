@@ -541,4 +541,4 @@ def _isomorphic_spheres(G: Graph, x: int, primes: tuple[int, ...], rep: Represen
                 if not rep.sphere.has_edge(image[y], image[z]):
                     return False
                 edges += 1
-    return 2 * edges == sum(map(len, rep.sphere.adjacency))
+    return 2 * edges == sum(map(rep.sphere.degree, rep.sphere.labels))

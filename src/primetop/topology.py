@@ -43,7 +43,7 @@ from functools import partial
 
 from .cohomology import DEFAULT_FIELD_PRIME, _betti_sums, betti_numbers, reduce_gf, whitney_complex
 from .errors import ResourceLimitError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, bfs_distances, induced_subgraph
 
 RECURSION_CAP = 25
 _BETTI_SCREEN_MIN = 10
@@ -72,18 +72,7 @@ def _link(amb: Graph, sub: frozenset, v: int) -> frozenset:
 
 
 def _connected(amb: Graph, sub: frozenset) -> bool:
-    if not sub:
-        return False
-    start = next(iter(sub))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in amb.neighbor_set(u):
-            if w in sub and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(sub)
+    return bool(sub) and len(bfs_distances(amb, next(iter(sub)), sub)) == len(sub)
 
 
 def _cone_apex(amb: Graph, sub: frozenset) -> int | None:
@@ -280,8 +269,8 @@ def dimension_timeline(G: Graph, top: int) -> list[Fraction]:
     total, value, out = Fraction(0), Fraction(-1), []
     for n in range(top + 1):
         if G.has_vertex(n):
-            for v in [u for u in G.neighbors(n) if u < n] + [n]:
-                term = _dim(G, frozenset(u for u in G.neighbors(v) if u <= n), table)
+            for v in [u for u in G.neighbor_set(n) if u < n] + [n]:
+                term = _dim(G, frozenset(u for u in G.neighbor_set(v) if u <= n), table)
                 total += term - terms.get(v, 0)
                 terms[v] = term
             value = 1 + total / len(terms)

@@ -381,5 +381,8 @@ def test_sieve_limit_below_range_is_usage_error(argv, capsys):
 
 
 def test_sieve_limit_at_range_is_accepted(capsys):
-    assert run_main(["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "100"]) == 0
-    assert "pass" in capsys.readouterr().out
+    # the sieve is sized from --n-max (and --d for kummer); --sieve-limit is no option
+    with pytest.raises(SystemExit) as exc:
+        run_main(["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sieve-limit 100" in capsys.readouterr().err

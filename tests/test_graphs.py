@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -191,14 +192,15 @@ def test_diameter_certificates_are_upper_bounds(kind, n_max):
 
 
 def _count_bfs(monkeypatch):
+    """Patch graphs.bfs_distances to record the source label of every run."""
     calls = []
-    bfs = graphs._eccentricity
+    bfs = graphs.bfs_distances
 
-    def counted(*args):
-        calls.append(args[1])
-        return bfs(*args)
+    def counted(G, source, within=None):
+        calls.append(source)
+        return bfs(G, source, within)
 
-    monkeypatch.setattr(graphs, "_eccentricity", counted)
+    monkeypatch.setattr(graphs, "bfs_distances", counted)
     return calls
 
 
@@ -218,7 +220,7 @@ def test_diameter_bfs_fallback_on_kindless_graph(sieve, monkeypatch):
     assert verify_component_diameter_bound(kindless, 2310) is None
     assert calls
     # the far bounds still settle every even joiner
-    assert all(kindless.labels[i] % 2 for i in calls)
+    assert all(label % 2 for label in calls)
 
 
 def test_prime_is_squarefree_restriction_of_integer(sieve):
@@ -306,6 +308,29 @@ def test_graph_constructor_validation():
         Graph([0, 1], [])
 
 
+def test_divisibility_kind_requires_the_divisibility_edges():
+    # 2 | 8 with no edge 2-8: chains() would report the simplex (2, 4, 8) that cliques() lacks
+    with pytest.raises(InvalidArgumentError):
+        Graph([2, 4, 8], [(2, 4), (4, 8)], kind="integer", param=8)
+    # 2 - 3 is no divisibility pair
+    with pytest.raises(InvalidArgumentError):
+        Graph([2, 3, 6], [(2, 3), (2, 6), (3, 6)], kind="prime", param=6)
+    G = Graph([2, 4, 8], [(2, 4), (2, 8), (4, 8)], kind="integer", param=8)
+    assert chains(G) == cliques(G)
+
+
+def test_build_graph_keeps_one_adjacency_copy():
+    sieve = FactorSieve(20000)
+    tracemalloc.start()
+    try:
+        G = build_graph(GraphKind.prime(20000), sieve)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.n_vertices == 12159
+    assert retained <= 11_000_000, retained
+
+
 def test_json_schema(sieve):
     G = build_graph(GraphKind.prime(30), sieve)
     data = json.loads(G.to_json())
@@ -326,13 +351,13 @@ def test_dot_export(sieve):
 
 
 def test_adjacency_is_sorted_indices(sieve):
-    G = build_graph(GraphKind.prime(30), sieve)
-    for row in G.adjacency:
-        assert list(row) == sorted(row)
-    # symmetric
-    for i, row in enumerate(G.adjacency):
-        for j in row:
-            assert i in G.adjacency[j]
+    for kind, n in (("prime", 30), ("integer", 60), ("divisor", 210)):
+        G = build_graph(GraphKind(kind, n), sieve)
+        for H in (G, Graph(G.labels, G.edges())):
+            for v in H.labels:
+                row = H.neighbors(v)
+                assert list(row) == sorted(H.neighbor_set(v))
+                assert all(H.has_edge(u, v) and v in H.neighbors(u) for u in row)
 
 
 def test_kummer_involution_on_primorials(sieve):
