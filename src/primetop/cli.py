@@ -3,9 +3,9 @@
 All outputs are byte-deterministic for a fixed configuration: rows are
 assembled in ascending n, floats are printed with repr, exact rationals as
 "p/q", and booleans as lowercase true/false.  `--threads` is accepted and
-ignored; every command runs in one thread.  numpy is imported only where
-floats are needed (the dimension fit, and through cohomology the spectral
-checks), so launching the CLI and every exact command do without it.
+ignored; every command runs in one thread.  numpy is imported only by the
+spectral checks (witten, and the Lefschetz step of kummer), through
+cohomology, so launching the CLI and every other command do without it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import chain
 
 from . import __version__
@@ -442,28 +443,57 @@ def cmd_verify(config: RunConfig) -> int:
 # --- series ------------------------------------------------------------------
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Floats as integers over one common power-of-two denominator, exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _det3(m) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def fit_dimension(xs: list[int], ys: list[float]) -> tuple[float, float, float]:
+    """The least-squares (a, b, c) of ys ~ a + b*x + c*log(x), solved exactly and rounded once.
+
+    Every float is a dyadic rational, so with each column scaled to integers
+    (1, x, log(x) over its denominator d_j; ys over d) the normal equations
+    M z = r are integer, z_j = c_j * d / d_j, and Cramer's rule solves them
+    exactly.  float(Fraction) rounds each coefficient correctly, so the fit
+    depends on no floating-point summation order or linear-algebra library.
+    """
+    cols = [([1] * len(xs), 1), (xs, 1), _scaled([math.log(x) for x in xs])]
+    y, d = _scaled(ys)
+    M = [[sum(p * q for p, q in zip(ci, cj)) for cj, _ in cols] for ci, _ in cols]
+    r = [sum(p * q for p, q in zip(ci, y)) for ci, _ in cols]
+    det = _det3(M)
+    replaced = ([row[:j] + [r[i]] + row[j + 1 :] for i, row in enumerate(M)] for j in range(3))
+    a, b, c = (float(Fraction(_det3(Mj) * dj, det * d)) for Mj, (_, dj) in zip(replaced, cols))
+    return a, b, c
+
+
 def cmd_series(config: RunConfig) -> int:
     sieve = FactorSieve(max(config.n_max, 2))
-    G = build_graph(GraphKind(config.kind, config.n_max), sieve)
+    F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve)
     lines = []
     if config.what == "dimension":
         lines.append("n,dim_exact,dim_float")
         xs, ys = [], []
-        for n, d in enumerate(dimension_timeline(G, config.n_max)[6:], start=6):
+        for n, d in enumerate(dimension_timeline(F.simplices, F.top)[6:], start=6):
             lines.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
             xs.append(n)
             ys.append(float(d))
         # three unknowns: with fewer rows the fit would be a guess
         if len(xs) >= 3:
-            import numpy as np
-
-            A = np.column_stack([np.ones(len(xs)), np.array(xs, dtype=float), np.log(np.array(xs, dtype=float))])
-            coef, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-            a, b, c = (float(v) for v in coef)
+            a, b, c = fit_dimension(xs, ys)
             print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
     else:
         lines.append("n,wu,chi_scaled")
-        F = Filtration(G, sieve)
         wu = wu_timeline(F.simplices, F.top)
         for n in range(2, config.n_max + 1):
             lines.append(f"{n},{wu[n]},{100 - 15 * F.chi[n]}")

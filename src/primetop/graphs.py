@@ -43,9 +43,10 @@ class Graph:
         self.labels = labels
         self.kind = kind
         self.param = param
-        self._nbr_sets = {v: frozenset(s) for v, s in nbrs.items()}
+        # each mutable row is dropped as it is frozen, so no adjacency is held twice
+        self._nbr_sets = {v: frozenset(nbrs.pop(v)) for v in labels}
         self._hash: int | None = None
-        if kind is not None and not _only_divisibility_edges(labels, nbrs):
+        if kind is not None and not _only_divisibility_edges(labels, self._nbr_sets):
             raise InvalidArgumentError(f"a {kind} graph needs exactly the divisibility pairs as edges")
 
     # --- basic queries -------------------------------------------------

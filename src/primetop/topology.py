@@ -12,9 +12,10 @@ subset inside a fixed ambient graph: one recognition meets the same subsets
 call: each public entry point builds its own and passes them down the
 recursion, and nothing outlives the call.  Sharing across a filtration happens
 one level up, where morse.Filtration classifies one stable sphere per exponent
-signature and reuses the verdict through a checked isomorphism, and
-dimension_timeline keeps one table for the whole timeline.  The recursion is
-pruned by screens that are theorems of the definition:
+signature and reuses the verdict through a checked isomorphism.
+dimension_timeline runs no recursion: it keeps a link size, a running sum and
+a value per simplex of the filtration and updates them in one pass.  The
+recursion is pruned by screens that are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
@@ -37,6 +38,7 @@ on the graph alone.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -258,23 +260,46 @@ def inductive_dimension(G: Graph) -> Fraction:
     return _dim(G, frozenset(G.labels), {})
 
 
-def dimension_timeline(G: Graph, top: int) -> list[Fraction]:
+def dimension_timeline(simplices, top: int) -> list[Fraction]:
     """inductive_dimension of G(n), the subgraph on the labels <= n, for n = 0..top.
 
-    One running pass: when x arrives, only the unit-sphere terms of x and of its
-    smaller neighbours change, and they are recomputed over one shared table.
+    simplices are the cliques of G by dimension, as cliques(G) or chains(G)
+    give them.  The unit sphere of u inside the common link L(s) of a simplex
+    s is L(s + u), so dim L(s) is 1 + the mean of dim L(s + u) over u in L(s)
+    (-1 when L(s) is empty), and dim G(n) is dim L(()).  Every simplex, the
+    empty one included, keeps the size of L(s) in G(n) and that sum.  When x
+    arrives, L(s) changes only for the new simplices (top vertex x) and their
+    facets without x; these are closed under taking facets, so they are
+    recomputed longest first, each handing its new term or its change to its
+    facets.  Each simplex is settled on arrival and settles its facet without
+    its top vertex, so the pass is linear in the (simplex, facet) pairs.
     """
-    table: dict = {}
-    terms: dict[int, Fraction] = {}
-    total, value, out = Fraction(0), Fraction(-1), []
+    count: defaultdict = defaultdict(int)  # |L(s)|
+    total: defaultdict = defaultdict(Fraction)  # sum of dim L(s + u) over u in L(s)
+    value = {(): Fraction(-1)}  # dim L(s)
+
+    def settle(s: tuple[int, ...]) -> None:
+        """Recompute dim L(s), whose sum is complete, and hand the change to each facet of s."""
+        new = 1 + total[s] / count[s] if count[s] else Fraction(-1)
+        old = value.get(s)
+        value[s] = new
+        change = new if old is None else new - old
+        if old is not None and not change:
+            return
+        for i in range(len(s)):
+            facet = s[:i] + s[i + 1 :]
+            total[facet] += change
+            count[facet] += old is None
+
+    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], -len(s)))
+    out, arrived = [], 0
     for n in range(top + 1):
-        if G.has_vertex(n):
-            for v in [u for u in G.neighbor_set(n) if u < n] + [n]:
-                term = _dim(G, frozenset(u for u in G.neighbor_set(v) if u <= n), table)
-                total += term - terms.get(v, 0)
-                terms[v] = term
-            value = 1 + total / len(terms)
-        out.append(value)
+        while arrived < len(order) and order[arrived][-1] == n:
+            s = order[arrived]
+            arrived += 1
+            settle(s)
+            settle(s[:-1])
+        out.append(value[()])
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from primetop import (
     FactorSieve,
+    Filtration,
     GraphKind,
     barycentric_morse_complex,
     barycentric_refinement,
@@ -273,7 +274,7 @@ def test_c12_product_laws():
 
 def test_c13_figure_series(big_sieve):
     G = build_graph(GraphKind.prime(2690), big_sieve)
-    dims = dimension_timeline(G, 2690)
+    dims = dimension_timeline(Filtration(G, big_sieve).simplices, 2690)
     xs = list(range(6, 2691))
     ys = [float(dims[n]) for n in xs]
     A = np.column_stack([np.ones(len(xs)), np.array(xs, float), np.log(np.array(xs, float))])

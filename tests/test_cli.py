@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,9 +170,26 @@ def series_from_scratch(kind, n_max, what):
         rows.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
         xs.append(n)
         ys.append(float(d))
+    if len(xs) < 3:
+        return "\n".join(rows) + "\n", ""
+    a, b, c = fit_by_elimination(xs, ys)
     A = np.column_stack([np.ones(len(xs)), np.array(xs, dtype=float), np.log(np.array(xs, dtype=float))])
-    a, b, c = (float(v) for v in np.linalg.lstsq(A, np.array(ys), rcond=None)[0])
+    np.testing.assert_allclose((a, b, c), np.linalg.lstsq(A, np.array(ys), rcond=None)[0], rtol=1e-9, atol=0)
     return "\n".join(rows) + "\n", f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}\n"
+
+
+def fit_by_elimination(xs, ys):
+    """(a, b, c) of ys ~ a + b*x + c*log(x): Gauss-Jordan elimination of the normal equations over Q."""
+    rows = [(Fraction(1), Fraction(x), Fraction(math.log(x)), Fraction(y)) for x, y in zip(xs, ys)]
+    aug = [[sum(r[i] * r[j] for r in rows) for j in range(4)] for i in range(3)]
+    for col in range(3):
+        pivot = next(i for i in range(col, 3) if aug[i][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for i in range(3):
+            if i != col:
+                factor = aug[i][col] / aug[col][col]
+                aug[i] = [u - factor * v for u, v in zip(aug[i], aug[col])]
+    return tuple(float(aug[i][3] / aug[i][i]) for i in range(3))
 
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 120), ("divisor", 77)])

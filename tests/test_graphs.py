@@ -324,11 +324,13 @@ def test_build_graph_keeps_one_adjacency_copy():
     tracemalloc.start()
     try:
         G = build_graph(GraphKind.prime(20000), sieve)
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert G.n_vertices == 12159
     assert retained <= 11_000_000, retained
+    # each mutable row is frozen and dropped in one step, not copied
+    assert peak <= 13_000_000, peak
 
 
 def test_json_schema(sieve):

@@ -181,13 +181,36 @@ def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
 def test_timelines_match_from_scratch_any_n(sieve, kind, n):
     # the running passes against G(m) rebuilt for every m, by the literal definitions
     G = build_graph(GraphKind(kind, n), sieve)
-    dims = dimension_timeline(G, n)
-    wus = wu_timeline(Filtration(G, sieve).simplices, n)
+    simplices = Filtration(G, sieve).simplices
+    dims = dimension_timeline(simplices, n)
+    wus = wu_timeline(simplices, n)
     assert len(dims) == len(wus) == n + 1
     for m in range(n + 1):
         Gm = induced_subgraph(G, [v for v in G.labels if v <= m])
         assert dims[m] == inductive_dimension(Gm), m
         assert wus[m] == wu_characteristic_bruteforce(whitney_complex(Gm)), m
+
+
+@st.composite
+def kindless_graphs(draw):
+    """Graphs without a kind on at most 9 labels <= 60, one later vertex with no smaller neighbour."""
+    labels = sorted(draw(st.sets(st.integers(1, 60), min_size=2, max_size=9)))
+    lonely = labels[draw(st.integers(1, len(labels) - 1))]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if b != lonely]
+    return Graph(labels, [p for p in pairs if draw(st.booleans())]), lonely
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=kindless_graphs())
+def test_dimension_timeline_on_kindless_graphs(sieve, graph):
+    # the pass over cliques(G) against inductive_dimension of every prefix G(n)
+    G, lonely = graph
+    F = Filtration(G, sieve)
+    assert all(u > lonely for u in G.neighbor_set(lonely))
+    dims = dimension_timeline(F.simplices, F.top)
+    assert len(dims) == max(G.labels) + 1
+    for n, d in enumerate(dims):
+        assert d == inductive_dimension(induced_subgraph(G, [v for v in G.labels if v <= n])), n
 
 
 def test_homotopy_reduce_small(sieve, small_corpus):
