@@ -21,9 +21,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import get_origin, get_type_hints
 
 from . import __version__
-from .arithmetic import FactorSieve, mertens_table, pi_k_tables, primorial
+from .arithmetic import FactorSieve, primorial
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     betti_numbers,
@@ -47,7 +48,7 @@ from .graphs import (
     kummer_involution,
     verify_component_diameter_bound,
 )
-from .morse import Filtration, barycentric_morse_complex, betti_formulas, morse_betti, morse_inequality_check
+from .morse import Filtration, barycentric_morse_complex, betti_verdict, morse_betti
 from .topology import dimension_timeline, inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
@@ -96,17 +97,8 @@ class CacheRecord:
         return json.dumps(asdict(self), separators=(",", ":"))
 
 
-_RECORD_TYPES = {
-    "kind": str,
-    "n": int,
-    "fvector": list,
-    "betti": list,
-    "chi": int,
-    "mertens": int,
-    "critical_counts": list,
-    "tool_version": str,
-    "field_prime": int,
-}
+# the type of each field, list for list[int]
+_RECORD_TYPES = {name: get_origin(t) or t for name, t in get_type_hints(CacheRecord).items()}
 
 
 def _parse_record(line: str) -> CacheRecord | None:
@@ -209,13 +201,11 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _table_row(rec: CacheRecord, tables) -> str:
-    n = rec.n
-    weak, strong, _ = morse_inequality_check(rec.betti, rec.critical_counts)
-    h1, h3 = betti_formulas(n, tables, rec.betti)
-    cells = [str(n), str(rec.mertens), str(rec.chi)]
+    v = betti_verdict(rec.n, rec.betti, rec.critical_counts, tables)
+    cells = [str(rec.n), str(rec.mertens), str(rec.chi)]
     cells += [str(x) for x in (rec.betti + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
     cells += [str(x) for x in (rec.critical_counts + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
-    cells += [_bool(weak), _bool(strong), _bool(n < 4 or h1), _bool(all(h3.values()))]
+    cells += [_bool(v.weak), _bool(v.strong), _bool(v.h1 is not False), _bool(not v.h3_failures)]
     return ",".join(cells)
 
 
@@ -223,7 +213,6 @@ def cmd_table(config: RunConfig) -> int:
     n_max = config.n_max
     sieve = FactorSieve(max(n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
-    mert = mertens_table(sieve, n_max)
     # G(n) of Divisor(m) depends on m, so its records are keyed by m too
     kind = f"divisor({n_max})" if config.kind == "divisor" else config.kind
     cached = _load_cache(config.cache_path, kind, config.field_prime) if config.cache_path else {}
@@ -234,7 +223,7 @@ def cmd_table(config: RunConfig) -> int:
             fvector=F.f_vector(n),
             betti=F.betti_numbers(n),
             chi=F.chi[n],
-            mertens=mert[n],
+            mertens=F.mertens[n],
             critical_counts=F.critical_counts(n),
             tool_version=__version__,
             field_prime=config.field_prime,
@@ -251,8 +240,7 @@ def cmd_table(config: RunConfig) -> int:
         + ["weak", "strong", "h1", "h3"]
     )
     records = [cached.get(n) or fresh[n] for n in range(2, n_max + 1)]
-    tables = pi_k_tables(sieve, n_max, max([4] + [len(rec.betti) for rec in records]))
-    lines = [",".join(header)] + [_table_row(rec, tables) for rec in records]
+    lines = [",".join(header)] + [_table_row(rec, F.pi) for rec in records]
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 
@@ -276,36 +264,29 @@ def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     return out
 
 
+def _first(failing, config: RunConfig, start: int = 2) -> int | None:
+    """The first n in start..n_max for which failing(n) is true, or None."""
+    return next((n for n in range(start, config.n_max + 1) if failing(n)), None)
+
+
 def check_mertens(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    chi = F.chi
-    mert = mertens_table(sieve, config.n_max)
-    for n in range(2, config.n_max + 1):
-        if chi[n] != 1 - mert[n]:
-            return False, f"first counterexample n={n}"
+    n = _first(lambda n: not F.mertens_euler[n], config)
+    if n is not None:
+        return False, f"first counterexample n={n}"
     return True, f"chi(G(n)) = 1 - M(n) for 2 <= n <= {config.n_max}"
 
 
 def check_hopf(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    chi = F.chi
-    total = 0
-    by_n = {ev.n: ev for ev in F.events}
-    for n in range(2, config.n_max + 1):
-        ev = by_n.get(n)
-        if ev is not None:
-            if ev.kind == "critical" and ev.ph_index != -ev.mu:
-                return False, f"first counterexample n={n} (index != -mu)"
-            total += ev.ph_index
-        if total != chi[n]:
-            return False, f"first counterexample n={n} (sum != chi)"
+    n = _first(lambda n: F.poincare_hopf[n], config)
+    if n is not None:
+        return False, f"first counterexample n={n} ({F.poincare_hopf[n]})"
     return True, f"indices sum to chi and equal -mu up to n={config.n_max}"
 
 
-def _morse_sweep(config: RunConfig, F: Filtration, strong: bool) -> tuple[bool, str]:
-    for n in range(2, config.n_max + 1):
-        weak_ok, strong_ok, _ = morse_inequality_check(F.betti_numbers(n), F.critical_counts(n))
-        ok = strong_ok if strong else weak_ok
-        if not ok:
-            return False, f"first counterexample n={n}"
+def _morse_sweep(config: RunConfig, F: Filtration, which: str) -> tuple[bool, str]:
+    n = _first(lambda n: not getattr(F.betti_verdicts[n], which), config)
+    if n is not None:
+        return False, f"first counterexample n={n}"
     return True, f"inequalities hold for 2 <= n <= {config.n_max}"
 
 
@@ -317,16 +298,12 @@ def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tupl
 
 
 def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    tables = pi_k_tables(sieve, config.n_max, max(len(F.betti), 4))
-    dims = sorted(F.betti)
-    rows = [(n, *betti_formulas(n, tables, [F.betti[k][n] for k in dims])) for n in range(4, config.n_max + 1)]
-    for n, h1, _ in rows:
-        if not h1:
-            return False, f"H1 fails first at n={n}"
-    for k in dims[1:]:
-        for n, _, h3 in rows:
-            if not h3[k]:
-                return False, f"H3(k={k}) fails first at n={n}"
+    n = _first(lambda n: F.betti_verdicts[n].h1 is False, config, start=4)
+    if n is not None:
+        return False, f"H1 fails first at n={n}"
+    failures = [(k, n) for n in range(4, config.n_max + 1) for k in F.betti_verdicts[n].h3_failures]
+    if failures:
+        return False, "H3(k={}) fails first at n={}".format(*min(failures))
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 
@@ -410,8 +387,8 @@ def check_witten(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[
 CHECK_FUNCS = {
     "mertens": check_mertens,
     "hopf": check_hopf,
-    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, strong=False),
-    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, strong=True),
+    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, "weak"),
+    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, "strong"),
     "diameter": check_diameter,
     "formulas": check_formulas,
     "morse-equiv": check_morse_equiv,
@@ -510,9 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--kind", choices=["prime", "integer", "divisor"], default="prime")
-        p.add_argument("--field-prime", type=int, default=DEFAULT_FIELD_PRIME)
         p.add_argument("--threads", type=int, help="accepted and ignored")
-        p.add_argument("--cache", dest="cache_path", default=None)
         p.add_argument("--out", dest="output_path", default=None)
 
     b = sub.add_parser("build", help="write one graph in json/dot/csv form")
@@ -522,10 +497,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="per-n invariants and checks as CSV")
     common(t)
+    t.add_argument("--field-prime", type=int, default=DEFAULT_FIELD_PRIME)
+    t.add_argument("--cache", dest="cache_path", default=None)
     t.add_argument("--n-max", type=int, default=250)
 
     v = sub.add_parser("verify", help="run verification sweeps")
     common(v)
+    v.add_argument("--field-prime", type=int, default=DEFAULT_FIELD_PRIME)
     v.add_argument("--n-max", type=int, default=250)
     v.add_argument("--checks", default=",".join(ALL_CHECKS))
     v.add_argument("--d", type=int, default=4)
@@ -540,13 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(command=args.command)
-    config.kind = args.kind
-    if not (3 <= args.field_prime <= 2**31 - 1 and _is_odd_prime(args.field_prime)):
-        parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
-    config.field_prime = args.field_prime
-    config.cache_path = args.cache_path
-    config.output_path = args.output_path
+    config = RunConfig(args.command, kind=args.kind, output_path=args.output_path)
+    config.cache_path = vars(args).get("cache_path")  # table alone takes --cache
+    if "field_prime" in args:
+        if not (3 <= args.field_prime <= 2**31 - 1 and _is_odd_prime(args.field_prime)):
+            parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
+        config.field_prime = args.field_prime
     if args.command == "build":
         if args.n < 2:
             parser.error("--n must be at least 2")
@@ -558,6 +535,8 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
             parser.error("--n-max must be at least 2")
     if args.command == "verify":
         names = tuple(x for x in args.checks.split(",") if x)
+        if not names:
+            parser.error("--checks names no check")
         for name in names:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")

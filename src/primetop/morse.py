@@ -14,10 +14,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate, count, zip_longest
 from math import prod
+from typing import NamedTuple
 
-from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables
+from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     Column,
@@ -150,15 +151,8 @@ def classify_vertex(G: Graph, f, x: int, sieve: FactorSieve) -> FiltrationEvent:
 
 def critical_counts(events, n: int) -> list[int]:
     """c_m = number of critical events with label <= n and Morse index m."""
-    counts: list[int] = []
-    for ev in events:
-        if ev.n > n or ev.kind != "critical":
-            continue
-        m = ev.morse_index
-        while len(counts) <= m:
-            counts.append(0)
-        counts[m] += 1
-    return counts
+    counts = Counter(ev.morse_index for ev in events if ev.n <= n and ev.kind == "critical")
+    return [counts[m] for m in range(max(counts, default=-1) + 1)]
 
 
 def morse_inequality_check(b, c) -> tuple[bool, bool, list[int]]:
@@ -179,16 +173,38 @@ def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
 
     H1: b_0 = 1 + pi(n) - pi(n//2).  H3: b_k = pi_{k+1}(n, odd) -
     pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at least for k = 1..3.
-    tables is pi_k_tables(sieve, N, k_max) for some N >= n and
-    k_max >= max(len(b), 4).
+    tables is pi_k_tables(sieve, N, k_max) for some N >= n.  A k above k_max
+    counts zero, which is exact when k_max >= max(len(b), 4) or no squarefree
+    number up to N has more than k_max primes.
     """
     top = max(len(b), 4)
     b = list(b) + [0] * (top - len(b))
 
     def diff(k, odd):
-        return tables[(k, odd)][n] - tables[(k, odd)][n // 2]
+        row = tables.get((k, odd))
+        return row[n] - row[n // 2] if row else 0
 
     return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
+
+
+class BettiVerdict(NamedTuple):
+    """The Morse inequalities and H1/H3 at n; h1 is None below n = 4, h3_failures lists the k where H3 fails."""
+
+    weak: bool
+    strong: bool
+    h1: bool | None
+    h3_failures: tuple[int, ...]
+
+
+def betti_verdict(n: int, b, c, tables) -> BettiVerdict:
+    """The weak and strong Morse inequalities and H1 and H3 per k for the Betti vector b of G(n).
+
+    c is the critical counts of G(n), tables as for betti_formulas.  A cached
+    table row and Filtration.betti_verdicts both read this one evaluator.
+    """
+    weak, strong, _ = morse_inequality_check(b, c)
+    h1, h3 = betti_formulas(n, tables, b)
+    return BettiVerdict(weak, strong, None if n < 4 else h1, tuple(k for k, ok in h3.items() if not ok))
 
 
 def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict:
@@ -205,26 +221,12 @@ def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict
     kmax = max(4, len(b), (len(c) + 1) if c else 0)
     tabs = pi_k_tables(sieve, max(n, 2), kmax)
     half = n // 2
-    pi_all = {k: tabs[(k, False)][n] for k in range(1, kmax + 1)}
-    pi_all_half = {k: tabs[(k, False)][half] for k in range(1, kmax + 1)}
-    pi_odd = {k: tabs[(k, True)][n] for k in range(1, kmax + 1)}
-    pi_odd_half = {k: tabs[(k, True)][half] for k in range(1, kmax + 1)}
+    variants = (("pi", False, n), ("pi_half", False, half), ("pi_odd", True, n), ("pi_odd_half", True, half))
+    columns = {name: {k: tabs[(k, odd)][x] for k in range(1, kmax + 1)} for name, odd, x in variants}
     h1, h3 = betti_formulas(n, tabs, b)
-    h2 = None
-    if c is not None:
-        h2 = all(
-            (c[m] if m < len(c) else 0) == pi_all[m + 1] for m in range(max(len(c), 3))
-        )
-    return {
-        "n": n,
-        "h1": None if n < 4 else h1,
-        "h2": h2,
-        "h3": h3,
-        "pi": pi_all,
-        "pi_half": pi_all_half,
-        "pi_odd": pi_odd,
-        "pi_odd_half": pi_odd_half,
-    }
+    h2 = None if c is None else all(
+        (c[m] if m < len(c) else 0) == columns["pi"][m + 1] for m in range(max(len(c), 3)))
+    return {"n": n, "h1": None if n < 4 else h1, "h2": h2, "h3": h3, **columns}
 
 
 def run_filtration(
@@ -234,52 +236,32 @@ def run_filtration(
     sieve: FactorSieve | None = None,
     field_prime: int = DEFAULT_FIELD_PRIME,
 ) -> tuple[list[FiltrationEvent], list[MorseReport]]:
-    """Classify every vertex of the kind-(n_max) graph; report at checkpoints.
+    """Classify every vertex of the kind-(n_max) graph; report at checkpoints in [2, n_max].
 
-    Events, Betti vectors, chi and critical counts are all read from one
-    Filtration of the graph.  The event of a vertex at a checkpoint carries
-    betti_delta, the Betti timeline at n minus the timeline at n - 1.
+    Events, invariants and the verdict of every identity are all read from
+    one Filtration of the graph.  The event of a vertex at a checkpoint
+    carries betti_delta, the Betti timeline at n minus the timeline at n - 1.
     """
     points = sorted(set(checkpoints))
-    if points and points[-1] > n_max:
-        raise InvalidArgumentError(f"checkpoint {points[-1]} beyond n_max {n_max}")
+    if points and not 2 <= points[0] <= points[-1] <= n_max:
+        raise InvalidArgumentError(f"checkpoints must lie in [2, {n_max}], got {points[0]}..{points[-1]}")
     if sieve is None:
         sieve = FactorSieve(max(n_max, 2))
     F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve, field_prime)
     events = list(F.events)
     position = {ev.n: i for i, ev in enumerate(events)}
-    mert = mertens_table(sieve, n_max)
-    tables = pi_k_tables(sieve, n_max, max(len(F.f), 4))
     reports = []
-    seen, ph_sum, ph_pointwise = 0, 0, True
     for n in points:
         b = F.betti_numbers(n)
-        chi = F.chi[n]
-        c = F.critical_counts(n)
         if n in position:
             delta = tuple(F.betti[k][n] - F.betti[k][n - 1] for k in range(len(b)))
             events[position[n]] = dataclasses.replace(events[position[n]], betti_delta=delta)
-        weak, strong, _ = morse_inequality_check(b, c)
-        h1, h3 = betti_formulas(n, tables, b)
-        while seen < len(events) and events[seen].n <= n:
-            ev = events[seen]
-            ph_sum += ev.ph_index
-            ph_pointwise &= ev.kind != "critical" or ev.ph_index == -ev.mu
-            seen += 1
+        v = F.betti_verdicts[n]
         checks = {
-            "mertens_euler": chi == 1 - mert[n],
-            "poincare_hopf": ph_sum == chi and ph_pointwise,
-            "weak": weak,
-            "strong": strong,
-            "b0_formula": None if n < 4 else h1,
-            "bk_formula": all(h3.values()),
+            "mertens_euler": F.mertens_euler[n], "poincare_hopf": F.poincare_hopf[n] is None,
+            "weak": v.weak, "strong": v.strong, "b0_formula": v.h1, "bk_formula": not v.h3_failures,
         }
-        reports.append(
-            MorseReport(
-                n=n, mertens=mert[n], chi=chi, betti=tuple(b),
-                critical_counts=tuple(c), checks=checks,
-            )
-        )
+        reports.append(MorseReport(n, F.mertens[n], F.chi[n], tuple(b), tuple(F.critical_counts(n)), checks))
     return events, reports
 
 
@@ -373,7 +355,8 @@ class Filtration:
     and certify the rest.  The Betti timeline over GF(field_prime) is
     witnessed at every n by exact rational elimination of the prime complex
     Delta(n) on a prime, integer or divisor graph, of the simplices again on
-    any other.  Timelines are lists of Python ints over n = 0..top, where top
+    any other.  Each of the paper's identities is evaluated here once, at
+    every n.  Timelines are lists of Python ints over n = 0..top, where top
     is G.param (the largest label when G has no parameter).
     """
 
@@ -460,9 +443,43 @@ class Filtration:
                 counts[ev.morse_index][ev.n] += 1
         return [_cumulative(c, self.top) for c in counts]
 
+    @cached_property
+    def mertens(self) -> list[int]:
+        """mertens_table(sieve, top): M(n) for n = 0..top."""
+        return mertens_table(self.sieve, self.top)
+
+    @cached_property
+    def pi(self) -> dict[tuple[int, bool], list[int]]:
+        """pi_k_tables(sieve, top, k_max), k_max the most primes of a squarefree number up to top."""
+        return pi_k_tables(self.sieve, self.top, next(k for k in count(1) if primorial(k + 1) > self.top))
+
+    @cached_property
+    def mertens_euler(self) -> list[bool]:
+        """Whether chi(G(n)) = 1 - M(n), for n = 0..top."""
+        return [chi == 1 - m for chi, m in zip(self.chi, self.mertens)]
+
+    @cached_property
+    def poincare_hopf(self) -> list[str | None]:
+        """For n = 0..top, None where every critical index up to n is -mu and all indices sum to chi(G(n)).
+
+        Else "index != -mu" (reported first) or "sum != chi".
+        """
+        index, wrong = Counter(), Counter()
+        for ev in self.events:
+            index[ev.n] += ev.ph_index
+            wrong[ev.n] += ev.kind == "critical" and ev.ph_index != -ev.mu
+        total, bad = _cumulative(index, self.top), _cumulative(wrong, self.top)
+        return ["index != -mu" if w else None if t == chi else "sum != chi" for w, t, chi in zip(bad, total, self.chi)]
+
+    @cached_property
+    def betti_verdicts(self) -> list[BettiVerdict]:
+        """betti_verdict(n, b, c, pi) for n = 0..top, b read in every dimension of G(top)."""
+        rows = [self.betti[k] for k in sorted(self.betti)]
+        return [betti_verdict(n, [r[n] for r in rows], self.critical_counts(n), self.pi) for n in range(self.top + 1)]
+
     def f_vector(self, n: int) -> list[int]:
         """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
-        return _trimmed([row[n] for row in self.f])
+        return self._column(self.f, n)
 
     def betti_numbers(self, n: int) -> list[int]:
         """betti_numbers(whitney_complex(G(n))).b: one entry per dimension of G(n)."""
@@ -470,14 +487,16 @@ class Filtration:
 
     def critical_counts(self, n: int) -> list[int]:
         """critical_counts(events, n), read from the cumulative counts."""
-        return _trimmed([row[n] for row in self.critical])
+        return self._column(self.critical, n)
 
-
-def _trimmed(column: list[int]) -> list[int]:
-    """column without its trailing zeros, trimmed in place."""
-    while column and not column[-1]:
-        column.pop()
-    return column
+    def _column(self, rows: list[list[int]], n: int) -> list[int]:
+        """[row[n] for row in rows] without its trailing zeros, for n in 0..top."""
+        if not 0 <= n <= self.top:
+            raise InvalidArgumentError(f"n = {n} outside the filtration's range 0..{self.top}")
+        column = [row[n] for row in rows]
+        while column and not column[-1]:
+            column.pop()
+        return column
 
 
 def _identity(x: int) -> int:

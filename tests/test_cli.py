@@ -97,6 +97,18 @@ def test_table_corrupt_cache_truncated(tmp_path, capsys):
     assert all(json.loads(line) for line in cache.read_text().splitlines())
 
 
+def test_warm_table_computes_no_filtration_field(tmp_path, monkeypatch):
+    import primetop.morse as morse
+
+    cache, cold, warm = tmp_path / "cache.jsonl", tmp_path / "cold.csv", tmp_path / "warm.csv"
+    argv = ["table", "--n-max", "120", "--cache", str(cache), "--out"]
+    assert run_main(argv + [str(cold)]) == 0
+    for name in ("simplices", "betti", "events"):
+        monkeypatch.setattr(morse.Filtration, name, property(lambda F, name=name: pytest.fail(f"warm table read F.{name}")))
+    assert run_main(argv + [str(warm)]) == 0
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 def test_verify_pass_and_exit_codes(capsys):
     assert run_main(["verify", "--checks", "mertens,hopf", "--n-max", "120"]) == 0
     out = capsys.readouterr().out
@@ -268,6 +280,14 @@ def test_cache_line_without_newline_is_not_glued_to_the_next(tmp_path):
         ["verify", "--checks", "mertens", "--d", "0"],
         ["verify", "--checks", "kummer", "--d", "16"],
         ["verify", "--checks", "kummer", "--d", "7"],
+        ["verify", "--checks", ""],
+        ["verify", "--checks", ","],
+        # --cache is read by table alone, --field-prime by table and verify
+        ["series", "--cache", "x"],
+        ["build", "--n", "5", "--field-prime", "3"],
+        ["build", "--n", "5", "--cache", "x"],
+        ["verify", "--checks", "mertens", "--cache", "x"],
+        ["series", "--what", "wu", "--field-prime", "3"],
     ],
 )
 def test_invalid_configuration_usage_error(argv):

@@ -1,3 +1,4 @@
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +29,7 @@ from primetop import (
     stable_sphere,
     whitney_complex,
 )
-from primetop.arithmetic import FactorSieve, pi_k_tables
+from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
 from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, reduce_exact, reduce_gf
@@ -108,6 +109,23 @@ def test_run_filtration_checkpoint_validation(sieve):
         run_filtration(10, kind="prime", sieve=sieve, checkpoints=[11])
 
 
+@pytest.mark.parametrize("checkpoint", [-1, 0, 1])
+def test_run_filtration_rejects_checkpoints_outside_range(sieve, checkpoint):
+    # below 2, G(n) is empty and chi(G(n)) = 1 - M(n) does not hold; a negative n would read from the end
+    with pytest.raises(InvalidArgumentError, match=r"must lie in \[2, 30\]"):
+        run_filtration(30, kind="prime", sieve=sieve, checkpoints=[2, checkpoint])
+
+
+def test_filtration_reads_no_n_outside_its_range(sieve):
+    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    assert F.betti_numbers(30) == [5, 1, 0] and F.critical_counts(30) == [10, 7, 1]
+    for read in (F.f_vector, F.betti_numbers, F.critical_counts):
+        assert read(0) == []
+        for n in (-1, 31):
+            with pytest.raises(InvalidArgumentError, match="outside"):
+                read(n)
+
+
 def test_critical_counts(sieve):
     events, _ = run_filtration(30, kind="prime", sieve=sieve)
     assert critical_counts(events, 10) == [4, 2]
@@ -164,8 +182,9 @@ def test_check_formulas_reads_every_dimension(sieve):
     F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
     top = np.zeros(31, dtype=np.int64)
     top[20:] = 1  # no odd number up to 30 has five prime factors
-    betti = dict(F.betti) | {3: np.zeros(31, dtype=np.int64), 4: top}
-    ok, message = check_formulas(SimpleNamespace(n_max=30), sieve, SimpleNamespace(betti=betti))
+    tampered = Filtration(F.G, sieve)
+    tampered.betti = dict(F.betti) | {3: np.zeros(31, dtype=np.int64), 4: top}
+    ok, message = check_formulas(SimpleNamespace(n_max=30), sieve, tampered)
     assert not ok and message == "H3(k=4) fails first at n=20"
     ok, _ = check_formulas(SimpleNamespace(n_max=30), sieve, F)
     assert ok
@@ -528,3 +547,38 @@ def test_run_filtration_dense_checkpoints_match_formula_hypotheses(sieve, kind, 
         below = [ev for ev in events if ev.n <= r.n]
         pointwise = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
         assert r.checks["poincare_hopf"] == (sum(ev.ph_index for ev in below) == r.chi and pointwise), r.n
+
+
+def literal_morse_inequalities(b, c):
+    """(weak, strong) as stated: b_k <= c_k; every sum_{j<=k} (-1)^(k-j) (c_j - b_j) >= 0, the full one 0."""
+    width = max(len(b), len(c))
+    b, c = list(b) + [0] * (width - len(b)), list(c) + [0] * (width - len(c))
+    partial = [sum((-1) ** (k - j) * (c[j] - b[j]) for j in range(k + 1)) for k in range(width)]
+    euler = sum((-1) ** k * (c[k] - b[k]) for k in range(width)) == 0
+    return all(bk <= ck for bk, ck in zip(b, c)), all(r >= 0 for r in partial) and euler
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 300), ("integer", 300), ("divisor", 210)])
+def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
+    # every verdict against the identity as stated: M(n) summed from mu, pi_k counted
+    # for each x, critical counts and index sums read from the events
+    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve)
+    count = cache(lambda k, x, odd: pi_k(k, x, odd, sieve))
+    seen = set()
+    for n in range(2, n_max + 1):
+        m = mertens(n, sieve)
+        assert F.mertens[n] == m and F.mertens_euler[n] == (F.chi[n] == 1 - m), n
+        below = [ev for ev in F.events if ev.n <= n]
+        index_ok = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
+        sum_ok = sum(ev.ph_index for ev in below) == F.chi[n]
+        assert F.poincare_hopf[n] == (None if index_ok and sum_ok else "sum != chi" if index_ok else "index != -mu"), n
+        b = [F.betti[k][n] for k in sorted(F.betti)]
+        verdict = F.betti_verdicts[n]
+        assert (verdict.weak, verdict.strong) == literal_morse_inequalities(b, critical_counts(F.events, n)), n
+        b += [0] * (4 - len(b))
+        h1 = b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
+        h3_failures = tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
+        assert verdict.h1 == (None if n < 4 else h1) and verdict.h3_failures == h3_failures, n
+        seen.add((F.mertens_euler[n], verdict.h1))
+    # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur
+    assert seen >= ({(True, True)} if kind != "divisor" else {(True, True), (False, False)})
