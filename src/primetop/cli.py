@@ -48,7 +48,7 @@ from .graphs import (
     kummer_involution,
     verify_component_diameter_bound,
 )
-from .morse import Filtration, barycentric_morse_complex, betti_verdict, morse_betti
+from .morse import Filtration, barycentric_morse_complex, betti_formulas, morse_betti, morse_inequality_check
 from .topology import dimension_timeline, inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
@@ -65,20 +65,6 @@ ALL_CHECKS = (
     "kunneth",
     "witten",
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n_max: int = 250
-    kind: str = "prime"
-    field_prime: int = DEFAULT_FIELD_PRIME
-    cache_path: str | None = None
-    output_path: str | None = None
-    format: str = "csv"
-    checks: tuple[str, ...] = ALL_CHECKS
-    what: str = "dimension"
-    d: int = 4
 
 
 @dataclass
@@ -168,7 +154,7 @@ def _append_cache(path: str, records: list[CacheRecord]) -> None:
             fh.write(rec.to_json() + "\n")
 
 
-def _write_out(config: RunConfig, text: str) -> None:
+def _write_out(config: argparse.Namespace, text: str) -> None:
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -183,7 +169,7 @@ def _bool(x) -> str:
 # --- build -------------------------------------------------------------------
 
 
-def cmd_build(config: RunConfig) -> int:
+def cmd_build(config: argparse.Namespace) -> int:
     sieve = FactorSieve(max(config.n_max, 2))
     G = build_graph(GraphKind(config.kind, config.n_max), sieve)
     if config.format == "json":
@@ -201,15 +187,16 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def _table_row(rec: CacheRecord, tables) -> str:
-    v = betti_verdict(rec.n, rec.betti, rec.critical_counts, tables)
+    weak, strong, _ = morse_inequality_check(rec.betti, rec.critical_counts)
+    h1, h3 = betti_formulas(rec.n, tables, rec.betti)
     cells = [str(rec.n), str(rec.mertens), str(rec.chi)]
     cells += [str(x) for x in (rec.betti + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
     cells += [str(x) for x in (rec.critical_counts + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
-    cells += [_bool(v.weak), _bool(v.strong), _bool(v.h1 is not False), _bool(not v.h3_failures)]
+    cells += [_bool(weak), _bool(strong), _bool(h1 or rec.n < 4), _bool(all(h3.values()))]
     return ",".join(cells)
 
 
-def cmd_table(config: RunConfig) -> int:
+def cmd_table(config: argparse.Namespace) -> int:
     n_max = config.n_max
     sieve = FactorSieve(max(n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
@@ -264,54 +251,64 @@ def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     return out
 
 
-def _first(failing, config: RunConfig, start: int = 2) -> int | None:
+def _first(failing, config: argparse.Namespace, start: int = 2) -> int | None:
     """The first n in start..n_max for which failing(n) is true, or None."""
     return next((n for n in range(start, config.n_max + 1) if failing(n)), None)
 
 
-def check_mertens(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def _prefix_name(config: argparse.Namespace, n: int | str) -> str:
+    """The name of G(n), the --kind graph on its labels up to n: Prime(n), Integer(n) or Divisor(m) at n."""
+    if config.kind == "divisor":
+        return f"Divisor({config.n_max}) at {n}"
+    return f"{config.kind.capitalize()}({n})"
+
+
+def check_mertens(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     n = _first(lambda n: not F.mertens_euler[n], config)
     if n is not None:
         return False, f"first counterexample n={n}"
     return True, f"chi(G(n)) = 1 - M(n) for 2 <= n <= {config.n_max}"
 
 
-def check_hopf(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_hopf(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     n = _first(lambda n: F.poincare_hopf[n], config)
     if n is not None:
         return False, f"first counterexample n={n} ({F.poincare_hopf[n]})"
     return True, f"indices sum to chi and equal -mu up to n={config.n_max}"
 
 
-def _morse_sweep(config: RunConfig, F: Filtration, which: str) -> tuple[bool, str]:
-    n = _first(lambda n: not getattr(F.betti_verdicts[n], which), config)
+def _morse_sweep(config: argparse.Namespace, F: Filtration, which: int) -> tuple[bool, str]:
+    """The weak (which = 0) or strong (which = 1) Morse inequalities at every n."""
+    n = _first(lambda n: not F.morse_inequalities[n][which], config)
     if n is not None:
         return False, f"first counterexample n={n}"
     return True, f"inequalities hold for 2 <= n <= {config.n_max}"
 
 
-def check_diameter(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_diameter(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     bad = verify_component_diameter_bound(F.G, config.n_max, bound=5, anchor=2)
     if bad is not None:
         return False, f"first counterexample n={bad}"
     return True, f"component diameter <= 5 for 4 <= n <= {config.n_max}"
 
 
-def check_formulas(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
-    n = _first(lambda n: F.betti_verdicts[n].h1 is False, config, start=4)
+def check_formulas(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+    n = _first(lambda n: F.formulas[n][0] is False, config, start=4)
     if n is not None:
         return False, f"H1 fails first at n={n}"
-    failures = [(k, n) for n in range(4, config.n_max + 1) for k in F.betti_verdicts[n].h3_failures]
+    failures = [(k, n) for n in range(4, config.n_max + 1) for k in F.formulas[n][1]]
     if failures:
         return False, "H3(k={}) fails first at n={}".format(*min(failures))
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 
-def check_morse_equiv(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_morse_equiv(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     G = F.G
     corpus = ((f"corpus graph with {H.n_vertices} vertices", H) for H in _corpus_small_graphs())
     top = min(config.n_max, 120)
-    prefixes = ((f"Prime({n})", induced_subgraph(G, [v for v in G.labels if v <= n])) for n in range(2, top + 1))
+    prefixes = (
+        (_prefix_name(config, n), induced_subgraph(G, [v for v in G.labels if v <= n])) for n in range(2, top + 1)
+    )
     for name, H in chain(corpus, prefixes):
         got = morse_betti(barycentric_morse_complex(H), field_prime=config.field_prime)
         if got != betti_numbers(whitney_complex(H), field_prime=config.field_prime).b:
@@ -319,7 +316,7 @@ def check_morse_equiv(config: RunConfig, sieve: FactorSieve, F: Filtration) -> t
     return True, "Morse cohomology equals simplicial cohomology on the corpus"
 
 
-def check_kummer(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
+def check_kummer(config: argparse.Namespace, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
     m = primorial(config.d)
     D = build_graph(GraphKind.divisor(m), sieve)
     verdict = sphere_dimension(D)
@@ -340,7 +337,7 @@ def check_kummer(config: RunConfig, sieve: FactorSieve, F: Filtration | None) ->
     return True, f"Divisor({m}): sphere dim {want_dim}, betti {tuple(b)}, duality ok, involution ok, lefschetz (0, 0)"
 
 
-def check_kunneth(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
+def check_kunneth(config: argparse.Namespace, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
     corpus = {
         "K1": complete_graph(1),
         "K2": complete_graph(2),
@@ -369,7 +366,7 @@ def check_kunneth(config: RunConfig, sieve: FactorSieve, F: Filtration | None) -
     return True, "product laws hold on the pair corpus"
 
 
-def check_witten(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_witten(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     G = F.G
     for n in range(2, min(config.n_max, 60) + 1):
         sub = induced_subgraph(G, [v for v in G.labels if v <= n])
@@ -381,14 +378,14 @@ def check_witten(config: RunConfig, sieve: FactorSieve, F: Filtration) -> tuple[
         for s in (0.0, 0.5, 1.0):
             if witten_nullity(K, f, s) != base:
                 return False, f"kernel moved at n={n}, s={s}"
-    return True, "deformed kernels independent of s on Prime(n <= 60)"
+    return True, f"deformed kernels independent of s on {_prefix_name(config, 'n <= 60')}"
 
 
 CHECK_FUNCS = {
     "mertens": check_mertens,
     "hopf": check_hopf,
-    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, "weak"),
-    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, "strong"),
+    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, 0),
+    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, 1),
     "diameter": check_diameter,
     "formulas": check_formulas,
     "morse-equiv": check_morse_equiv,
@@ -402,7 +399,7 @@ CHECK_FUNCS = {
 GRAPH_FREE_CHECKS = frozenset({"kummer", "kunneth"})
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     divisor_m = primorial(config.d) if "kummer" in config.checks else 0
     sieve = FactorSieve(max(config.n_max, divisor_m, 2))
     F = None
@@ -454,7 +451,7 @@ def fit_dimension(xs: list[int], ys: list[float]) -> tuple[float, float, float]:
     return a, b, c
 
 
-def cmd_series(config: RunConfig) -> int:
+def cmd_series(config: argparse.Namespace) -> int:
     sieve = FactorSieve(max(config.n_max, 2))
     F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve)
     lines = []
@@ -492,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="write one graph in json/dot/csv form")
     common(b)
-    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--n", dest="n_max", metavar="N", type=int, required=True)
     b.add_argument("--format", choices=["json", "dot", "csv"], default="json")
 
     t = sub.add_parser("table", help="per-n invariants and checks as CSV")
@@ -515,24 +512,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
+def parse_config(argv=None) -> argparse.Namespace:
+    """The parsed arguments, validated, with checks split into a tuple of names; a bad value exits 2."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(args.command, kind=args.kind, output_path=args.output_path)
-    config.cache_path = vars(args).get("cache_path")  # table alone takes --cache
-    if "field_prime" in args:
+    # DEFAULT_FIELD_PRIME is proven prime by the tests, not on every launch
+    if "field_prime" in args and args.field_prime != DEFAULT_FIELD_PRIME:
         if not (3 <= args.field_prime <= 2**31 - 1 and _is_odd_prime(args.field_prime)):
             parser.error("--field-prime must be a prime in [3, 2^31 - 1]")
-        config.field_prime = args.field_prime
-    if args.command == "build":
-        if args.n < 2:
-            parser.error("--n must be at least 2")
-        config.n_max = args.n
-        config.format = args.format
-    else:
-        config.n_max = args.n_max
-        if config.n_max < 2:
-            parser.error("--n-max must be at least 2")
+    if args.n_max < 2:
+        parser.error("--n must be at least 2" if args.command == "build" else "--n-max must be at least 2")
     if args.command == "verify":
         names = tuple(x for x in args.checks.split(",") if x)
         if not names:
@@ -541,18 +530,15 @@ def parse_config(argv=None) -> tuple[argparse.ArgumentParser, RunConfig]:
             if name not in CHECK_FUNCS:
                 parser.error(f"unknown check {name!r}")
         # Divisor(m) lacks the vertex 2 for odd m and m = 2; Divisor(2p) is 2 and p, unjoined
-        m = config.n_max
-        if "diameter" in names and config.kind == "divisor" and (m % 2 or m == 2 or _is_odd_prime(m // 2)):
+        m = args.n_max
+        if "diameter" in names and args.kind == "divisor" and (m % 2 or m == 2 or _is_odd_prime(m // 2)):
             parser.error(f"the diameter check is anchored at vertex 2, which Divisor({m}) lacks or leaves isolated")
-        config.checks = names
+        args.checks = names
         # Divisor(primorial(6)) has 4,682 simplices, within the dense budget
         # of the Lefschetz check; primorial(7) has 47,292
         if not 2 <= args.d <= 6:
             parser.error("--d must be in [2, 6]")
-        config.d = args.d
-    if args.command == "series":
-        config.what = args.what
-    return parser, config
+    return args
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -560,7 +546,7 @@ def _is_odd_prime(p: int) -> bool:
 
 
 def main(argv=None) -> int:
-    _, config = parse_config(argv)
+    config = parse_config(argv)
     handler = {"build": cmd_build, "table": cmd_table, "verify": cmd_verify, "series": cmd_series}
     try:
         return handler[config.command](config)

@@ -2,9 +2,12 @@
 
 Vertices enter in ascending label order; each arrival either attaches a
 topological handle (a ball over a stable sphere) or is a homotopy deformation.
-This module classifies those events, tallies critical points, checks the Morse
-inequalities and the counting-function formulas, and carries the simplex-level
-Morse complex whose cohomology matches the simplicial one.
+This module classifies those events, tallies critical points, and carries the
+simplex-level Morse complex whose cohomology matches the simplicial one.  It
+checks two identities of the Betti numbers, each with its own per-n evaluator
+and its own inputs: the Morse inequalities against the critical counts
+(morse_inequality_check, which needs the classification) and the
+counting-function formulas H1/H3 against the pi_k tables (betti_formulas).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, zip_longest
 from math import prod
-from typing import NamedTuple
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
@@ -187,26 +189,6 @@ def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
     return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
 
 
-class BettiVerdict(NamedTuple):
-    """The Morse inequalities and H1/H3 at n; h1 is None below n = 4, h3_failures lists the k where H3 fails."""
-
-    weak: bool
-    strong: bool
-    h1: bool | None
-    h3_failures: tuple[int, ...]
-
-
-def betti_verdict(n: int, b, c, tables) -> BettiVerdict:
-    """The weak and strong Morse inequalities and H1 and H3 per k for the Betti vector b of G(n).
-
-    c is the critical counts of G(n), tables as for betti_formulas.  A cached
-    table row and Filtration.betti_verdicts both read this one evaluator.
-    """
-    weak, strong, _ = morse_inequality_check(b, c)
-    h1, h3 = betti_formulas(n, tables, b)
-    return BettiVerdict(weak, strong, None if n < 4 else h1, tuple(k for k, ok in h3.items() if not ok))
-
-
 def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict:
     """Evaluate the counting-function formulas for the Betti numbers at n.
 
@@ -256,10 +238,10 @@ def run_filtration(
         if n in position:
             delta = tuple(F.betti[k][n] - F.betti[k][n - 1] for k in range(len(b)))
             events[position[n]] = dataclasses.replace(events[position[n]], betti_delta=delta)
-        v = F.betti_verdicts[n]
+        (weak, strong), (h1, h3_failures) = F.morse_inequalities[n], F.formulas[n]
         checks = {
             "mertens_euler": F.mertens_euler[n], "poincare_hopf": F.poincare_hopf[n] is None,
-            "weak": v.weak, "strong": v.strong, "b0_formula": v.h1, "bk_formula": not v.h3_failures,
+            "weak": weak, "strong": strong, "b0_formula": h1, "bk_formula": not h3_failures,
         }
         reports.append(MorseReport(n, F.mertens[n], F.chi[n], tuple(b), tuple(F.critical_counts(n)), checks))
     return events, reports
@@ -356,8 +338,9 @@ class Filtration:
     witnessed at every n by exact rational elimination of the prime complex
     Delta(n) on a prime, integer or divisor graph, of the simplices again on
     any other.  Each of the paper's identities is evaluated here once, at
-    every n.  Timelines are lists of Python ints over n = 0..top, where top
-    is G.param (the largest label when G has no parameter).
+    every n, by a field that reads only that identity's inputs.  Timelines
+    are lists of Python ints over n = 0..top, where top is G.param (the
+    largest label when G has no parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -472,10 +455,18 @@ class Filtration:
         return ["index != -mu" if w else None if t == chi else "sum != chi" for w, t, chi in zip(bad, total, self.chi)]
 
     @cached_property
-    def betti_verdicts(self) -> list[BettiVerdict]:
-        """betti_verdict(n, b, c, pi) for n = 0..top, b read in every dimension of G(top)."""
-        rows = [self.betti[k] for k in sorted(self.betti)]
-        return [betti_verdict(n, [r[n] for r in rows], self.critical_counts(n), self.pi) for n in range(self.top + 1)]
+    def morse_inequalities(self) -> list[tuple[bool, bool]]:
+        """(weak, strong) of morse_inequality_check(b, c) for n = 0..top, c the critical counts."""
+        return [morse_inequality_check(b, self.critical_counts(n))[:2] for n, b in enumerate(self._betti_columns())]
+
+    @cached_property
+    def formulas(self) -> list[tuple[bool | None, tuple[int, ...]]]:
+        """(H1, None below n = 4; the k where H3 fails) of betti_formulas(n, pi, b) for n = 0..top."""
+        out = []
+        for n, b in enumerate(self._betti_columns()):
+            h1, h3 = betti_formulas(n, self.pi, b)
+            out.append((None if n < 4 else h1, tuple(k for k, ok in h3.items() if not ok)))
+        return out
 
     def f_vector(self, n: int) -> list[int]:
         """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
@@ -488,6 +479,11 @@ class Filtration:
     def critical_counts(self, n: int) -> list[int]:
         """critical_counts(events, n), read from the cumulative counts."""
         return self._column(self.critical, n)
+
+    def _betti_columns(self):
+        """b for n = 0..top, b(n) read in every dimension of G(top)."""
+        rows = [self.betti[k] for k in sorted(self.betti)]
+        return ([r[n] for r in rows] for n in range(self.top + 1))
 
     def _column(self, rows: list[list[int]], n: int) -> list[int]:
         """[row[n] for row in rows] without its trailing zeros, for n in 0..top."""

@@ -375,6 +375,53 @@ def test_verify_is_lazy(monkeypatch, capsys):
     assert capsys.readouterr().out.count("pass") == 3
 
 
+@pytest.mark.parametrize("kind, n_max", [("prime", 300), ("divisor", 210)])
+@pytest.mark.parametrize(
+    "checks, unused", [("formulas", "classify_vertex"), ("morse-weak,morse-strong", "pi_k_tables")]
+)
+def test_identity_check_reads_only_its_inputs(monkeypatch, capsys, kind, n_max, checks, unused):
+    # H1/H3 need the pi_k tables and no vertex classification; the Morse inequalities the reverse
+    import primetop.morse as morse
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{checks} called morse.{unused}")
+
+    argv = ["verify", "--kind", kind, "--n-max", str(n_max), "--checks", checks]
+    code = run_main(argv)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(morse, unused, forbidden)
+    assert run_main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "kind, sweep, prefix",
+    [("integer", "Integer(n <= 60)", "Integer(2)"), ("divisor", "Divisor(30) at n <= 60", "Divisor(30) at 2")],
+)
+def test_checks_name_the_graph_of_their_kind(monkeypatch, capsys, kind, sweep, prefix):
+    argv = ["verify", "--kind", kind, "--n-max", "30", "--checks"]
+    assert run_main(argv + ["witten"]) == 0
+    assert capsys.readouterr().out == f"witten: pass - deformed kernels independent of s on {sweep}\n"
+    # a prefix on which Morse and simplicial cohomology disagree is named by its kind too
+    monkeypatch.setattr(cli, "_corpus_small_graphs", lambda: [])
+    monkeypatch.setattr(cli, "morse_betti", lambda M, field_prime: ())
+    assert run_main(argv + ["morse-equiv"]) == 1
+    assert capsys.readouterr().out == f"morse-equiv: FAIL - {prefix} disagrees\n"
+
+
+def test_default_field_prime_is_proven_once(monkeypatch):
+    # parse_config trusts the default and proves only a value given on the command line
+    assert 3 <= cli.DEFAULT_FIELD_PRIME <= 2**31 - 1 and cli._is_odd_prime(cli.DEFAULT_FIELD_PRIME)
+    proved = []
+    real = cli._is_odd_prime
+    monkeypatch.setattr(cli, "_is_odd_prime", lambda p: proved.append(p) or real(p))
+    cli.parse_config(["verify", "--checks", "mertens"])
+    cli.parse_config(["table", "--n-max", "10"])
+    assert proved == []
+    cli.parse_config(["verify", "--checks", "mertens", "--field-prime", "7"])
+    assert proved == [7]
+
+
 def test_diameter_at_scale(capsys):
     # the certificates settle every join, so this takes well under a second
     assert run_main(["verify", "--kind", "prime", "--checks", "diameter", "--n-max", "20000"]) == 0

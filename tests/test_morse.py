@@ -573,12 +573,11 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         sum_ok = sum(ev.ph_index for ev in below) == F.chi[n]
         assert F.poincare_hopf[n] == (None if index_ok and sum_ok else "sum != chi" if index_ok else "index != -mu"), n
         b = [F.betti[k][n] for k in sorted(F.betti)]
-        verdict = F.betti_verdicts[n]
-        assert (verdict.weak, verdict.strong) == literal_morse_inequalities(b, critical_counts(F.events, n)), n
+        assert F.morse_inequalities[n] == literal_morse_inequalities(b, critical_counts(F.events, n)), n
         b += [0] * (4 - len(b))
         h1 = b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
         h3_failures = tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
-        assert verdict.h1 == (None if n < 4 else h1) and verdict.h3_failures == h3_failures, n
-        seen.add((F.mertens_euler[n], verdict.h1))
+        assert F.formulas[n] == (None if n < 4 else h1, h3_failures), n
+        seen.add((F.mertens_euler[n], F.formulas[n][0]))
     # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur
     assert seen >= ({(True, True)} if kind != "divisor" else {(True, True), (False, False)})
