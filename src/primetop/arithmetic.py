@@ -18,9 +18,8 @@ from .errors import InvalidArgumentError
 
 DEFAULT_SIEVE_LIMIT = 10**6
 
-# Enough primes for every primorial expressible in 64 bits (15 primes).
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-_INT64_MAX = 2**63 - 1
+# The first 15 primes: their primorial, 614889782588491410, is the largest primorial below 2^63.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SLICE = 1 << 15
 
 
@@ -183,14 +182,9 @@ def kummer_number(d: int) -> int:
     """One less than the product of the first d primes."""
     if d < 1:
         raise InvalidArgumentError(f"kummer_number needs d >= 1, got {d}")
-    if d > 15:
+    if d > len(_SMALL_PRIMES):
         raise OverflowError(f"primorial of {d} primes exceeds the 64-bit range")
-    prod = 1
-    for p in _SMALL_PRIMES[:d]:
-        prod *= p
-    if prod - 1 > _INT64_MAX:
-        raise OverflowError(f"primorial of {d} primes exceeds the 64-bit range")
-    return prod - 1
+    return math.prod(_SMALL_PRIMES[:d]) - 1
 
 
 def primorial(d: int) -> int:

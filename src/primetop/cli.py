@@ -37,6 +37,7 @@ from .cohomology import (
 )
 from .errors import RankDiscrepancyError
 from .graphs import (
+    DIVISIBILITY_KINDS,
     Graph,
     GraphKind,
     build_graph,
@@ -368,7 +369,8 @@ def check_kunneth(config: argparse.Namespace, sieve: FactorSieve, F: Filtration 
 
 def check_witten(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
     G = F.G
-    for n in range(2, min(config.n_max, 60) + 1):
+    top = min(config.n_max, 60)
+    for n in range(2, top + 1):
         sub = induced_subgraph(G, [v for v in G.labels if v <= n])
         K = whitney_complex(sub)
         if not K.f_vector:
@@ -378,7 +380,7 @@ def check_witten(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) 
         for s in (0.0, 0.5, 1.0):
             if witten_nullity(K, f, s) != base:
                 return False, f"kernel moved at n={n}, s={s}"
-    return True, f"deformed kernels independent of s on {_prefix_name(config, 'n <= 60')}"
+    return True, f"deformed kernels independent of s on {_prefix_name(config, f'n <= {top}')}"
 
 
 CHECK_FUNCS = {
@@ -483,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--kind", choices=["prime", "integer", "divisor"], default="prime")
+        p.add_argument("--kind", choices=DIVISIBILITY_KINDS, default="prime")
         p.add_argument("--threads", type=int, help="accepted and ignored")
         p.add_argument("--out", dest="output_path", default=None)
 

@@ -102,13 +102,9 @@ class ChainComplex:
         return out
 
 
-def whitney_complex(G: Graph, dim_cap: int | None = None, max_simplices: int | None = None) -> SimplicialComplex:
-    """Clique complex of G up to dim_cap (default unbounded)."""
-    by_dim = cliques(G, dim_cap=dim_cap)
-    total = sum(len(d) for d in by_dim)
-    if max_simplices is not None and total > max_simplices:
-        raise ResourceLimitError(f"{total} simplices exceed budget {max_simplices}")
-    return SimplicialComplex(by_dim)
+def whitney_complex(G: Graph) -> SimplicialComplex:
+    """Clique complex of G."""
+    return SimplicialComplex(cliques(G))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -362,14 +358,18 @@ def _nullity(mat: np.ndarray, tol: float) -> int:
     return int(np.sum(eigs < cutoff))
 
 
-def hodge_nullity(K: SimplicialComplex, k: int, tol: float = HODGE_TOL, dense_budget: int = DEFAULT_DENSE_BUDGET) -> int:
-    """Nullity of the Hodge block L_k = d_k^* d_k + d_{k-1} d_{k-1}^*."""
-    if K.total > dense_budget:
-        raise ResourceLimitError(f"{K.total} simplices exceed dense budget {dense_budget}")
+def _check_dense_limit(K: SimplicialComplex) -> None:
+    if K.total > DEFAULT_DENSE_BUDGET:
+        raise ResourceLimitError(f"{K.total} simplices exceed dense budget {DEFAULT_DENSE_BUDGET}")
+
+
+def hodge_nullity(K: SimplicialComplex, k: int) -> int:
+    """Nullity of the Hodge block L_k = d_k^* d_k + d_{k-1} d_{k-1}^*, at tolerance HODGE_TOL."""
+    _check_dense_limit(K)
     if k > K.dim or k < 0:
         return 0
     chain = boundary_matrices(K)
-    return _nullity(_laplacian_block([_derivative_dense(K, chain, j) for j in range(k + 1)], k), tol)
+    return _nullity(_laplacian_block([_derivative_dense(K, chain, j) for j in range(k + 1)], k), HODGE_TOL)
 
 
 def simplex_function(K: SimplicialComplex, f: dict[int, float]) -> list[np.ndarray]:
@@ -379,22 +379,15 @@ def simplex_function(K: SimplicialComplex, f: dict[int, float]) -> list[np.ndarr
     return [np.array([max(f[v] for v in s) for s in dim], dtype=float) for dim in K.simplices]
 
 
-def witten_nullity(
-    K: SimplicialComplex,
-    f: dict[int, float],
-    s: float,
-    tol: float = WITTEN_TOL,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
-) -> list[int]:
-    """Nullities of all blocks of the deformed Laplacian (e^{-sf} d e^{sf}).
+def witten_nullity(K: SimplicialComplex, f: dict[int, float], s: float) -> list[int]:
+    """Nullities of all blocks of the deformed Laplacian (e^{-sf} d e^{sf}), at tolerance WITTEN_TOL.
 
     The kernel dimensions are independent of s; that contract is what the
     cross-checks assert.
     """
     import numpy as np
 
-    if K.total > dense_budget:
-        raise ResourceLimitError(f"{K.total} simplices exceed dense budget {dense_budget}")
+    _check_dense_limit(K)
     for v in K.simplices[0] if K.simplices else []:
         if v[0] not in f:
             raise InvalidArgumentError(f"f undefined on vertex {v[0]}")
@@ -408,13 +401,13 @@ def witten_nullity(
         if dk.shape[0]:
             dk = np.exp(-s * fs[k + 1])[:, None] * dk * np.exp(s * fs[k])[None, :]
         deformed.append(dk)
-    return [_nullity(_laplacian_block(deformed, k), tol) for k in range(K.dim + 1)]
+    return [_nullity(_laplacian_block(deformed, k), WITTEN_TOL) for k in range(K.dim + 1)]
 
 
 # --- Wu characteristic ------------------------------------------------------
 
 
-def wu_characteristic(K: SimplicialComplex, budget: int = DEFAULT_WU_BUDGET) -> int:
+def wu_characteristic(K: SimplicialComplex) -> int:
     """Sum of (-1)^(dim x + dim y) over ordered pairs of intersecting simplices.
 
     Computed exactly through the common-face expansion
@@ -422,25 +415,21 @@ def wu_characteristic(K: SimplicialComplex, budget: int = DEFAULT_WU_BUDGET) -> 
     where S runs over nonempty simplices; inclusion-exclusion over the shared
     vertex set makes this linear in the number of (simplex, subset) pairs.
     """
-    return _wu_timeline(K.simplices, max((x[-1] for x in K.all_simplices()), default=0), budget)[-1]
+    return wu_timeline(K.simplices, max((x[-1] for x in K.all_simplices()), default=0))[-1]
 
 
 def wu_timeline(simplices, top: int) -> list[int]:
-    """wu_characteristic of K(n), the simplices whose largest vertex is at most n, for n = 0..top."""
-    return _wu_timeline(simplices, top, DEFAULT_WU_BUDGET)
+    """wu_characteristic of K(n), the simplices whose largest vertex is at most n, for n = 0..top.
 
-
-def _wu_timeline(simplices, top: int, budget: int) -> list[int]:
-    """wu_timeline within a budget on the number of (simplex, face) pairs, in one running pass.
-
+    One running pass within DEFAULT_WU_BUDGET (simplex, face) pairs.
     Simplices enter by largest vertex; each simplex x adds (-1)^dim(x) to W(S)
     for every nonempty face S, which changes the total by (-1)^(|S|+1) times
     the change in W(S)^2.
     """
     order = sorted((x for dim in simplices for x in dim), key=lambda x: x[-1])
     work = sum((2 ** len(x) - 1) for x in order)
-    if work > budget:
-        raise ResourceLimitError(f"{work} subset terms exceed budget {budget}")
+    if work > DEFAULT_WU_BUDGET:
+        raise ResourceLimitError(f"{work} subset terms exceed budget {DEFAULT_WU_BUDGET}")
     weight: dict[tuple[int, ...], int] = {}
     delta = [0] * (top + 1)
     for x in order:
@@ -504,8 +493,7 @@ def lefschetz_number(K: SimplicialComplex, T: dict[int, int]) -> tuple[int, int]
     """
     import numpy as np
 
-    if K.total > DEFAULT_DENSE_BUDGET:
-        raise ResourceLimitError(f"{K.total} simplices exceed dense budget {DEFAULT_DENSE_BUDGET}")
+    _check_dense_limit(K)
     for s in K.all_simplices():
         if any(v not in T for v in s):
             raise InvalidArgumentError("T is not defined on every vertex")

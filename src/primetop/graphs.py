@@ -18,15 +18,19 @@ from dataclasses import dataclass
 from .arithmetic import FactorSieve
 from .errors import InternalConsistencyError, InvalidArgumentError
 
+DIVISIBILITY_KINDS = ("prime", "integer", "divisor")
+
 
 class Graph:
     """Immutable finite simple graph on distinct positive-integer labels.
 
-    A graph given a kind (prime, integer or divisor) must have exactly the
+    A graph given a kind, one of DIVISIBILITY_KINDS, must have exactly the
     divisibility pairs of its labels as edges: chains() relies on it.
     """
 
     def __init__(self, labels, edges, kind: str | None = None, param: int | None = None):
+        if kind is not None and kind not in DIVISIBILITY_KINDS:
+            raise InvalidArgumentError(f"unknown graph kind {kind!r}")
         labels = tuple(sorted(labels))
         if len(set(labels)) != len(labels):
             raise InvalidArgumentError("duplicate vertex labels")
@@ -121,7 +125,7 @@ class GraphKind:
     param: int
 
     def __post_init__(self):
-        if self.name not in ("integer", "prime", "divisor"):
+        if self.name not in DIVISIBILITY_KINDS:
             raise InvalidArgumentError(f"unknown graph kind {self.name!r}")
         if self.param < 2:
             raise InvalidArgumentError(f"graph parameter must be >= 2, got {self.param}")
@@ -235,11 +239,11 @@ def component_diameter(G: Graph, anchor: int = 2) -> int:
     return best
 
 
-def cliques(G: Graph, dim_cap: int | None = None) -> list[list[tuple[int, ...]]]:
+def cliques(G: Graph) -> list[list[tuple[int, ...]]]:
     """All complete subgraphs of G, grouped by dimension (size-1).
 
     Returns per-dimension lists of ascending vertex tuples, each list in
-    lexicographic order.  dim_cap bounds the simplex dimension if given.
+    lexicographic order.
     """
     by_dim: list[list[tuple[int, ...]]] = []
     if G.n_vertices == 0:
@@ -250,8 +254,6 @@ def cliques(G: Graph, dim_cap: int | None = None) -> list[list[tuple[int, ...]]]
         while dim >= len(by_dim):
             by_dim.append([])
         by_dim[dim].append(clique)
-        if dim_cap is not None and dim >= dim_cap:
-            return
         for i, v in enumerate(candidates):
             nxt = tuple(u for u in candidates[i + 1 :] if G.has_edge(v, u))
             grow(clique + (v,), nxt)
@@ -290,21 +292,12 @@ def chains(G: Graph) -> list[list[tuple[int, ...]]]:
 
 
 def barycentric_refinement(G: Graph) -> Graph:
-    """Graph on the simplices of G, joined by strict containment.
+    """Graph on the simplices of G, joined by strict containment: the product of G with K_1.
 
-    Fresh labels 1..N are assigned by sorting all simplices lexicographically
-    as vertex tuples, which is stable across runs.
+    Labels 1..N follow the lexicographic order of the simplices, which is
+    stable across runs.
     """
-    simplices = sorted(s for dim in cliques(G) for s in dim)
-    label_of = {s: i + 1 for i, s in enumerate(simplices)}
-    sets = [frozenset(s) for s in simplices]
-    edges = []
-    for i, si in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            sj = sets[j]
-            if si < sj or sj < si:
-                edges.append((label_of[simplices[i]], label_of[simplices[j]]))
-    return Graph(range(1, len(simplices) + 1), edges)
+    return graph_product(G, complete_graph(1))
 
 
 def graph_product(G: Graph, H: Graph) -> Graph:
@@ -428,7 +421,7 @@ def _certified_joins(G: Graph, n_max: int, anchor: int):
     index = {v: i for i, v in enumerate(G.labels)}
     adjacency = [[index[u] for u in G.neighbor_set(v)] for v in G.labels]
     anchor_index = index[anchor]
-    bridge = G.kind in ("prime", "integer", "divisor")
+    bridge = G.kind is not None
     # In a divisibility graph a label is composite iff it has a smaller neighbour.
     composite = [i != anchor_index and min(row, default=i) < i for i, row in enumerate(adjacency)]
     joins: dict[int, list[int]] = {}

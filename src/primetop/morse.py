@@ -103,31 +103,20 @@ class Representative:
     event: FiltrationEvent
 
 
-def stable_sphere(G: Graph, f, x: int) -> Graph:
-    """Subgraph of the unit sphere of x on neighbors with smaller f-value.
-
-    The unstable sphere is the same call with -f.  f must be locally injective
-    at x (no neighbor shares its value).
-    """
-    fx = f(x)
-    below = []
-    for y in G.neighbors(x):
-        fy = f(y)
-        if fy == fx:
-            raise InvalidArgumentError(f"f is not locally injective at {x}: f({y}) = f({x})")
-        if fy < fx:
-            below.append(y)
-    return induced_subgraph(G, below)
+def stable_sphere(G: Graph, x: int) -> Graph:
+    """Subgraph of the unit sphere of x on the neighbours below x, the stable sphere under f(x) = x."""
+    neighbors = G.neighbors(x)
+    return induced_subgraph(G, neighbors[: bisect_left(neighbors, x)])
 
 
-def classify_vertex(G: Graph, f, x: int, sieve: FactorSieve) -> FiltrationEvent:
+def classify_vertex(G: Graph, x: int, sieve: FactorSieve) -> FiltrationEvent:
     """Classify the filtration step at x from its stable sphere.
 
     A sphere verdict makes x critical with morse_index = sphere dim + 1; a
     contractible stable sphere makes the step a homotopy deformation.  Any
     other verdict is a genuine finding and raises ClassificationError.
     """
-    sphere = stable_sphere(G, f, x)
+    sphere = stable_sphere(G, x)
     ph = 1 - euler_characteristic(whitney_complex(sphere))
     verdict = sphere_dimension_within(sphere, sphere.labels)
     mu = moebius(x, sieve)
@@ -360,7 +349,7 @@ class Filtration:
         Enumerated as chains of the divisor poset for a prime, integer or
         divisor graph, by the generic clique search otherwise.
         """
-        return chains(self.G) if self.G.kind in _DIVISOR_KINDS else cliques(self.G)
+        return chains(self.G) if self.G.kind is not None else cliques(self.G)
 
     @cached_property
     def f(self) -> list[list[int]]:
@@ -382,12 +371,12 @@ class Filtration:
         checked by events vertex by vertex: each non-squarefree x arrives as a
         homotopy deformation, its divisors 1 < d < x forming a contractible poset.
         """
-        witness = _prime_complex(self.G, self.sieve) if self.G.kind in _DIVISOR_KINDS else None
+        witness = _prime_complex(self.G, self.sieve) if self.G.kind is not None else None
         return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime, witness)
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
-        """classify_vertex(G, f, x, sieve) for every vertex x of G under f(x) = x, in label order.
+        """classify_vertex(G, x, sieve) for every vertex x of G, in label order.
 
         Under f(x) = x the stable sphere of a vertex of a prime, integer or
         divisor graph is the poset of its divisors 1 < d < x, whose shape
@@ -400,7 +389,7 @@ class Filtration:
         A vertex that fails the check, and every vertex of a graph of any
         other kind, is classified itself and counted in fallbacks.
         """
-        by_signature = self.G.kind in _DIVISOR_KINDS
+        by_signature = self.G.kind is not None
         out = []
         for x in self.G.labels:
             key, primes = _exponent_signature(x, self.sieve) if by_signature else (None, ())
@@ -408,9 +397,9 @@ class Filtration:
             if rep is not None and _isomorphic_spheres(self.G, x, primes, rep):
                 out.append(dataclasses.replace(rep.event, n=x, mu=moebius(x, self.sieve)))
                 continue
-            event = classify_vertex(self.G, _identity, x, self.sieve)
+            event = classify_vertex(self.G, x, self.sieve)
             if rep is None and key is not None:
-                self.representatives[key] = Representative(x, primes, stable_sphere(self.G, _identity, x), event)
+                self.representatives[key] = Representative(x, primes, stable_sphere(self.G, x), event)
             else:
                 self.fallbacks += 1
             out.append(event)
@@ -495,13 +484,6 @@ class Filtration:
         return column
 
 
-def _identity(x: int) -> int:
-    return x
-
-
-_DIVISOR_KINDS = ("prime", "integer", "divisor")
-
-
 def _prime_complex(G: Graph, sieve: FactorSieve):
     """The prime complex Delta(n) on G's squarefree labels, as (cells, key, faces) for _betti_timeline.
 
@@ -517,7 +499,7 @@ def _prime_complex(G: Graph, sieve: FactorSieve):
                 return None
             cells += [[] for _ in range(sig.nu - len(cells))]
             cells[sig.nu - 1].append(x)
-    return cells, _identity, lambda x: [(prod(face), sign) for face, sign in _faces(sieve.signature(x).factors)]
+    return cells, lambda x: x, lambda x: [(prod(face), sign) for face, sign in _faces(sieve.signature(x).factors)]
 
 
 def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -396,7 +396,7 @@ def test_identity_check_reads_only_its_inputs(monkeypatch, capsys, kind, n_max, 
 
 @pytest.mark.parametrize(
     "kind, sweep, prefix",
-    [("integer", "Integer(n <= 60)", "Integer(2)"), ("divisor", "Divisor(30) at n <= 60", "Divisor(30) at 2")],
+    [("integer", "Integer(n <= 30)", "Integer(2)"), ("divisor", "Divisor(30) at n <= 30", "Divisor(30) at 2")],
 )
 def test_checks_name_the_graph_of_their_kind(monkeypatch, capsys, kind, sweep, prefix):
     argv = ["verify", "--kind", kind, "--n-max", "30", "--checks"]

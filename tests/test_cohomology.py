@@ -50,13 +50,6 @@ def test_whitney_examples(sieve):
     assert whitney_complex(complete_graph(4)).f_vector == (4, 6, 4, 1)
 
 
-def test_whitney_dim_cap_and_budget(small_corpus):
-    K = whitney_complex(small_corpus["K4"], dim_cap=1)
-    assert K.f_vector == (4, 6)
-    with pytest.raises(ResourceLimitError):
-        whitney_complex(small_corpus["K4"], max_simplices=3)
-
-
 def test_euler_characteristic(sieve):
     assert euler_characteristic(whitney_complex(build_graph(GraphKind.prime(10), sieve))) == 2
     assert euler_characteristic(whitney_complex(build_graph(GraphKind.divisor(210), sieve))) == 2
@@ -183,8 +176,10 @@ def test_hodge_nullity(sieve, small_corpus):
     bv = betti_numbers(K30)
     for k in range(K30.dim + 1):
         assert hodge_nullity(K30, k) == bv[k]
+    K13 = whitney_complex(complete_graph(13))
+    assert K13.total == 8191  # above the dense budget of 6000
     with pytest.raises(ResourceLimitError):
-        hodge_nullity(K30, 1, dense_budget=3)
+        hodge_nullity(K13, 1)
 
 
 def test_witten_nullity(sieve, small_corpus):
@@ -196,7 +191,7 @@ def test_witten_nullity(sieve, small_corpus):
     K2 = whitney_complex(small_corpus["K2"])
     assert witten_nullity(K2, {1: 0.3, 2: 0.9}, 0.5) == [1, 0]
     with pytest.raises(ResourceLimitError):
-        witten_nullity(K30, f, 1.0, dense_budget=3)
+        witten_nullity(whitney_complex(complete_graph(13)), {v: v / 13 for v in range(1, 14)}, 1.0)
     with pytest.raises(InvalidArgumentError):
         witten_nullity(K2, {1: 0.0}, 0.5)
 
@@ -205,8 +200,9 @@ def test_wu_characteristic(small_corpus):
     assert wu_characteristic(whitney_complex(small_corpus["K1"])) == 1
     assert wu_characteristic(whitney_complex(small_corpus["K2"])) == -1
     assert wu_characteristic(whitney_complex(small_corpus["K3"])) == 1
-    with pytest.raises(ResourceLimitError):
-        wu_characteristic(whitney_complex(small_corpus["K3"]), budget=2)
+    # 3^17 - 2^17 = 129,009,091 (simplex, face) pairs, above the budget of 5 * 10^7
+    with pytest.raises(ResourceLimitError, match="129009091 subset terms"):
+        wu_characteristic(whitney_complex(complete_graph(17)))
 
 
 def wu_pair_loop(K):

@@ -306,6 +306,8 @@ def test_graph_constructor_validation():
         Graph([1, 2], [(1, 3)])
     with pytest.raises(InvalidArgumentError):
         Graph([0, 1], [])
+    with pytest.raises(InvalidArgumentError, match="unknown graph kind 'foo'"):
+        Graph([2, 4], [(2, 4)], kind="foo", param=4)
 
 
 def test_divisibility_kind_requires_the_divisibility_edges():

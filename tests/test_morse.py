@@ -37,44 +37,35 @@ from primetop.morse import Representative, _prime_complex, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
-ident = lambda v: v
-
-
 def test_stable_sphere_examples(sieve):
     G30 = build_graph(GraphKind.prime(30), sieve)
-    assert stable_sphere(G30, ident, 6).labels == (2, 3)
+    assert stable_sphere(G30, 6).labels == (2, 3)
     for p in (7, 11, 29):
-        assert stable_sphere(G30, ident, p).labels == ()
+        assert stable_sphere(G30, p).labels == ()
     G105 = build_graph(GraphKind.prime(105), sieve)
-    assert stable_sphere(G105, ident, 105).labels == (3, 5, 7, 15, 21, 35)
-
-
-def test_stable_sphere_local_injectivity(sieve):
-    G = build_graph(GraphKind.prime(10), sieve)
-    with pytest.raises(InvalidArgumentError):
-        stable_sphere(G, lambda v: 1.0, 6)
+    assert stable_sphere(G105, 105).labels == (3, 5, 7, 15, 21, 35)
 
 
 def test_classify_vertex_examples(sieve):
     GI = build_graph(GraphKind.integer(12), sieve)
-    ev = classify_vertex(GI, ident, 9, sieve=sieve)
+    ev = classify_vertex(GI, 9, sieve=sieve)
     assert ev.kind == "homotopy" and ev.mu == 0 and ev.ph_index == 0
     G30 = build_graph(GraphKind.prime(30), sieve)
-    ev30 = classify_vertex(G30, ident, 30, sieve=sieve)
+    ev30 = classify_vertex(G30, 30, sieve=sieve)
     assert ev30.kind == "critical" and ev30.morse_index == 2 and ev30.ph_index == 1
-    ev7 = classify_vertex(G30, ident, 7, sieve=sieve)
+    ev7 = classify_vertex(G30, 7, sieve=sieve)
     assert ev7.kind == "critical" and ev7.morse_index == 0 and ev7.ph_index == 1
     assert ev7.stable_sphere_dim == -1
 
 
 def test_classify_vertex_rejects_neither(sieve):
-    # three pairwise-incomparable divisors below the function value: not a sphere,
-    # not contractible (the graph {2,3,5} with f putting all below 30 minus edges)
+    # three pairwise-nonadjacent neighbours below 31: three points, neither a sphere
+    # nor contractible
     from primetop.graphs import Graph
 
     G = Graph([2, 3, 5, 31], [(2, 31), (3, 31), (5, 31)])
     with pytest.raises(ClassificationError):
-        classify_vertex(G, ident, 31, sieve=sieve)
+        classify_vertex(G, 31, sieve=sieve)
 
 
 def test_event_invariants(sieve):
@@ -359,7 +350,7 @@ def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
     assert sorted(F.betti) == sorted(want)
     for k in want:
         assert np.array_equal(F.betti[k], want[k]), k
-    events = [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
+    events = [classify_vertex(G, x, sieve=sieve) for x in G.labels]
     assert F.events == events
     assert F.fallbacks == 0
     for n in range(top + 1):
@@ -418,7 +409,7 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
 
 
 def oracle_events(G, sieve):
-    return [classify_vertex(G, ident, x, sieve=sieve) for x in G.labels]
+    return [classify_vertex(G, x, sieve=sieve) for x in G.labels]
 
 
 @pytest.mark.parametrize("kind, n", [("integer", 520), ("prime", 2310)])
@@ -462,10 +453,10 @@ def test_events_match_oracle_any_n(sieve, kind, n):
 
 def test_tampered_representative_falls_back(sieve):
     G = build_graph(GraphKind.prime(2310), sieve)
-    sphere = stable_sphere(G, ident, 30)  # the hexagon 2-6-3-15-5-10
+    sphere = stable_sphere(G, 30)  # the hexagon 2-6-3-15-5-10
     dropped = Graph(sphere.labels, sphere.edges()[1:])
     F = Filtration(G, sieve)
-    F.representatives[(1, 1, 1)] = Representative(30, (2, 3, 5), dropped, classify_vertex(G, ident, 30, sieve))
+    F.representatives[(1, 1, 1)] = Representative(30, (2, 3, 5), dropped, classify_vertex(G, 30, sieve))
     assert F.events == oracle_events(G, sieve)
     assert F.fallbacks == sum(sieve.signature(x).nu == 3 for x in G.labels)
     assert F.representatives[(1, 1, 1)].sphere is dropped
@@ -476,7 +467,7 @@ def test_graph_without_kind_classifies_every_vertex(sieve, monkeypatch):
 
     calls = []
     oracle = morse.classify_vertex
-    monkeypatch.setattr(morse, "classify_vertex", lambda G, f, x, sieve: calls.append(x) or oracle(G, f, x, sieve))
+    monkeypatch.setattr(morse, "classify_vertex", lambda G, x, sieve: calls.append(x) or oracle(G, x, sieve))
     B = barycentric_refinement(cycle_graph(5))
     F = Filtration(B, sieve)
     assert F.events == oracle_events(B, sieve)
@@ -488,7 +479,7 @@ def test_representative_raises_where_the_oracle_does(sieve):
     # three incomparable divisors below 30: its stable sphere is neither
     G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
     with pytest.raises(ClassificationError, match="stable sphere of 30 "):
-        classify_vertex(G, ident, 30, sieve=sieve)
+        classify_vertex(G, 30, sieve=sieve)
     with pytest.raises(ClassificationError, match="stable sphere of 30 "):
         Filtration(G, sieve).events
 
