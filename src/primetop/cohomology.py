@@ -3,8 +3,9 @@
 Every Betti number comes from one column reduction with clearing
 (_betti_changes), run over GF(p) (default p = 2^31 - 1) and again by exact
 fraction-free integer elimination at every size, then checked against
-Euler-Poincare; any disagreement raises.  The exact pass of morse.Filtration
-on a divisibility graph reduces the prime complex Delta(n) instead.
+Euler-Poincare; any disagreement raises.  On a divisibility graph both
+passes of morse.Filtration reduce the prime complex Delta(n), not the
+simplices.
 Timelines are lists of Python ints, indexed [k][n].  Floating point appears
 only in the Hodge/Witten spectral cross-checks and in the Lefschetz
 supertrace, each of which has an exact counterpart elsewhere in the package;
@@ -293,29 +294,33 @@ def _chi(f: list[list[int]], top: int) -> list[int]:
     return chi
 
 
-def _betti_timeline(order, top: int, reduce, key=itemgetter(-1), faces=_faces) -> list[list[int]]:
-    """b[k][n] for n = 0..top: the cumulative sum of _betti_changes over keys (by default, top vertices)."""
-    return [_cumulative(change, top) for change in _betti_changes(order, key, faces, reduce)]
+def _betti_timeline(complex_, top: int, reduce) -> list[list[int]]:
+    """b[k][n] for n = 0..top of complex_ = (cells, key, faces): the cumulative sum of _betti_changes over keys."""
+    return [_cumulative(change, top) for change in _betti_changes(*complex_, reduce)]
 
 
-def _betti_from_simplices(
-    simplices, f: list[list[int]], top: int, field_prime: int, witness=None
-) -> dict[int, list[int]]:
+def _simplicial(simplices):
+    """(cells, key, faces) of the simplices for _verified_betti: each dimension sorted by top vertex, the key."""
+    return [sorted(dim, key=itemgetter(-1)) for dim in simplices], itemgetter(-1), _faces
+
+
+def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, certificate=None) -> dict[int, list[int]]:
     """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
-    Each dimension enters in filtration order: by top vertex label, then in
-    its order in simplices.  The exact witness reduces witness, the (cells,
-    key, faces) of a complex with the same homology at every n, or else the
-    same simplices again, by exact integer elimination; a dimension it lacks
-    reads as zeros.  Euler-Poincare is checked for every n; a disagreement
-    raises RankDiscrepancyError naming the first failing n.
+    complex_ is the (cells, key, faces) of a filtered complex, each cells[k]
+    sorted by key, whose homology at every n is that of the complex with the
+    cumulative f-vector f.  Both passes reduce it: over GF(field_prime), and
+    by exact integer elimination.  certificate, when given, is a third
+    timeline [k][n], found without elimination.  All must agree at every n; a
+    dimension of f that cells lacks reads as zeros, and Euler-Poincare
+    against f is checked for every n.  A disagreement raises
+    RankDiscrepancyError naming the first failing n.
     """
-    order = [sorted(dim, key=itemgetter(-1)) for dim in simplices]
-    b = _betti_timeline(order, top, partial(reduce_gf, p=field_prime))
-    cells, key, faces = witness or (order, itemgetter(-1), _faces)
-    exact = _betti_timeline(cells, top, reduce_exact, key, faces)
-    exact += [[0] * (top + 1)] * (len(b) - len(exact))
-    _first_mismatch(b, exact, field_prime, "exact rational rank")
+    b = _betti_timeline(complex_, top, partial(reduce_gf, p=field_prime))
+    _first_mismatch(b, _betti_timeline(complex_, top, reduce_exact), field_prime, "exact rational rank")
+    if certificate is not None:
+        _first_mismatch(b, certificate, field_prime, "Bjorner's matching")
+    b += [[0] * (top + 1) for _ in range(len(f) - len(b))]
     _first_mismatch([_chi(b, top)], [_chi(f, top)], field_prime, "Euler-Poincare")
     return dict(enumerate(b))
 

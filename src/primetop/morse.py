@@ -8,6 +8,8 @@ checks two identities of the Betti numbers, each with its own per-n evaluator
 and its own inputs: the Morse inequalities against the critical counts
 (morse_inequality_check, which needs the classification) and the
 counting-function formulas H1/H3 against the pi_k tables (betti_formulas).
+On the divisibility graphs the Betti numbers are those of the prime complex
+Delta(n), certified without elimination by Bjorner's matching at every n.
 """
 
 from __future__ import annotations
@@ -18,17 +20,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count, zip_longest
-from math import prod
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     Column,
-    _betti_from_simplices,
     _chi,
     _cumulative,
     _f_vector,
     _faces,
+    _simplicial,
+    _verified_betti,
     euler_characteristic,
     rank_exact,
     rank_gf,
@@ -309,27 +311,29 @@ def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int
     The columns of each dimension enter in the order of their top vertex
     label, through the clearing reduction that also gives betti_numbers.
     Exact over GF(field_prime), and checked against exact rational
-    elimination and Euler-Poincare at every n.
+    elimination of the same simplices and Euler-Poincare at every n.  It
+    reads the Whitney complex of any graph, and is the oracle of
+    Filtration.betti on the divisibility graphs.
     """
     simplices, top = cliques(G), _timeline_top(G)
-    return _betti_from_simplices(simplices, _f_vector(simplices, top), top, field_prime)
+    return _verified_betti(_simplicial(simplices), _f_vector(simplices, top), top, field_prime)
 
 
 class Filtration:
     """The filtration of G by the counting function, computed lazily and once.
 
     Each field is computed on first use and then kept, so every check that
-    reads the same field shares one computation: the f-vector, chi and Betti
-    timelines read one enumeration of the simplices (the chains of the
-    divisor poset on a prime, integer or divisor graph), and the critical
-    counts read the events, which classify one vertex per exponent signature
-    and certify the rest.  The Betti timeline over GF(field_prime) is
-    witnessed at every n by exact rational elimination of the prime complex
-    Delta(n) on a prime, integer or divisor graph, of the simplices again on
-    any other.  Each of the paper's identities is evaluated here once, at
-    every n, by a field that reads only that identity's inputs.  Timelines
-    are lists of Python ints over n = 0..top, where top is G.param (the
-    largest label when G has no parameter).
+    reads the same field shares one computation: the f-vector and chi read
+    one enumeration of the simplices (the chains of the divisor poset on a
+    prime, integer or divisor graph), and the critical counts read the
+    events, which classify one vertex per exponent signature and certify the
+    rest.  On a prime, integer or divisor graph the Betti timeline is that of
+    the prime complex Delta(n), reduced over GF(field_prime) and over Q and
+    witnessed without elimination by Bjorner's matching; on any other graph
+    both passes reduce the simplices.  Each of the paper's identities is
+    evaluated here once, at every n, by a field that reads only that
+    identity's inputs.  Timelines are lists of Python ints over n = 0..top,
+    where top is G.param (the largest label when G has no parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -363,16 +367,33 @@ class Filtration:
 
     @cached_property
     def betti(self) -> dict[int, list[int]]:
-        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top.
+        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top, checked against f by Euler-Poincare.
 
-        On a prime, integer or divisor graph the exact witness is Delta(n)
-        (_prime_complex), whose subdivision is the Whitney complex of G(n) on its
-        squarefree labels.  On the integer graph it also rests on a theorem,
-        checked by events vertex by vertex: each non-squarefree x arrives as a
-        homotopy deformation, its divisors 1 < d < x forming a contractible poset.
+        On a prime, integer or divisor graph both passes reduce Delta(n)
+        (_prime_complex), whose subdivision is the Whitney complex of G(n) on
+        its squarefree labels, and matching is the third witness.  On the
+        integer graph the result also rests on a theorem, checked by events
+        vertex by vertex: each non-squarefree x arrives as a homotopy
+        deformation, its divisors 1 < d < x forming a contractible poset.
+        Without Delta(n) (no kind, or labels not closed under division) both
+        passes reduce the simplices, as betti_timeline does.
         """
-        witness = _prime_complex(self.G, self.sieve) if self.G.kind is not None else None
-        return _betti_from_simplices(self.simplices, self.f, self.top, self.field_prime, witness)
+        if self._delta is None:
+            return _verified_betti(_simplicial(self.simplices), self.f, self.top, self.field_prime)
+        return _verified_betti(self._delta, self.f, self.top, self.field_prime, self.matching)
+
+    @cached_property
+    def matching(self) -> list[list[int]] | None:
+        """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), each n certified; None without Delta(n)."""
+        if self._delta is None:
+            return None
+        cells, _, faces = self._delta
+        return _bjorner_matching(cells, faces, self.top, self.field_prime)
+
+    @cached_property
+    def _delta(self):
+        """_prime_complex(G, sieve) on a prime, integer or divisor graph, else None."""
+        return _prime_complex(self.G, self.sieve) if self.G.kind is not None else None
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
@@ -492,6 +513,7 @@ def _prime_complex(G: Graph, sieve: FactorSieve):
     None when some x / p_i is not a label, as on a hand-built graph.
     """
     cells: list[list[int]] = []
+    primes: dict[int, tuple[int, ...]] = {}
     for x in G.labels:
         sig = sieve.signature(x)
         if sig.squarefree:
@@ -499,7 +521,92 @@ def _prime_complex(G: Graph, sieve: FactorSieve):
                 return None
             cells += [[] for _ in range(sig.nu - len(cells))]
             cells[sig.nu - 1].append(x)
-    return cells, lambda x: x, lambda x: [(prod(face), sign) for face, sign in _faces(sieve.signature(x).factors)]
+            primes[x] = sig.factors
+    return cells, lambda x: x, lambda x: [(x // p, -1 if i % 2 else 1) for i, p in enumerate(primes[x])]
+
+
+def _bjorner_partner(x: int, q: int, n: int, is_cell) -> int | None:
+    """The coface x is matched up with in Delta(n): qx, when q does not divide x and qx is a cell up to n."""
+    return q * x if x % q and q * x <= n and is_cell(q * x) else None
+
+
+def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int]]:
+    """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), for n = 0..top, each n certified.
+
+    cells and faces are those of _prime_complex; q is their smallest prime.
+    When n arrives (in label order), n and each face y of n ask
+    _bjorner_partner for their coface in Delta(n).  The boundary of n must
+    have zero boundary.  A pair (y, n) must be a cell-coface pair, neither
+    matched yet, with q dividing every face of n but y and not y itself:
+    then no matched-up cell is divisible by q, so no face of a matched-down
+    cell other than its partner is ever matched up, every gradient path
+    stops after one step, and the matching is acyclic.  An
+    unmatched arrival is critical, and its Morse boundary, found by following
+    Forman's gradient paths over Z, must be zero.  A new pair only reroutes
+    paths that ended at its critical face with coefficients summing to zero,
+    so the Morse differential vanishes at every n and c[k][n] = b_k(Delta(n))
+    over every field.  Nothing is assumed from Bjorner's theorem: the first
+    failed check raises RankDiscrepancyError naming n and the cell.
+    """
+    dims = {x: k for k, row in enumerate(cells) for x in row}
+    q = cells[0][0] if cells else 0
+    partner: dict[int, int] = {}
+    changes = [Counter() for _ in cells]
+
+    def fail(n, x, what):
+        raise RankDiscrepancyError(f"Bjorner's matching fails first at n={n}: cell {x} {what}", field_prime)
+
+    for n in sorted(dims):
+        up = _bjorner_partner(n, q, n, dims.__contains__)
+        if up is not None:
+            fail(n, n, f"is matched with {up}, not a coface in Delta({n})")
+        boundary = faces(n) if dims[n] else []
+        twice: dict[int, int] = {}
+        for y, s in boundary:
+            for v, t in faces(y) if dims[y] else ():
+                twice[v] = twice.get(v, 0) + s * t
+        if any(twice.values()):
+            fail(n, n, "has a boundary whose boundary is not zero")
+        pairs = [y for y, _ in boundary if _bjorner_partner(y, q, n, dims.__contains__) == n]
+        if not pairs:
+            changes[dims[n]][n] += 1
+            flow = _morse_boundary(boundary, partner, faces)
+            if flow:
+                fail(n, n, f"is critical with Morse boundary {flow}")
+            continue
+        if len(pairs) > 1:
+            fail(n, n, f"is matched with each of {pairs}")
+        y = pairs[0]
+        if y in partner:
+            fail(n, y, f"is matched with {n} and with {partner[y]}")
+        if not y % q:
+            fail(n, y, f"is matched up with {n}, but {q} divides it")
+        if any(z % q for z, _ in boundary if z != y):
+            fail(n, n, f"is matched with {y} and has a face that {q} does not divide")
+        partner[y], partner[n] = n, y
+        changes[dims[y]][n] -= 1
+    return [_cumulative(c, top) for c in changes]
+
+
+def _morse_boundary(boundary, partner: dict[int, int], faces) -> dict[int, int]:
+    """The Morse boundary of a cell with this boundary, as {critical face: coefficient} without zeros.
+
+    A face y matched up with z = partner[y] > y flows to -[z:y] times the
+    other faces of z; a face matched down ends its path; a critical face is
+    an end point.  Incidences are +-1, so [z:y] is its own inverse.
+    """
+    total: dict[int, int] = {}
+    paths = list(boundary)
+    while paths:
+        y, w = paths.pop()
+        z = partner.get(y)
+        if z is None:
+            total[y] = total.get(y, 0) + w
+        elif z > y:
+            up = faces(z)
+            s = dict(up)[y]
+            paths += [(v, -w * s * t) for v, t in up if v != y]
+    return {y: w for y, w in total.items() if w}
 
 
 def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primetop import (
@@ -32,8 +32,8 @@ from primetop import (
 from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
 from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
-from primetop.cohomology import _betti_timeline, reduce_exact, reduce_gf
-from primetop.morse import Representative, _prime_complex, betti_formulas
+from primetop.cohomology import _betti_timeline, _simplicial, reduce_exact, reduce_gf
+from primetop.morse import Representative, _bjorner_partner, _prime_complex, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
@@ -249,10 +249,9 @@ def reduce_without_clearing(simplices, top, reduce):
 @pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 520), ("divisor", 2310)])
 def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
     simplices = cliques(build_graph(GraphKind(kind, n), sieve))
-    order = [sorted(dim, key=lambda s: s[-1]) for dim in simplices]
     for reduce in (lambda col, pivots: reduce_gf(col, pivots, 2), reduce_exact):
         reduced = []
-        got = _betti_timeline(order, n, lambda col, pivots: reduced.append(col) or reduce(col, pivots))
+        got = _betti_timeline(_simplicial(simplices), n, lambda col, pivots: reduced.append(col) or reduce(col, pivots))
         assert np.array_equal(got, reduce_without_clearing(simplices, n, reduce))
         # each of the rank(boundary) nonzero columns clears the column of its pivot row
         total = sum(map(len, simplices))
@@ -269,10 +268,10 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
 def test_prime_complex_has_the_betti_timeline_of_the_subdivision(sieve, case):
     kind, n = case
     G = build_graph(GraphKind(kind, n), sieve)
-    cells, key, faces = _prime_complex(G, sieve)
-    assert sorted(x for dim in cells for x in dim) == [x for x in G.labels if sieve.is_squarefree(x)]
-    got = _betti_timeline(cells, n, reduce_exact, key, faces)
-    want = _betti_timeline([sorted(dim, key=lambda s: s[-1]) for dim in cliques(G)], n, reduce_exact)
+    delta = _prime_complex(G, sieve)
+    assert sorted(x for dim in delta[0] for x in dim) == [x for x in G.labels if sieve.is_squarefree(x)]
+    got = _betti_timeline(delta, n, reduce_exact)
+    want = _betti_timeline(_simplicial(cliques(G)), n, reduce_exact)
     # the integer graph has chains such as 2 | 4 | 8, longer than any face of Delta(n)
     assert len(got) <= len(want)
     assert got + [[0] * (n + 1)] * (len(want) - len(got)) == want
@@ -302,6 +301,102 @@ def test_graph_without_its_prime_complex_is_witnessed_by_its_simplices(sieve):
     G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
     assert _prime_complex(G, sieve) is None
     assert Filtration(G, sieve).betti == betti_timeline(G)
+
+
+@pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
+def test_betti_reduces_no_simplex_of_the_subdivision(sieve, monkeypatch, kind, n, squarefree):
+    import primetop.cohomology as cohomology
+
+    calls = []
+    oracle = cohomology.reduce_gf
+    monkeypatch.setattr(cohomology, "reduce_gf", lambda col, pivots, p: calls.append(col) or oracle(col, pivots, p))
+    G = build_graph(GraphKind(kind, n), sieve)
+    betti = Filtration(G, sieve).betti
+    # the GF(p) pass reduces Delta(n), not the 11,830 (prime) or 15,850 (integer) simplices
+    assert 0 < len(calls) <= squarefree
+    assert betti == betti_timeline(G)
+
+
+def assert_betti_matches_the_subdivision(G, sieve):
+    F = Filtration(G, sieve)
+    assert F.betti == betti_timeline(G)
+    # the critical cells of Bjorner's matching are Delta(n)'s Betti numbers, and Delta(n) has no more dimensions
+    assert F.matching == [F.betti[k] for k in range(len(F.matching))]
+    assert not any(any(F.betti[k]) for k in range(len(F.matching), len(F.betti)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("prime"), st.integers(2, 2000)),
+        st.tuples(st.just("integer"), st.integers(2, 600)),
+    )
+)
+@example(case=("prime", 2000))
+@example(case=("integer", 600))
+def test_betti_matches_the_subdivision_at_every_n(sieve, case):
+    assert_betti_matches_the_subdivision(build_graph(GraphKind(*case), sieve), sieve)
+
+
+# 2 and 7 have no label, 4 and 9 one; 9, 45, 105 and 1155 are odd, so q is 3
+@pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 30, 45, 105, 210, 1155, 2310])
+def test_betti_matches_the_subdivision_on_divisor_graphs(sieve, m):
+    assert_betti_matches_the_subdivision(build_graph(GraphKind.divisor(m), sieve), sieve)
+
+
+def _tampered_delta(monkeypatch, faces_of):
+    import primetop.morse as morse
+
+    oracle = morse._prime_complex
+
+    def tampered(G, sieve):
+        cells, key, faces = oracle(G, sieve)
+        return cells, key, lambda x: faces_of(x, faces(x))
+
+    monkeypatch.setattr(morse, "_prime_complex", tampered)
+
+
+def _flip(cell, face):
+    return lambda x, faces: [(y, -s if (x, y) == (cell, face) else s) for y, s in faces]
+
+
+@pytest.mark.parametrize(
+    "cell, face, message",
+    [
+        # a flipped edge reroutes the path from 5 through 10 to the vertex 2 with the wrong sign
+        (10, 2, r"first at n=15: cell 15 is critical with Morse boundary \{2: -2\}$"),
+        (15, 5, r"first at n=15: cell 15 is critical with Morse boundary \{2: -2\}$"),
+        (105, 35, r"first at n=105: cell 105 has a boundary whose boundary is not zero$"),
+    ],
+    ids=["edge-10", "edge-15", "triangle-105"],
+)
+def test_matching_rejects_a_flipped_face_sign(sieve, monkeypatch, cell, face, message):
+    _tampered_delta(monkeypatch, _flip(cell, face))
+    with pytest.raises(RankDiscrepancyError, match=message):
+        Filtration(build_graph(GraphKind.prime(300), sieve), sieve).betti
+
+
+@pytest.mark.parametrize(
+    "partner, message",
+    [
+        # x paired with qx while qx > n
+        (lambda x, q, n, is_cell: q * x if x % q and is_cell(q * x) else None,
+         r"first at n=3: cell 3 is matched with 6, not a coface in Delta\(3\)$"),
+        # a cell divisible by q matched up: pairing by 3 in place of q = 2 matches 2 with 6
+        (lambda x, q, n, is_cell: _bjorner_partner(x, 3, n, is_cell),
+         r"first at n=6: cell 2 is matched up with 6, but 2 divides it$"),
+        # 6, matched down with 3 at n = 6, matched up again with 30
+        (lambda x, q, n, is_cell: 30 if (x, n) == (6, 30) else _bjorner_partner(x, q, n, is_cell),
+         r"first at n=30: cell 30 is matched with each of \[15, 6\]$"),
+    ],
+    ids=["past-n", "q-divides", "twice"],
+)
+def test_matching_rejects_a_wrong_pairing(sieve, monkeypatch, partner, message):
+    import primetop.morse as morse
+
+    monkeypatch.setattr(morse, "_bjorner_partner", partner)
+    with pytest.raises(RankDiscrepancyError, match=message):
+        Filtration(build_graph(GraphKind.prime(300), sieve), sieve).betti
 
 
 def test_events_to_csv(sieve):
