@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .arithmetic import (
     FactorSieve,
     PrimeSignature,
-    build_sieve,
     divisor_moebius_sum,
     kummer_number,
     mertens,
     moebius,
     pi_k,
     prime_pi,
-    prime_signature,
     primorial,
 )
 from .cohomology import (
@@ -58,17 +56,14 @@ from .morse import (
     Filtration,
     FiltrationEvent,
     MorseComplex,
-    MorseReport,
     barycentric_morse_complex,
     betti_timeline,
     chi_timeline,
     classify_vertex,
     critical_counts,
     events_to_csv,
-    formula_hypotheses,
     morse_betti,
     morse_inequality_check,
-    run_filtration,
     stable_sphere,
 )
 from .topology import (

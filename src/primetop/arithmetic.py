@@ -16,8 +16,6 @@ from itertools import accumulate
 
 from .errors import InvalidArgumentError
 
-DEFAULT_SIEVE_LIMIT = 10**6
-
 # The first 15 primes: their primorial, 614889782588491410, is the largest primorial below 2^63.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SLICE = 1 << 15
@@ -98,11 +96,6 @@ class FactorSieve:
 
     def is_squarefree(self, x: int) -> bool:
         return self.signature(x).squarefree
-
-
-def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> FactorSieve:
-    """Build a FactorSieve for [2, limit]."""
-    return FactorSieve(limit)
 
 
 def moebius(x: int, sieve: FactorSieve) -> int:
@@ -200,8 +193,3 @@ def divisor_moebius_sum(n: int, sieve: FactorSieve) -> int:
     for p, e in sieve.factorization(n):
         divisors = [d * p**j for d in divisors for j in range(e + 1)]
     return sum(moebius(d, sieve) for d in divisors if d != 1)
-
-
-def prime_signature(x: int, sieve: FactorSieve) -> PrimeSignature:
-    """Public wrapper around FactorSieve.signature."""
-    return sieve.signature(x)

@@ -264,14 +264,14 @@ def _prefix_name(config: argparse.Namespace, n: int | str) -> str:
     return f"{config.kind.capitalize()}({n})"
 
 
-def check_mertens(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_mertens(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     n = _first(lambda n: not F.mertens_euler[n], config)
     if n is not None:
         return False, f"first counterexample n={n}"
     return True, f"chi(G(n)) = 1 - M(n) for 2 <= n <= {config.n_max}"
 
 
-def check_hopf(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_hopf(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     n = _first(lambda n: F.poincare_hopf[n], config)
     if n is not None:
         return False, f"first counterexample n={n} ({F.poincare_hopf[n]})"
@@ -286,14 +286,14 @@ def _morse_sweep(config: argparse.Namespace, F: Filtration, which: int) -> tuple
     return True, f"inequalities hold for 2 <= n <= {config.n_max}"
 
 
-def check_diameter(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_diameter(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     bad = verify_component_diameter_bound(F.G, config.n_max, bound=5, anchor=2)
     if bad is not None:
         return False, f"first counterexample n={bad}"
     return True, f"component diameter <= 5 for 4 <= n <= {config.n_max}"
 
 
-def check_formulas(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_formulas(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     n = _first(lambda n: F.formulas[n][0] is False, config, start=4)
     if n is not None:
         return False, f"H1 fails first at n={n}"
@@ -303,7 +303,7 @@ def check_formulas(config: argparse.Namespace, sieve: FactorSieve, F: Filtration
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 
-def check_morse_equiv(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_morse_equiv(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     G = F.G
     corpus = ((f"corpus graph with {H.n_vertices} vertices", H) for H in _corpus_small_graphs())
     top = min(config.n_max, 120)
@@ -317,8 +317,9 @@ def check_morse_equiv(config: argparse.Namespace, sieve: FactorSieve, F: Filtrat
     return True, "Morse cohomology equals simplicial cohomology on the corpus"
 
 
-def check_kummer(config: argparse.Namespace, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
+def check_kummer(config: argparse.Namespace, F: Filtration | None) -> tuple[bool, str]:
     m = primorial(config.d)
+    sieve = FactorSieve(m)
     D = build_graph(GraphKind.divisor(m), sieve)
     verdict = sphere_dimension(D)
     want_dim = config.d - 2
@@ -338,7 +339,7 @@ def check_kummer(config: argparse.Namespace, sieve: FactorSieve, F: Filtration |
     return True, f"Divisor({m}): sphere dim {want_dim}, betti {tuple(b)}, duality ok, involution ok, lefschetz (0, 0)"
 
 
-def check_kunneth(config: argparse.Namespace, sieve: FactorSieve, F: Filtration | None) -> tuple[bool, str]:
+def check_kunneth(config: argparse.Namespace, F: Filtration | None) -> tuple[bool, str]:
     corpus = {
         "K1": complete_graph(1),
         "K2": complete_graph(2),
@@ -367,7 +368,7 @@ def check_kunneth(config: argparse.Namespace, sieve: FactorSieve, F: Filtration 
     return True, "product laws hold on the pair corpus"
 
 
-def check_witten(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) -> tuple[bool, str]:
+def check_witten(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
     G = F.G
     top = min(config.n_max, 60)
     for n in range(2, top + 1):
@@ -386,8 +387,8 @@ def check_witten(config: argparse.Namespace, sieve: FactorSieve, F: Filtration) 
 CHECK_FUNCS = {
     "mertens": check_mertens,
     "hopf": check_hopf,
-    "morse-weak": lambda cfg, sieve, F: _morse_sweep(cfg, F, 0),
-    "morse-strong": lambda cfg, sieve, F: _morse_sweep(cfg, F, 1),
+    "morse-weak": lambda cfg, F: _morse_sweep(cfg, F, 0),
+    "morse-strong": lambda cfg, F: _morse_sweep(cfg, F, 1),
     "diameter": check_diameter,
     "formulas": check_formulas,
     "morse-equiv": check_morse_equiv,
@@ -402,15 +403,14 @@ GRAPH_FREE_CHECKS = frozenset({"kummer", "kunneth"})
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    divisor_m = primorial(config.d) if "kummer" in config.checks else 0
-    sieve = FactorSieve(max(config.n_max, divisor_m, 2))
     F = None
     if not GRAPH_FREE_CHECKS.issuperset(config.checks):
+        sieve = FactorSieve(max(config.n_max, 2))
         F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve, config.field_prime)
     all_ok = True
     with open(config.output_path, "w", encoding="utf-8") if config.output_path else nullcontext(sys.stdout) as out:
         for name in config.checks:
-            ok, detail = CHECK_FUNCS[name](config, sieve, F)
+            ok, detail = CHECK_FUNCS[name](config, F)
             all_ok &= ok
             print(f"{name}: {'pass' if ok else 'FAIL'} - {detail}", file=out)
     return 0 if all_ok else 1

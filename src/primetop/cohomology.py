@@ -14,7 +14,6 @@ only those functions, and the Wu oracle, import numpy.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -43,10 +42,6 @@ class SimplicialComplex:
 
     def __init__(self, simplices_by_dim: list[list[tuple[int, ...]]]):
         self.simplices = tuple(tuple(dim) for dim in simplices_by_dim)
-        self.index: dict[tuple[int, ...], tuple[int, int]] = {}
-        for k, dim in enumerate(self.simplices):
-            for pos, s in enumerate(dim):
-                self.index[s] = (k, pos)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -60,21 +55,9 @@ class SimplicialComplex:
     def total(self) -> int:
         return sum(self.f_vector)
 
-    def contains(self, s: tuple[int, ...]) -> bool:
-        return s in self.index
-
     def all_simplices(self):
         for dim in self.simplices:
             yield from dim
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fvector": list(self.f_vector),
-            "simplices": [list(s) for s in self.all_simplices()],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector})"
@@ -475,15 +458,15 @@ def _automorphism_matrices(K: SimplicialComplex, T: dict[int, int]) -> list[np.n
     import numpy as np
 
     mats = []
-    for k, dim in enumerate(K.simplices):
-        n = len(dim)
-        U = np.zeros((n, n))
+    for dim in K.simplices:
+        position = {s: j for j, s in enumerate(dim)}
+        U = np.zeros((len(dim), len(dim)))
         for j, s in enumerate(dim):
             image = [T[v] for v in s]
-            target = tuple(sorted(image))
-            if target not in K.index or K.index[target][0] != k:
+            i = position.get(tuple(sorted(image)))
+            if i is None:
                 raise InvalidArgumentError(f"T does not map simplex {s} to a simplex")
-            U[K.index[target][1], j] = _perm_sign(image)
+            U[i, j] = _perm_sign(image)
         mats.append(U)
     return mats
 

@@ -96,16 +96,14 @@ class Graph:
 
     # --- export ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        data = {
             "kind": self.kind,
             "param": self.param,
             "vertices": list(self.labels),
             "edges": [list(e) for e in self.edges()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
+        return json.dumps(data, separators=(", ", ": "))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, zip_longest
 
@@ -42,7 +42,7 @@ from .errors import (
     InvalidArgumentError,
     RankDiscrepancyError,
 )
-from .graphs import Graph, GraphKind, build_graph, chains, cliques, induced_subgraph
+from .graphs import Graph, chains, cliques, induced_subgraph
 from .topology import sphere_dimension_within
 
 
@@ -57,19 +57,6 @@ class FiltrationEvent:
     ph_index: int
     kind: str  # "critical" | "homotopy"
     method: str = "exact"
-    betti_delta: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class MorseReport:
-    """Checkpoint summary: exact invariants and named checks at one n."""
-
-    n: int
-    mertens: int
-    chi: int
-    betti: tuple[int, ...]
-    critical_counts: tuple[int, ...]
-    checks: dict[str, bool | None] = field(default_factory=dict)
 
 
 @dataclass
@@ -178,64 +165,6 @@ def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
         return row[n] - row[n // 2] if row else 0
 
     return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
-
-
-def formula_hypotheses(n: int, sieve: FactorSieve, betti, critical=None) -> dict:
-    """Evaluate the counting-function formulas for the Betti numbers at n.
-
-    H1: b_0 = 1 + pi(n) - pi(n//2), meaningful for n >= 4 (None below).
-    H2: c_m = pi_{m+1}(n) over all prime tuples, when counts are supplied.
-    H3: b_k = pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..len(b) - 1,
-    and at least for k = 1..3.  Raw columns of every pi variant are included
-    for manual comparison.
-    """
-    b = list(betti.b if hasattr(betti, "b") else betti)
-    c = list(critical) if critical is not None else None
-    kmax = max(4, len(b), (len(c) + 1) if c else 0)
-    tabs = pi_k_tables(sieve, max(n, 2), kmax)
-    half = n // 2
-    variants = (("pi", False, n), ("pi_half", False, half), ("pi_odd", True, n), ("pi_odd_half", True, half))
-    columns = {name: {k: tabs[(k, odd)][x] for k in range(1, kmax + 1)} for name, odd, x in variants}
-    h1, h3 = betti_formulas(n, tabs, b)
-    h2 = None if c is None else all(
-        (c[m] if m < len(c) else 0) == columns["pi"][m + 1] for m in range(max(len(c), 3)))
-    return {"n": n, "h1": None if n < 4 else h1, "h2": h2, "h3": h3, **columns}
-
-
-def run_filtration(
-    n_max: int,
-    kind: str = "prime",
-    checkpoints=(),
-    sieve: FactorSieve | None = None,
-    field_prime: int = DEFAULT_FIELD_PRIME,
-) -> tuple[list[FiltrationEvent], list[MorseReport]]:
-    """Classify every vertex of the kind-(n_max) graph; report at checkpoints in [2, n_max].
-
-    Events, invariants and the verdict of every identity are all read from
-    one Filtration of the graph.  The event of a vertex at a checkpoint
-    carries betti_delta, the Betti timeline at n minus the timeline at n - 1.
-    """
-    points = sorted(set(checkpoints))
-    if points and not 2 <= points[0] <= points[-1] <= n_max:
-        raise InvalidArgumentError(f"checkpoints must lie in [2, {n_max}], got {points[0]}..{points[-1]}")
-    if sieve is None:
-        sieve = FactorSieve(max(n_max, 2))
-    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve, field_prime)
-    events = list(F.events)
-    position = {ev.n: i for i, ev in enumerate(events)}
-    reports = []
-    for n in points:
-        b = F.betti_numbers(n)
-        if n in position:
-            delta = tuple(F.betti[k][n] - F.betti[k][n - 1] for k in range(len(b)))
-            events[position[n]] = dataclasses.replace(events[position[n]], betti_delta=delta)
-        (weak, strong), (h1, h3_failures) = F.morse_inequalities[n], F.formulas[n]
-        checks = {
-            "mertens_euler": F.mertens_euler[n], "poincare_hopf": F.poincare_hopf[n] is None,
-            "weak": weak, "strong": strong, "b0_formula": h1, "bk_formula": not h3_failures,
-        }
-        reports.append(MorseReport(n, F.mertens[n], F.chi[n], tuple(b), tuple(F.critical_counts(n)), checks))
-    return events, reports
 
 
 def events_to_csv(events) -> str:
@@ -372,14 +301,21 @@ class Filtration:
         On a prime, integer or divisor graph both passes reduce Delta(n)
         (_prime_complex), whose subdivision is the Whitney complex of G(n) on
         its squarefree labels, and matching is the third witness.  On the
-        integer graph the result also rests on a theorem, checked by events
-        vertex by vertex: each non-squarefree x arrives as a homotopy
+        integer graph the result also rests on a theorem, checked here by
+        reading events: each non-squarefree x arrives as a homotopy
         deformation, its divisors 1 < d < x forming a contractible poset.
         Without Delta(n) (no kind, or labels not closed under division) both
         passes reduce the simplices, as betti_timeline does.
         """
         if self._delta is None:
             return _verified_betti(_simplicial(self.simplices), self.f, self.top, self.field_prime)
+        if self.G.kind == "integer":
+            x = next((ev.n for ev in self.events if not ev.mu and ev.kind != "homotopy"), None)
+            if x is not None:
+                raise RankDiscrepancyError(
+                    f"Integer(n) is not a deformation of Delta(n) first at n={x}: {x} is not squarefree but critical",
+                    self.field_prime,
+                )
         return _verified_betti(self._delta, self.f, self.top, self.field_prime, self.matching)
 
     @cached_property

@@ -5,14 +5,12 @@ import pytest
 from primetop import (
     FactorSieve,
     InvalidArgumentError,
-    build_sieve,
     divisor_moebius_sum,
     kummer_number,
     mertens,
     moebius,
     pi_k,
     prime_pi,
-    prime_signature,
     primorial,
 )
 from primetop.arithmetic import _SLICE, mertens_table, pi_k_tables
@@ -21,16 +19,16 @@ from conftest import distinct_primes_bruteforce, moebius_bruteforce
 
 
 def test_build_sieve_examples():
-    s = build_sieve(10)
+    s = FactorSieve(10)
     assert s.spf[9] == 3
     assert s.spf[7] == 7
-    assert build_sieve(2).spf[2] == 2
-    assert build_sieve(30).spf[30] == 2
+    assert FactorSieve(2).spf[2] == 2
+    assert FactorSieve(30).spf[30] == 2
 
 
 def test_build_sieve_rejects_small_limit():
     with pytest.raises(InvalidArgumentError):
-        build_sieve(1)
+        FactorSieve(1)
 
 
 def test_sieve_invariants(sieve10k):
@@ -45,7 +43,7 @@ def test_sieve_invariants(sieve10k):
 
 def test_prime_signature_invariants(sieve):
     for x in range(2, 1200):
-        sig = prime_signature(x, sieve)
+        sig = sieve.signature(x)
         prod = 1
         for p in sig.factors:
             prod *= p

@@ -137,7 +137,7 @@ def test_verify_kummer(capsys):
 
 
 def test_verify_failure_exit(monkeypatch, capsys):
-    monkeypatch.setitem(cli.CHECK_FUNCS, "mertens", lambda cfg, sieve, G: (False, "first counterexample n=5"))
+    monkeypatch.setitem(cli.CHECK_FUNCS, "mertens", lambda cfg, F: (False, "first counterexample n=5"))
     assert run_main(["verify", "--checks", "mertens", "--n-max", "10"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -46,7 +46,7 @@ def projective_plane_complex() -> SimplicialComplex:
 def test_whitney_examples(sieve):
     assert whitney_complex(build_graph(GraphKind.prime(6), sieve)).f_vector == (4, 2)
     K30 = whitney_complex(build_graph(GraphKind.prime(30), sieve))
-    assert K30.contains((2, 6, 30))
+    assert (2, 6, 30) in K30.simplices[2]
     assert whitney_complex(complete_graph(4)).f_vector == (4, 6, 4, 1)
 
 
@@ -244,6 +244,8 @@ def test_lefschetz_rejects_non_automorphism(small_corpus):
     P = whitney_complex(Graph([1, 2, 3], [(1, 2)]))
     with pytest.raises(InvalidArgumentError):
         lefschetz_number(P, {1: 1, 2: 3, 3: 2})  # sends edge (1,2) to non-edge (1,3)
+    with pytest.raises(InvalidArgumentError):
+        lefschetz_number(K, {1: 1, 2: 1})  # collapses the edge (1,2)
 
 
 def test_lefschetz_dense_budget():
@@ -273,13 +275,6 @@ def test_product_laws_sample(small_corpus):
             conv[i + j] += x * y
     assert list(bp)[: len(conv)] + [0] * max(0, len(conv) - len(bp)) == conv
     assert inductive_dimension(P) >= inductive_dimension(A) + inductive_dimension(B)
-
-
-def test_complex_json_export(sieve):
-    K = whitney_complex(build_graph(GraphKind.prime(6), sieve))
-    data = K.to_json_dict()
-    assert data["fvector"] == [4, 2]
-    assert [2] in data["simplices"] and [2, 6] in data["simplices"]
 
 
 def test_rank_discrepancy_detected_on_torsion():

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 from types import SimpleNamespace
 
@@ -21,11 +22,9 @@ from primetop import (
     classify_vertex,
     critical_counts,
     euler_characteristic,
-    formula_hypotheses,
     induced_subgraph,
     morse_betti,
     morse_inequality_check,
-    run_filtration,
     stable_sphere,
     whitney_complex,
 )
@@ -69,8 +68,7 @@ def test_classify_vertex_rejects_neither(sieve):
 
 
 def test_event_invariants(sieve):
-    events, _ = run_filtration(60, kind="integer", sieve=sieve)
-    for ev in events:
+    for ev in Filtration(build_graph(GraphKind.integer(60), sieve), sieve).events:
         if ev.kind == "critical":
             assert ev.ph_index in (-1, 1)
             assert ev.ph_index == (-1) ** ev.morse_index == -ev.mu
@@ -81,30 +79,17 @@ def test_event_invariants(sieve):
 
 
 def test_run_filtration_b1_timeline(sieve):
-    _, reports = run_filtration(30, kind="prime", sieve=sieve, checkpoints=[14, 15, 21, 29, 30])
-    b1 = {r.n: (r.betti[1] if len(r.betti) > 1 else 0) for r in reports}
-    assert b1 == {14: 0, 15: 1, 21: 2, 29: 2, 30: 1}
-    for r in reports:
-        assert all(v is None or v for v in r.checks.values()), r
+    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    points = (14, 15, 21, 29, 30)
+    assert {n: F.betti[1][n] for n in points} == {14: 0, 15: 1, 21: 2, 29: 2, 30: 1}
+    for n in points:
+        assert F.mertens_euler[n] and F.poincare_hopf[n] is None, n
+        assert F.morse_inequalities[n] == (True, True) and F.formulas[n] == (True, ()), n
 
 
 def test_run_filtration_b2_at_105(sieve):
-    _, reports = run_filtration(105, kind="prime", sieve=sieve, checkpoints=[104, 105])
-    by_n = {r.n: r.betti for r in reports}
-    assert len(by_n[104]) < 3 or by_n[104][2] == 0
-    assert by_n[105][2] == 1
-
-
-def test_run_filtration_checkpoint_validation(sieve):
-    with pytest.raises(InvalidArgumentError):
-        run_filtration(10, kind="prime", sieve=sieve, checkpoints=[11])
-
-
-@pytest.mark.parametrize("checkpoint", [-1, 0, 1])
-def test_run_filtration_rejects_checkpoints_outside_range(sieve, checkpoint):
-    # below 2, G(n) is empty and chi(G(n)) = 1 - M(n) does not hold; a negative n would read from the end
-    with pytest.raises(InvalidArgumentError, match=r"must lie in \[2, 30\]"):
-        run_filtration(30, kind="prime", sieve=sieve, checkpoints=[2, checkpoint])
+    b2 = Filtration(build_graph(GraphKind.prime(105), sieve), sieve).betti[2]
+    assert (b2[104], b2[105]) == (0, 1)
 
 
 def test_filtration_reads_no_n_outside_its_range(sieve):
@@ -118,14 +103,14 @@ def test_filtration_reads_no_n_outside_its_range(sieve):
 
 
 def test_critical_counts(sieve):
-    events, _ = run_filtration(30, kind="prime", sieve=sieve)
+    events = Filtration(build_graph(GraphKind.prime(30), sieve), sieve).events
     assert critical_counts(events, 10) == [4, 2]
     assert critical_counts(events, 30)[2] == 1
     assert critical_counts(events, 2) == [1]
 
 
 def test_critical_counts_monotone(sieve):
-    events, _ = run_filtration(120, kind="prime", sieve=sieve)
+    events = Filtration(build_graph(GraphKind.prime(120), sieve), sieve).events
     prev = []
     for n in range(2, 121):
         c = critical_counts(events, n)
@@ -140,20 +125,6 @@ def test_morse_inequality_check():
     assert weak and strong and r == [0, 0]
     weak, strong, _ = morse_inequality_check((2,), (1,))
     assert not weak and not strong
-
-
-def test_formula_hypotheses(sieve):
-    K10 = whitney_complex(build_graph(GraphKind.prime(10), sieve))
-    row = formula_hypotheses(10, sieve, betti_numbers(K10))
-    assert row["h1"] is True  # 1 + 4 - 3 = 2 = b0
-    K15 = whitney_complex(build_graph(GraphKind.prime(15), sieve))
-    row15 = formula_hypotheses(15, sieve, betti_numbers(K15))
-    assert row15["h3"][1] is True  # odd semiprimes {15}: 1 - 0 = 1 = b1
-    assert row15["pi_odd"][2] == 1 and row15["pi_odd_half"][2] == 0
-    K3 = whitney_complex(build_graph(GraphKind.prime(3), sieve))
-    assert formula_hypotheses(3, sieve, betti_numbers(K3))["h1"] is None
-    row_c = formula_hypotheses(10, sieve, betti_numbers(K10), critical=[4, 2])
-    assert row_c["h2"] is True
 
 
 def test_betti_formulas_read_b4():
@@ -175,9 +146,9 @@ def test_check_formulas_reads_every_dimension(sieve):
     top[20:] = 1  # no odd number up to 30 has five prime factors
     tampered = Filtration(F.G, sieve)
     tampered.betti = dict(F.betti) | {3: np.zeros(31, dtype=np.int64), 4: top}
-    ok, message = check_formulas(SimpleNamespace(n_max=30), sieve, tampered)
+    ok, message = check_formulas(SimpleNamespace(n_max=30), tampered)
     assert not ok and message == "H3(k=4) fails first at n=20"
-    ok, _ = check_formulas(SimpleNamespace(n_max=30), sieve, F)
+    ok, _ = check_formulas(SimpleNamespace(n_max=30), F)
     assert ok
 
 
@@ -399,11 +370,25 @@ def test_matching_rejects_a_wrong_pairing(sieve, monkeypatch, partner, message):
         Filtration(build_graph(GraphKind.prime(300), sieve), sieve).betti
 
 
+def test_integer_betti_checks_its_deformations(sieve, monkeypatch):
+    # Delta(n) gives the Betti numbers of Integer(n) only if every non-squarefree x is a deformation
+    import primetop.morse as morse
+
+    oracle = morse.classify_vertex
+
+    def four_critical(G, x, sieve):
+        event = oracle(G, x, sieve)
+        return dataclasses.replace(event, kind="critical") if x == 4 else event
+
+    monkeypatch.setattr(morse, "classify_vertex", four_critical)
+    with pytest.raises(RankDiscrepancyError, match=r"first at n=4: 4 is not squarefree but critical$"):
+        Filtration(build_graph(GraphKind.integer(60), sieve), sieve).betti
+
+
 def test_events_to_csv(sieve):
     from primetop import events_to_csv
 
-    events, _ = run_filtration(12, kind="integer", sieve=sieve)
-    text = events_to_csv(events)
+    text = events_to_csv(Filtration(build_graph(GraphKind.integer(12), sieve), sieve).events)
     lines = text.splitlines()
     assert lines[0] == "n,mu,sphere_dim,morse_index,ph_index,kind"
     rows = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
@@ -412,12 +397,9 @@ def test_events_to_csv(sieve):
 
 
 def test_betti_delta_at_checkpoints(sieve):
-    events, _ = run_filtration(30, kind="prime", sieve=sieve, checkpoints=[15, 30])
-    by_n = {ev.n: ev for ev in events}
-    assert by_n[15].betti_delta is not None
-    assert by_n[15].betti_delta[1] == 1  # the first loop appears at 15
-    assert by_n[30].betti_delta[1] == -1  # and dies at 30
-    assert by_n[21].betti_delta is None
+    b1 = Filtration(build_graph(GraphKind.prime(30), sieve), sieve).betti[1]
+    assert not any(b1[:15]) and b1[15] == 1  # the first loop appears at 15
+    assert b1[30] - b1[29] == -1  # and one dies at 30
 
 
 def test_sphere_birth_death_rule(sieve):
@@ -601,38 +583,19 @@ def test_filtration_witness_beyond_2000_simplices(sieve):
 
 
 def test_run_filtration_reads_the_filtration(sieve):
-    checkpoints = [2, 15, 30, 100, 105, 120]  # 100 and 120 are not vertices
-    events, reports = run_filtration(120, kind="prime", sieve=sieve, checkpoints=checkpoints)
     G = build_graph(GraphKind.prime(120), sieve)
+    F = Filtration(G, sieve)
 
     def complex_below(n):
         return whitney_complex(induced_subgraph(G, [v for v in G.labels if v < n]))
 
-    for r in reports:
-        K = complex_below(r.n + 1)
-        assert r.betti == betti_rank_oracle(K) and r.chi == euler_characteristic(K)
-        assert list(r.critical_counts) == critical_counts(events, r.n)
-    for ev in events:
-        if ev.n in checkpoints:
-            now, prev = betti_rank_oracle(complex_below(ev.n + 1)), betti_rank_oracle(complex_below(ev.n))
-            prev += (0,) * (len(now) - len(prev))
-            assert ev.betti_delta == tuple(a - b for a, b in zip(now, prev)), ev.n
-        else:
-            assert ev.betti_delta is None
-
-
-@pytest.mark.parametrize("kind, n_max", [("prime", 300), ("integer", 200), ("divisor", 210)])
-def test_run_filtration_dense_checkpoints_match_formula_hypotheses(sieve, kind, n_max):
-    # the divisor graph of n_max breaks the formulas at many n, so both verdicts occur
-    events, reports = run_filtration(n_max, kind=kind, sieve=sieve, checkpoints=range(2, n_max + 1))
-    assert [r.n for r in reports] == list(range(2, n_max + 1))
-    for r in reports:
-        hyp = formula_hypotheses(r.n, sieve, r.betti, critical=r.critical_counts)
-        assert r.checks["b0_formula"] == hyp["h1"], r.n
-        assert r.checks["bk_formula"] == all(hyp["h3"].values()), r.n
-        below = [ev for ev in events if ev.n <= r.n]
-        pointwise = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
-        assert r.checks["poincare_hopf"] == (sum(ev.ph_index for ev in below) == r.chi and pointwise), r.n
+    for n in (2, 15, 30, 100, 105, 120):  # 100 and 120 are not vertices
+        K = complex_below(n + 1)
+        now, prev = betti_rank_oracle(K), betti_rank_oracle(complex_below(n))
+        assert tuple(F.betti_numbers(n)) == now and F.chi[n] == euler_characteristic(K), n
+        assert F.critical_counts(n) == critical_counts(F.events, n), n
+        prev += (0,) * (len(now) - len(prev))
+        assert [F.betti[k][n] - F.betti[k][n - 1] for k in range(len(now))] == [a - b for a, b in zip(now, prev)], n
 
 
 def literal_morse_inequalities(b, c):
@@ -664,6 +627,9 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         h1 = b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
         h3_failures = tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
         assert F.formulas[n] == (None if n < 4 else h1, h3_failures), n
+        if kind != "divisor":  # H2, c_m(n) = pi_{m+1}(n), fails at most n of a divisor graph
+            c = F.critical_counts(n)
+            assert c + [0] == [count(m + 1, n, False) for m in range(len(c) + 1)], n
         seen.add((F.mertens_euler[n], F.formulas[n][0]))
     # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur
     assert seen >= ({(True, True)} if kind != "divisor" else {(True, True), (False, False)})
