@@ -43,7 +43,10 @@ class FactorSieve:
     prime p <= sqrt(limit), largest first, writes p over its multiples from p^2
     on by slice assignment, so the smallest prime factor writes last; an entry
     left equal to its index is prime.  Each slice covers at most _SLICE
-    multiples, which bounds the temporary right-hand side.
+    multiples, which bounds the temporary right-hand side.  One pass over spf
+    then fills mu[x] = mu(x) and omega[x], the number of distinct primes of x
+    (both array('b'), mu[1] = 1): x = p * (x // p) with p = spf[x], and p
+    divides x // p exactly when x is not squarefree.
     """
 
     def __init__(self, limit: int):
@@ -59,6 +62,17 @@ class FactorSieve:
                 stop = min(start + p * _SLICE, self.limit + 1)
                 spf[start:stop:p] = array("l", [p]) * len(range(start, stop, p))
         self.spf = spf
+        self.mu = mu = array("b", bytes(self.limit + 1))
+        self.omega = omega = array("b", bytes(self.limit + 1))
+        mu[1] = 1
+        for x in range(2, self.limit + 1):
+            p = spf[x]
+            m = x // p
+            if m % p:
+                mu[x] = -mu[m]
+                omega[x] = omega[m] + 1
+            else:
+                omega[x] = omega[m]
         self._primes: list[int] | None = None
 
     @property
@@ -95,18 +109,14 @@ class FactorSieve:
         )
 
     def is_squarefree(self, x: int) -> bool:
-        return self.signature(x).squarefree
+        self.check_range(x)
+        return self.mu[x] != 0
 
 
 def moebius(x: int, sieve: FactorSieve) -> int:
     """mu(x): (-1)^(number of distinct primes) on squarefree x, else 0; mu(1) = 1."""
     sieve.check_range(x)
-    if x == 1:
-        return 1
-    sig = sieve.signature(x)
-    if not sig.squarefree:
-        return 0
-    return -1 if sig.nu % 2 else 1
+    return sieve.mu[x]
 
 
 def mertens(n: int, sieve: FactorSieve) -> int:
@@ -118,7 +128,7 @@ def mertens(n: int, sieve: FactorSieve) -> int:
 def mertens_table(sieve: FactorSieve, n: int) -> list[int]:
     """List M[0..n] of Mertens values (M[0] = 0), for sweep-style consumers."""
     sieve.check_range(n)
-    return list(accumulate((moebius(k, sieve) for k in range(1, n + 1)), initial=0))
+    return list(accumulate(sieve.mu[1 : n + 1], initial=0))
 
 
 def prime_pi(x: float, sieve: FactorSieve) -> int:
@@ -157,18 +167,18 @@ def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool]
     """Cumulative pi_k lists for all 1 <= k <= k_max and both parities.
 
     Returns {(k, odd_only): list A with A[x] = pi_k(k, x, odd_only)} for x in
-    [0, n].  One pass over the sieve; intended for per-n sweeps where calling
-    pi_k repeatedly would be quadratic.
+    [0, n], read from the sieve's omega and mu; intended for per-n sweeps
+    where calling pi_k repeatedly would be quadratic.
     """
     sieve.check_range(n)
-    tables = {(k, odd): [0] * (n + 1) for k in range(1, k_max + 1) for odd in (False, True)}
-    for m in range(2, n + 1):
-        sig = sieve.signature(m)
-        if sig.squarefree and 1 <= sig.nu <= k_max:
-            tables[(sig.nu, False)][m] = 1
-            if m % 2 == 1:
-                tables[(sig.nu, True)][m] = 1
-    return {key: list(accumulate(marks)) for key, marks in tables.items()}
+    every = [w if u else 0 for w, u in zip(sieve.omega[1 : n + 1], sieve.mu[1 : n + 1])]
+    odd = every[:]
+    odd[1::2] = [0] * (len(odd) // 2)  # the even m = 2, 4, ...
+    return {
+        (k, odd_only): list(accumulate(map(k.__eq__, marks), initial=0))
+        for k in range(1, k_max + 1)
+        for odd_only, marks in ((False, every), (True, odd))
+    }
 
 
 def kummer_number(d: int) -> int:

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .arithmetic import FactorSieve
 from .errors import InternalConsistencyError, InvalidArgumentError
@@ -178,7 +179,7 @@ def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
     if kind.name == "integer":
         vertices = list(range(2, n + 1))
     elif kind.name == "prime":
-        vertices = [v for v in range(2, n + 1) if sieve.is_squarefree(v)]
+        vertices = list(compress(range(2, n + 1), sieve.mu[2 : n + 1]))
     else:
         vertices = [d for d in squarefree_divisors(n, sieve) if d != 1 and d != n]
     return Graph(vertices, _divisibility_edges(vertices), kind=kind.name, param=n)

@@ -14,12 +14,12 @@ Delta(n), certified without elimination by Bjorner's matching at every n.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, count, zip_longest
+from functools import cache, cached_property
+from itertools import accumulate, count, product, zip_longest
+from operator import itemgetter
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
@@ -252,17 +252,19 @@ class Filtration:
     """The filtration of G by the counting function, computed lazily and once.
 
     Each field is computed on first use and then kept, so every check that
-    reads the same field shares one computation: the f-vector and chi read
-    one enumeration of the simplices (the chains of the divisor poset on a
-    prime, integer or divisor graph), and the critical counts read the
-    events, which classify one vertex per exponent signature and certify the
-    rest.  On a prime, integer or divisor graph the Betti timeline is that of
-    the prime complex Delta(n), reduced over GF(field_prime) and over Q and
-    witnessed without elimination by Bjorner's matching; on any other graph
-    both passes reduce the simplices.  Each of the paper's identities is
-    evaluated here once, at every n, by a field that reads only that
-    identity's inputs.  Timelines are lists of Python ints over n = 0..top,
-    where top is G.param (the largest label when G has no parameter).
+    reads the same field shares one computation.  On a prime, integer or
+    divisor graph whose labels are closed under division (x -> x/p for every
+    prime p of x), each label is factored once: the f-vector and chi count the
+    chains of the divisor poset per exponent signature, and the Betti
+    timeline is that of the prime complex Delta(n), reduced over
+    GF(field_prime) and over Q and witnessed without elimination by
+    Bjorner's matching.  On any other graph the f-vector counts the
+    enumerated simplices and both passes reduce them.  The critical counts
+    read the events, which classify one vertex per exponent signature and
+    certify the rest.  Each of the paper's identities is evaluated here
+    once, at every n, by a field that reads only that identity's inputs.
+    Timelines are lists of Python ints over n = 0..top, where top is G.param
+    (the largest label when G has no parameter).
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -280,14 +282,44 @@ class Filtration:
         """cliques(G): every simplex of the Whitney complex, by dimension.
 
         Enumerated as chains of the divisor poset for a prime, integer or
-        divisor graph, by the generic clique search otherwise.
+        divisor graph, by the generic clique search otherwise.  Built only
+        when read: no field reads it on labels closed under division.
         """
         return chains(self.G) if self.G.kind is not None else cliques(self.G)
 
     @cached_property
+    def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None:
+        """{x: _exponent_signature(x, sieve)} for every label x in label order; None on a graph without a kind."""
+        return None if self.G.kind is None else {x: _exponent_signature(x, self.sieve) for x in self.G.labels}
+
+    @cached_property
+    def _closed(self) -> bool:
+        """Whether G has a kind and its labels, all above 1, are closed under x -> x/p (x/p = 1 aside).
+
+        The prime, integer and divisor graphs are; a hand-built graph such
+        as {2, 3, 5, 30} is not.
+        """
+        if self._factored is None or self.G.has_vertex(1):
+            return False
+        return all(x == p or self.G.has_vertex(x // p) for x, (_, primes) in self._factored.items() for p in primes)
+
+    @cached_property
     def f(self) -> list[list[int]]:
-        """f[k][n] = number of k-simplices of G(n), for n = 0..top."""
-        return _f_vector(self.simplices, self.top)
+        """f[k][n] = number of k-simplices of G(n), for n = 0..top.
+
+        On labels closed under division, the k-simplices with top vertex x
+        are the k-chains of divisors of x, counted once per exponent
+        signature by _chain_counts; else the simplices are enumerated.
+        """
+        if not self._closed:
+            return _f_vector(self.simplices, self.top)
+        rows: list[list[int]] = []
+        for x, (exponents, _) in self._factored.items():
+            counts = _chain_counts(exponents)
+            rows += [[0] * (self.top + 1) for _ in range(len(counts) - len(rows))]
+            for row, c in zip(rows, counts):
+                row[x] = c
+        return [list(accumulate(row)) for row in rows]
 
     @cached_property
     def chi(self) -> list[int]:
@@ -304,8 +336,8 @@ class Filtration:
         integer graph the result also rests on a theorem, checked here by
         reading events: each non-squarefree x arrives as a homotopy
         deformation, its divisors 1 < d < x forming a contractible poset.
-        Without Delta(n) (no kind, or labels not closed under division) both
-        passes reduce the simplices, as betti_timeline does.
+        Without Delta(n) (labels not _closed) both passes reduce the
+        simplices, as betti_timeline does.
         """
         if self._delta is None:
             return _verified_betti(_simplicial(self.simplices), self.f, self.top, self.field_prime)
@@ -328,8 +360,8 @@ class Filtration:
 
     @cached_property
     def _delta(self):
-        """_prime_complex(G, sieve) on a prime, integer or divisor graph, else None."""
-        return _prime_complex(self.G, self.sieve) if self.G.kind is not None else None
+        """_prime_complex(_factored) on _closed labels, else None."""
+        return _prime_complex(self._factored) if self._closed else None
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
@@ -342,17 +374,18 @@ class Filtration:
         signature's representative.  Every later vertex with the signature
         takes the representative's verdict and indices once the map of its
         divisors through their exponent vectors is checked to be an
-        isomorphism of the two stable spheres; mu is computed from the sieve.
-        A vertex that fails the check, and every vertex of a graph of any
-        other kind, is classified itself and counted in fallbacks.
+        isomorphism of the two stable spheres; mu is read from the sieve.
+        A vertex that fails the check, and every vertex of a graph without
+        a kind, is classified itself and counted in fallbacks.
         """
-        by_signature = self.G.kind is not None
+        factored, mu = self._factored, self.sieve.mu
         out = []
         for x in self.G.labels:
-            key, primes = _exponent_signature(x, self.sieve) if by_signature else (None, ())
+            key, primes = factored[x] if factored is not None else (None, ())
             rep = self.representatives.get(key)
             if rep is not None and _isomorphic_spheres(self.G, x, primes, rep):
-                out.append(dataclasses.replace(rep.event, n=x, mu=moebius(x, self.sieve)))
+                e = rep.event
+                out.append(FiltrationEvent(x, mu[x], e.stable_sphere_dim, e.morse_index, e.ph_index, e.kind, e.method))
                 continue
             event = classify_vertex(self.G, x, self.sieve)
             if rep is None and key is not None:
@@ -441,24 +474,22 @@ class Filtration:
         return column
 
 
-def _prime_complex(G: Graph, sieve: FactorSieve):
-    """The prime complex Delta(n) on G's squarefree labels, as (cells, key, faces) for _betti_timeline.
+def _prime_complex(factored):
+    """The prime complex Delta(n) on the squarefree labels of Filtration._factored, as (cells, key, faces).
 
     cells[k] lists the labels with k + 1 primes, each keyed by itself; x =
-    p_0 p_1 ... p_k, primes ascending, has the boundary sum_i (-1)^i x / p_i.
-    None when some x / p_i is not a label, as on a hand-built graph.
+    p_0 p_1 ... p_k, primes ascending, has the boundary sum_i (-1)^i x / p_i,
+    built once as its (face, sign) list, which faces(x) returns (a vertex's
+    is empty).
     """
     cells: list[list[int]] = []
-    primes: dict[int, tuple[int, ...]] = {}
-    for x in G.labels:
-        sig = sieve.signature(x)
-        if sig.squarefree:
-            if sig.nu > 1 and not all(G.has_vertex(x // p) for p in sig.factors):
-                return None
-            cells += [[] for _ in range(sig.nu - len(cells))]
-            cells[sig.nu - 1].append(x)
-            primes[x] = sig.factors
-    return cells, lambda x: x, lambda x: [(x // p, -1 if i % 2 else 1) for i, p in enumerate(primes[x])]
+    boundary: dict[int, list[tuple[int, int]]] = {}
+    for x, (exponents, primes) in factored.items():
+        if exponents[0] == 1:  # all exponents are 1, and primes ascend
+            cells += [[] for _ in range(len(primes) - len(cells))]
+            cells[len(primes) - 1].append(x)
+            boundary[x] = [(x // p, -1 if i % 2 else 1) for i, p in enumerate(primes)] if len(primes) > 1 else []
+    return cells, lambda x: x, boundary.__getitem__
 
 
 def _bjorner_partner(x: int, q: int, n: int, is_cell) -> int | None:
@@ -496,10 +527,10 @@ def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int
         up = _bjorner_partner(n, q, n, dims.__contains__)
         if up is not None:
             fail(n, n, f"is matched with {up}, not a coface in Delta({n})")
-        boundary = faces(n) if dims[n] else []
+        boundary = faces(n)
         twice: dict[int, int] = {}
         for y, s in boundary:
-            for v, t in faces(y) if dims[y] else ():
+            for v, t in faces(y):
                 twice[v] = twice.get(v, 0) + s * t
         if any(twice.values()):
             fail(n, n, "has a boundary whose boundary is not zero")
@@ -540,15 +571,34 @@ def _morse_boundary(boundary, partner: dict[int, int], faces) -> dict[int, int]:
             total[y] = total.get(y, 0) + w
         elif z > y:
             up = faces(z)
-            s = dict(up)[y]
+            s = next(t for v, t in up if v == y)
             paths += [(v, -w * s * t) for v, t in up if v != y]
     return {y: w for y, w in total.items() if w}
 
 
 def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(exponents, primes) of x, ordered by exponent descending, then prime ascending."""
-    pairs = sorted(sieve.factorization(x), key=lambda pe: (-pe[1], pe[0]))
-    return tuple(e for _, e in pairs), tuple(p for p, _ in pairs)
+    pairs = sorted(sieve.factorization(x), key=itemgetter(1), reverse=True)  # stable: primes stay ascending
+    primes, exponents = zip(*pairs) if pairs else ((), ())
+    return exponents, primes
+
+
+@cache
+def _chain_counts(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """c[k], the k-chains d_0 < d_1 < ... < d_k = x of divisors d > 1 of any x with these sorted exponents.
+
+    c[0] = 1, and c[k] sums c[k - 1] over the proper divisors d > 1 of x,
+    each given by its exponent vector below x's and counted by its own
+    sorted exponents.
+    """
+    below: list[int] = []
+    for sub in product(*(range(e + 1) for e in exponents)):
+        if any(sub) and sub != exponents:
+            counts = _chain_counts(tuple(sorted(filter(None, sub), reverse=True)))
+            below += [0] * (len(counts) - len(below))
+            for k, c in enumerate(counts):
+                below[k] += c
+    return (1, *below)
 
 
 def _transport(y: int, primes: tuple[int, ...], targets: tuple[int, ...]) -> int:

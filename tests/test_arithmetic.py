@@ -214,3 +214,17 @@ def test_tables_hold_python_ints(sieve):
     assert all(type(v) is int for v in mertens_table(sieve, 3000))
     for table in pi_k_tables(sieve, 3000, 5).values():
         assert len(table) == 3001 and all(type(v) is int for v in table)
+
+
+def test_sieve_mu_and_omega_match_trial_division(sieve10k):
+    # mu and omega come from one pass over spf; trial division is the oracle at every x
+    for x in range(1, 10**4 + 1):
+        factors, _ = distinct_primes_bruteforce(x)
+        assert (sieve10k.mu[x], sieve10k.omega[x]) == (moebius_bruteforce(x), len(factors)), x
+    table, tabs = mertens_table(sieve10k, 10**4), pi_k_tables(sieve10k, 10**4, 5)
+    for n in (1, 2, 3, 30, 210, 2309, 2310, 4999, 9973, 10**4):
+        assert table[n] == mertens(n, sieve10k), n
+    for n in (2, 30, 2310, 10**4):
+        for k in range(1, 6):
+            for odd in (False, True):
+                assert tabs[(k, odd)][n] == pi_k(k, n, odd, sieve10k), (n, k, odd)

@@ -375,6 +375,30 @@ def test_verify_is_lazy(monkeypatch, capsys):
     assert capsys.readouterr().out.count("pass") == 3
 
 
+@pytest.mark.parametrize(
+    "kind, n_max, checks",
+    [("prime", 2310, "mertens,hopf,morse-strong,formulas,diameter"), ("integer", 520, "mertens,hopf,morse-strong,formulas")],
+)
+def test_verify_enumerates_no_chain_and_factors_no_signature(monkeypatch, capsys, kind, n_max, checks):
+    # f and chi are counted per exponent signature, and M(n) and pi_k read the sieve's mu and omega
+    import primetop.arithmetic as arithmetic
+    import primetop.morse as morse
+
+    calls = {"chains": 0, "signature": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(morse, "chains", counting("chains", morse.chains))
+    monkeypatch.setattr(arithmetic.FactorSieve, "signature", counting("signature", arithmetic.FactorSieve.signature))
+    assert run_main(["verify", "--kind", kind, "--n-max", str(n_max), "--checks", checks]) == 0
+    assert capsys.readouterr().out.count(": pass - ") == checks.count(",") + 1
+    assert calls == {"chains": 0, "signature": 0}
+
+
 @pytest.mark.parametrize("kind, n_max", [("prime", 300), ("divisor", 210)])
 @pytest.mark.parametrize(
     "checks, unused", [("formulas", "classify_vertex"), ("morse-weak,morse-strong", "pi_k_tables")]

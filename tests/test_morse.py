@@ -30,9 +30,9 @@ from primetop import (
 )
 from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
 from primetop.cli import check_formulas
-from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
-from primetop.cohomology import _betti_timeline, _simplicial, reduce_exact, reduce_gf
-from primetop.morse import Representative, _bjorner_partner, _prime_complex, betti_formulas
+from primetop.graphs import Graph, chains, cliques, complete_graph, cycle_graph
+from primetop.cohomology import _betti_timeline, _f_vector, _simplicial, reduce_exact, reduce_gf
+from primetop.morse import Representative, _bjorner_partner, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
@@ -239,7 +239,7 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
 def test_prime_complex_has_the_betti_timeline_of_the_subdivision(sieve, case):
     kind, n = case
     G = build_graph(GraphKind(kind, n), sieve)
-    delta = _prime_complex(G, sieve)
+    delta = Filtration(G, sieve)._delta
     assert sorted(x for dim in delta[0] for x in dim) == [x for x in G.labels if sieve.is_squarefree(x)]
     got = _betti_timeline(delta, n, reduce_exact)
     want = _betti_timeline(_simplicial(cliques(G)), n, reduce_exact)
@@ -270,8 +270,9 @@ def test_exact_witness_reduces_one_column_per_squarefree_label(sieve, monkeypatc
 def test_graph_without_its_prime_complex_is_witnessed_by_its_simplices(sieve):
     # 30 without 6, 10 and 15: labels not closed under division have no Delta(n)
     G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
-    assert _prime_complex(G, sieve) is None
-    assert Filtration(G, sieve).betti == betti_timeline(G)
+    F = Filtration(G, sieve)
+    assert F._delta is None
+    assert F.betti == betti_timeline(G)
 
 
 @pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
@@ -320,8 +321,8 @@ def _tampered_delta(monkeypatch, faces_of):
 
     oracle = morse._prime_complex
 
-    def tampered(G, sieve):
-        cells, key, faces = oracle(G, sieve)
+    def tampered(factored):
+        cells, key, faces = oracle(factored)
         return cells, key, lambda x: faces_of(x, faces(x))
 
     monkeypatch.setattr(morse, "_prime_complex", tampered)
@@ -470,19 +471,54 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # a prime graph's simplices are enumerated as chains of the divisor poset
+    # a prime graph's simplices are enumerated as chains of the divisor poset, and only when read
     monkeypatch.setattr(morse, "chains", counting("chains", morse.chains))
     monkeypatch.setattr(morse, "cliques", lambda G: pytest.fail("Filtration of a prime graph ran cliques"))
     monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
     G = build_graph(GraphKind.prime(60), sieve)
     F = Filtration(G, sieve)
     assert calls == {"chains": 0, "classify": 0}
+    # f and chi count the chains per exponent signature, and betti reduces Delta(n)
     assert F.chi is F.chi and F.betti is F.betti
-    assert calls == {"chains": 1, "classify": 0}
+    assert calls == {"chains": 0, "classify": 0}
     assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
     # one classification per exponent signature: primes, pairs and triples
+    assert calls == {"chains": 0, "classify": 3}
+    assert F.simplices is F.simplices
     assert calls == {"chains": 1, "classify": 3}
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
+@example(kind="prime", n=400)
+@example(kind="integer", n=400)
+@example(kind="divisor", n=210)
+def test_counted_f_equals_the_enumerated_chains(sieve, kind, n):
+    import primetop.morse as morse
+
+    G = build_graph(GraphKind(kind, n), sieve)
+    want = _f_vector(chains(G), n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morse, "chains", lambda G: pytest.fail("counted f enumerated the chains"))
+        assert Filtration(G, sieve).f == want
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        # 30 without 6, 10 and 15, and 8 without 4: labels not closed under division
+        Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30),
+        Graph([2, 8], [(2, 8)], kind="integer", param=8),
+    ],
+    ids=["prime-2-3-5-30", "integer-2-8"],
+)
+def test_f_on_labels_not_closed_under_division_enumerates(sieve, G):
+    F = Filtration(G, sieve)
+    assert not F._closed and F._delta is None
+    assert F.f == _f_vector(cliques(G), G.param)
+    assert F.simplices == cliques(G)
+    assert F.betti == betti_timeline(G)
 
 
 def oracle_events(G, sieve):
