@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .arithmetic import (
     FactorSieve,
-    PrimeSignature,
     divisor_moebius_sum,
     kummer_number,
     mertens,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvalidArgumentError
@@ -19,20 +18,6 @@ from .errors import InvalidArgumentError
 # The first 15 primes: their primorial, 614889782588491410, is the largest primorial below 2^63.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SLICE = 1 << 15
-
-
-@dataclass(frozen=True)
-class PrimeSignature:
-    """Distinct prime factors of x in increasing order, plus squarefreeness."""
-
-    x: int
-    factors: tuple[int, ...]
-    squarefree: bool
-
-    @property
-    def nu(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
 
 
 class FactorSieve:
@@ -101,13 +86,6 @@ class FactorSieve:
             out.append((p, e))
         return tuple(out)
 
-    def signature(self, x: int) -> PrimeSignature:
-        """Factor x into its distinct primes via the spf chain."""
-        pairs = self.factorization(x)
-        return PrimeSignature(
-            x=x, factors=tuple(p for p, _ in pairs), squarefree=all(e == 1 for _, e in pairs)
-        )
-
     def is_squarefree(self, x: int) -> bool:
         self.check_range(x)
         return self.mu[x] != 0
@@ -157,8 +135,8 @@ def pi_k(k: int, x: float, odd_only: bool, sieve: FactorSieve) -> int:
     for m in range(2, fx + 1):
         if odd_only and m % 2 == 0:
             continue
-        sig = sieve.signature(m)
-        if sig.squarefree and sig.nu == k:
+        pairs = sieve.factorization(m)
+        if len(pairs) == k and all(e == 1 for _, e in pairs):
             count += 1
     return count
 

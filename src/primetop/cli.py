@@ -347,14 +347,20 @@ def check_kunneth(config: argparse.Namespace, F: Filtration | None) -> tuple[boo
         "C4": cycle_graph(4),
         "C5": cycle_graph(5),
     }
+    # (chi, Betti vector, inductive dimension) of each factor, built once
+    laws = {}
+    for name, A in corpus.items():
+        K = whitney_complex(A)
+        b = betti_numbers(K, field_prime=config.field_prime).b
+        laws[name] = euler_characteristic(K), b, inductive_dimension(A)
     for name_g, A in corpus.items():
+        chi_a, ba, dim_a = laws[name_g]
         for name_h, B in corpus.items():
+            chi_b, bb, dim_b = laws[name_h]
             P = graph_product(A, B)
-            KA, KB, KP = whitney_complex(A), whitney_complex(B), whitney_complex(P)
-            if euler_characteristic(KP) != euler_characteristic(KA) * euler_characteristic(KB):
+            KP = whitney_complex(P)
+            if euler_characteristic(KP) != chi_a * chi_b:
                 return False, f"chi fails on {name_g} x {name_h}"
-            ba = betti_numbers(KA, field_prime=config.field_prime).b
-            bb = betti_numbers(KB, field_prime=config.field_prime).b
             bp = betti_numbers(KP, field_prime=config.field_prime).b
             conv = [0] * (len(ba) + len(bb) - 1)
             for i, x in enumerate(ba):
@@ -363,7 +369,7 @@ def check_kunneth(config: argparse.Namespace, F: Filtration | None) -> tuple[boo
             got = list(bp) + [0] * (len(conv) - len(bp))
             if got[: len(conv)] != conv or any(got[len(conv) :]):
                 return False, f"Kunneth fails on {name_g} x {name_h}"
-            if inductive_dimension(P) < inductive_dimension(A) + inductive_dimension(B):
+            if inductive_dimension(P) < dim_a + dim_b:
                 return False, f"dimension superadditivity fails on {name_g} x {name_h}"
     return True, "product laws hold on the pair corpus"
 

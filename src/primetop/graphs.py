@@ -26,7 +26,9 @@ class Graph:
     """Immutable finite simple graph on distinct positive-integer labels.
 
     A graph given a kind, one of DIVISIBILITY_KINDS, must have exactly the
-    divisibility pairs of its labels as edges: chains() relies on it.
+    divisibility pairs of its labels as edges: the counted f-vector, the
+    prime complex Delta(n) and the events certificate of morse.Filtration,
+    and the smallest-divisor bridge of the diameter sweep, rely on it.
     """
 
     def __init__(self, labels, edges, kind: str | None = None, param: int | None = None):
@@ -144,9 +146,8 @@ class GraphKind:
 
 def squarefree_divisors(m: int, sieve: FactorSieve) -> list[int]:
     """All squarefree divisors of m (including 1 and, if squarefree, m)."""
-    sig = sieve.signature(m)
     divs = [1]
-    for p in sig.factors:
+    for p, _ in sieve.factorization(m):
         divs += [d * p for d in divs]
     return sorted(divs)
 
@@ -242,44 +243,20 @@ def cliques(G: Graph) -> list[list[tuple[int, ...]]]:
     """All complete subgraphs of G, grouped by dimension (size-1).
 
     Returns per-dimension lists of ascending vertex tuples, each list in
-    lexicographic order.
-    """
-    by_dim: list[list[tuple[int, ...]]] = []
-    if G.n_vertices == 0:
-        return by_dim
-
-    def grow(clique: tuple[int, ...], candidates: tuple[int, ...]):
-        dim = len(clique) - 1
-        while dim >= len(by_dim):
-            by_dim.append([])
-        by_dim[dim].append(clique)
-        for i, v in enumerate(candidates):
-            nxt = tuple(u for u in candidates[i + 1 :] if G.has_edge(v, u))
-            grow(clique + (v,), nxt)
-
-    for v in G.labels:
-        larger = tuple(u for u in G.neighbors(v) if u > v)
-        grow((v,), larger)
-    return by_dim
-
-
-def chains(G: Graph) -> list[list[tuple[int, ...]]]:
-    """cliques(G) for a divisibility graph (kind prime, integer or divisor), as its chains.
-
-    Every smaller neighbour y of x divides x, so every divisor of y is a
-    neighbour of x too, and the simplices with top vertex x are (x,) and
-    c + (x,) for every simplex c with top vertex y.  Labels are walked in
-    ascending order, which builds each simplex once; each dimension is then
-    sorted lexicographically, as cliques returns it.
+    lexicographic order.  Labels are walked in ascending order: the cliques
+    with top vertex x are (x,) and c + (x,) for every clique c whose top
+    vertex y is a smaller neighbour of x and whose vertices all neighbour x.
+    Each clique is built once, from itself without its top vertex; each
+    dimension is then sorted.
     """
     by_dim: list[list[tuple[int, ...]]] = []
     ending: dict[int, list[tuple[int, ...]]] = {}
     for x in G.labels:
+        nbrs = G.neighbor_set(x)
         own = [(x,)]
-        for y in G.neighbors(x):
-            if y > x:
-                break
-            own += [c + (x,) for c in ending[y]]
+        for y in nbrs:
+            if y < x:
+                own += [c + (x,) for c in ending[y] if nbrs.issuperset(c)]
         ending[x] = own
         for s in own:
             if len(s) > len(by_dim):
@@ -321,10 +298,10 @@ def graph_product(G: Graph, H: Graph) -> Graph:
 
 def kummer_involution(m: int, sieve: FactorSieve) -> dict[int, int]:
     """The map k -> m/k on the vertices of Divisor(m), verified as an automorphism."""
-    sig = sieve.signature(m)
-    if not sig.squarefree:
+    pairs = sieve.factorization(m)
+    if any(e > 1 for _, e in pairs):
         raise InvalidArgumentError(f"{m} is not squarefree")
-    if sig.nu < 2:
+    if len(pairs) < 2:
         raise InvalidArgumentError(f"{m} needs at least 2 prime factors")
     G = build_graph(GraphKind.divisor(m), sieve)
     perm = {v: m // v for v in G.labels}

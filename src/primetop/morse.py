@@ -42,7 +42,7 @@ from .errors import (
     InvalidArgumentError,
     RankDiscrepancyError,
 )
-from .graphs import Graph, chains, cliques, induced_subgraph
+from .graphs import Graph, cliques, induced_subgraph
 from .topology import sphere_dimension_within
 
 
@@ -281,11 +281,10 @@ class Filtration:
     def simplices(self) -> list[list[tuple[int, ...]]]:
         """cliques(G): every simplex of the Whitney complex, by dimension.
 
-        Enumerated as chains of the divisor poset for a prime, integer or
-        divisor graph, by the generic clique search otherwise.  Built only
-        when read: no field reads it on labels closed under division.
+        Built only when read: no field reads it on labels closed under
+        division.
         """
-        return chains(self.G) if self.G.kind is not None else cliques(self.G)
+        return cliques(self.G)
 
     @cached_property
     def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None:

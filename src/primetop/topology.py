@@ -263,9 +263,9 @@ def inductive_dimension(G: Graph) -> Fraction:
 def dimension_timeline(simplices, top: int) -> list[Fraction]:
     """inductive_dimension of G(n), the subgraph on the labels <= n, for n = 0..top.
 
-    simplices are the cliques of G by dimension, as cliques(G) or chains(G)
-    give them.  The unit sphere of u inside the common link L(s) of a simplex
-    s is L(s + u), so dim L(s) is 1 + the mean of dim L(s + u) over u in L(s)
+    simplices are the cliques of G by dimension, as cliques(G) gives them.
+    The unit sphere of u inside the common link L(s) of a simplex s is
+    L(s + u), so dim L(s) is 1 + the mean of dim L(s + u) over u in L(s)
     (-1 when L(s) is empty), and dim G(n) is dim L(()).  Every simplex, the
     empty one included, keeps the size of L(s) in G(n) and that sum.  When x
     arrives, L(s) changes only for the new simplices (top vertex x) and their

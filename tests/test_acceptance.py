@@ -109,7 +109,7 @@ def test_c02_poincare_hopf(G, events, big_sieve):
 def test_c03_stable_spheres(events, big_sieve):
     exact = fast = 0
     for ev in events:
-        nu = big_sieve.signature(ev.n).nu
+        nu = len(big_sieve.factorization(ev.n))
         assert ev.kind == "critical", f"x={ev.n}"
         assert ev.stable_sphere_dim == nu - 2, f"x={ev.n}"
         if nu <= 4:

@@ -42,18 +42,14 @@ def test_sieve_invariants(sieve10k):
 
 
 def test_prime_signature_invariants(sieve):
+    # factorization(x): the distinct primes of x ascending, each with its exponent
     for x in range(2, 1200):
-        sig = sieve.signature(x)
-        prod = 1
-        for p in sig.factors:
-            prod *= p
-        assert x % prod == 0
-        assert sig.squarefree == (prod == x)
-        assert list(sig.factors) == sorted(set(sig.factors))
+        pairs = sieve.factorization(x)
+        assert math.prod(p**e for p, e in pairs) == x
         ref_factors, ref_sqfree = distinct_primes_bruteforce(x)
-        assert list(sig.factors) == ref_factors
-        assert sig.squarefree == ref_sqfree
-        assert sig.nu == len(ref_factors)
+        assert [p for p, _ in pairs] == ref_factors
+        assert all(e >= 1 for _, e in pairs)
+        assert all(e == 1 for _, e in pairs) == ref_sqfree
 
 
 def test_moebius_examples(sieve):

@@ -380,11 +380,12 @@ def test_verify_is_lazy(monkeypatch, capsys):
     [("prime", 2310, "mertens,hopf,morse-strong,formulas,diameter"), ("integer", 520, "mertens,hopf,morse-strong,formulas")],
 )
 def test_verify_enumerates_no_chain_and_factors_no_signature(monkeypatch, capsys, kind, n_max, checks):
-    # f and chi are counted per exponent signature, and M(n) and pi_k read the sieve's mu and omega
-    import primetop.arithmetic as arithmetic
+    # f and chi are counted per exponent signature, each label is factored once,
+    # and M(n) and pi_k read the sieve's mu and omega
     import primetop.morse as morse
 
-    calls = {"chains": 0, "signature": 0}
+    labels = build_graph(GraphKind(kind, n_max), FactorSieve(n_max)).n_vertices
+    calls = {"cliques": 0, "factorization": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -392,11 +393,11 @@ def test_verify_enumerates_no_chain_and_factors_no_signature(monkeypatch, capsys
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(morse, "chains", counting("chains", morse.chains))
-    monkeypatch.setattr(arithmetic.FactorSieve, "signature", counting("signature", arithmetic.FactorSieve.signature))
+    monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
+    monkeypatch.setattr(FactorSieve, "factorization", counting("factorization", FactorSieve.factorization))
     assert run_main(["verify", "--kind", kind, "--n-max", str(n_max), "--checks", checks]) == 0
     assert capsys.readouterr().out.count(": pass - ") == checks.count(",") + 1
-    assert calls == {"chains": 0, "signature": 0}
+    assert calls == {"cliques": 0, "factorization": labels}
 
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 300), ("divisor", 210)])

@@ -1,8 +1,9 @@
 import json
 import tracemalloc
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primetop import (
@@ -28,10 +29,10 @@ from primetop.errors import InternalConsistencyError
 from primetop.graphs import (
     _certified_joins,
     bfs_distances,
-    chains,
     cliques,
     complete_graph,
     cycle_graph,
+    path_graph,
     verify_component_diameter_bound,
 )
 
@@ -238,11 +239,32 @@ def test_divisor_vertex_count(sieve):
         assert build_graph(GraphKind.divisor(m), sieve).n_vertices == count
 
 
-@settings(max_examples=25, deadline=None)
-@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 1500))
-def test_chains_are_the_cliques(sieve, kind, n):
-    G = build_graph(GraphKind(kind, n), sieve)
-    assert chains(G) == cliques(G)
+def cliques_by_definition(G):
+    """Every vertex subset whose pairs are all edges, by dimension, each dimension in lexicographic order."""
+    by_dim = []
+    for size in range(1, G.n_vertices + 1):
+        dim = [s for s in combinations(G.labels, size) if all(G.has_edge(a, b) for a, b in combinations(s, 2))]
+        if not dim:
+            break
+        by_dim.append(dim)
+    return by_dim
+
+
+@st.composite
+def small_graphs(draw):
+    labels = sorted(draw(st.sets(st.integers(1, 10**9), max_size=8)))
+    pairs = list(combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(labels, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=small_graphs())
+@example(G=path_graph(3))  # (1, 2) ends at the neighbour 2 of 3 but leaves N(3)
+@example(G=Graph([40, 7, 1000003, 5], [(5, 40), (7, 40), (5, 1000003), (40, 1000003)]))  # (7, 40) leaves N(1000003)
+@example(G=Graph([], []))
+def test_cliques_are_the_complete_vertex_subsets(G):
+    assert cliques(G) == cliques_by_definition(G)
 
 
 def test_barycentric_refinement_small():
@@ -311,14 +333,14 @@ def test_graph_constructor_validation():
 
 
 def test_divisibility_kind_requires_the_divisibility_edges():
-    # 2 | 8 with no edge 2-8: chains() would report the simplex (2, 4, 8) that cliques() lacks
+    # 2 | 8 with no edge 2-8: Filtration's counted f-vector would count the chain 2 | 4 | 8, a simplex cliques() lacks
     with pytest.raises(InvalidArgumentError):
         Graph([2, 4, 8], [(2, 4), (4, 8)], kind="integer", param=8)
     # 2 - 3 is no divisibility pair
     with pytest.raises(InvalidArgumentError):
         Graph([2, 3, 6], [(2, 3), (2, 6), (3, 6)], kind="prime", param=6)
     G = Graph([2, 4, 8], [(2, 4), (2, 8), (4, 8)], kind="integer", param=8)
-    assert chains(G) == cliques(G)
+    assert cliques(G)[2] == [(2, 4, 8)]
 
 
 def test_build_graph_keeps_one_adjacency_copy():

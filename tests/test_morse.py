@@ -30,7 +30,7 @@ from primetop import (
 )
 from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
 from primetop.cli import check_formulas
-from primetop.graphs import Graph, chains, cliques, complete_graph, cycle_graph
+from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, _f_vector, _simplicial, reduce_exact, reduce_gf
 from primetop.morse import Representative, _bjorner_partner, betti_formulas
 
@@ -410,10 +410,10 @@ def test_sphere_birth_death_rule(sieve):
     tl = betti_timeline(G)
     for n in range(3, n_max + 1):
         delta = int(tl[2][n] - tl[2][n - 1])
-        sig = sieve.signature(n)
-        if sig.squarefree and sig.nu == 3 and n % 2 == 1:
+        exponents = [e for _, e in sieve.factorization(n)]
+        if exponents == [1, 1, 1] and n % 2 == 1:
             assert delta == 1, n
-        elif sig.squarefree and sig.nu == 4 and n % 2 == 0:
+        elif exponents == [1, 1, 1, 1] and n % 2 == 0:
             assert delta == -1, n
         else:
             assert delta == 0, n
@@ -463,7 +463,7 @@ def test_timelines_hold_python_ints(sieve, kind, n):
 def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     import primetop.morse as morse
 
-    calls = {"chains": 0, "classify": 0}
+    calls = {"cliques": 0, "classify": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -471,22 +471,21 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # a prime graph's simplices are enumerated as chains of the divisor poset, and only when read
-    monkeypatch.setattr(morse, "chains", counting("chains", morse.chains))
-    monkeypatch.setattr(morse, "cliques", lambda G: pytest.fail("Filtration of a prime graph ran cliques"))
+    # a prime graph's simplices are enumerated only when read
+    monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
     monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
     G = build_graph(GraphKind.prime(60), sieve)
     F = Filtration(G, sieve)
-    assert calls == {"chains": 0, "classify": 0}
+    assert calls == {"cliques": 0, "classify": 0}
     # f and chi count the chains per exponent signature, and betti reduces Delta(n)
     assert F.chi is F.chi and F.betti is F.betti
-    assert calls == {"chains": 0, "classify": 0}
+    assert calls == {"cliques": 0, "classify": 0}
     assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
     # one classification per exponent signature: primes, pairs and triples
-    assert calls == {"chains": 0, "classify": 3}
+    assert calls == {"cliques": 0, "classify": 3}
     assert F.simplices is F.simplices
-    assert calls == {"chains": 1, "classify": 3}
+    assert calls == {"cliques": 1, "classify": 3}
 
 
 @settings(max_examples=25, deadline=None)
@@ -498,9 +497,9 @@ def test_counted_f_equals_the_enumerated_chains(sieve, kind, n):
     import primetop.morse as morse
 
     G = build_graph(GraphKind(kind, n), sieve)
-    want = _f_vector(chains(G), n)
+    want = _f_vector(cliques(G), n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(morse, "chains", lambda G: pytest.fail("counted f enumerated the chains"))
+        patch.setattr(morse, "cliques", lambda G: pytest.fail("counted f enumerated the chains"))
         assert Filtration(G, sieve).f == want
 
 
@@ -571,7 +570,7 @@ def test_tampered_representative_falls_back(sieve):
     F = Filtration(G, sieve)
     F.representatives[(1, 1, 1)] = Representative(30, (2, 3, 5), dropped, classify_vertex(G, 30, sieve))
     assert F.events == oracle_events(G, sieve)
-    assert F.fallbacks == sum(sieve.signature(x).nu == 3 for x in G.labels)
+    assert F.fallbacks == sum(len(sieve.factorization(x)) == 3 for x in G.labels)
     assert F.representatives[(1, 1, 1)].sphere is dropped
 
 
