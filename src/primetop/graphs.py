@@ -25,15 +25,18 @@ DIVISIBILITY_KINDS = ("prime", "integer", "divisor")
 class Graph:
     """Immutable finite simple graph on distinct positive-integer labels.
 
-    A graph given a kind, one of DIVISIBILITY_KINDS, must have exactly the
-    divisibility pairs of its labels as edges: the counted f-vector, the
-    prime complex Delta(n) and the events certificate of morse.Filtration,
-    and the smallest-divisor bridge of the diameter sweep, rely on it.
+    kind and param are None except on a graph build_graph returns, where kind
+    is one of DIVISIBILITY_KINDS, param its n (or m), the labels are the
+    kind's and the edges exactly their divisibility pairs, by construction.
+    The counted f-vector, the prime complex Delta(n) and the events
+    certificate of morse.Filtration, and the smallest-divisor bridge of the
+    diameter sweep, rely on that.
     """
 
-    def __init__(self, labels, edges, kind: str | None = None, param: int | None = None):
-        if kind is not None and kind not in DIVISIBILITY_KINDS:
-            raise InvalidArgumentError(f"unknown graph kind {kind!r}")
+    kind: str | None = None
+    param: int | None = None
+
+    def __init__(self, labels, edges):
         labels = tuple(sorted(labels))
         if len(set(labels)) != len(labels):
             raise InvalidArgumentError("duplicate vertex labels")
@@ -48,13 +51,8 @@ class Graph:
             nbrs[a].add(b)
             nbrs[b].add(a)
         self.labels = labels
-        self.kind = kind
-        self.param = param
         # each mutable row is dropped as it is frozen, so no adjacency is held twice
         self._nbr_sets = {v: frozenset(nbrs.pop(v)) for v in labels}
-        self._hash: int | None = None
-        if kind is not None and not _only_divisibility_edges(labels, self._nbr_sets):
-            raise InvalidArgumentError(f"a {kind} graph needs exactly the divisibility pairs as edges")
 
     # --- basic queries -------------------------------------------------
 
@@ -88,11 +86,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self._nbr_sets == other._nbr_sets
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._nbr_sets.items()))
-        return self._hash
 
     def __repr__(self):
         return f"Graph({self.n_vertices} vertices, {len(self.edges())} edges)"
@@ -162,18 +155,12 @@ def _divisibility_edges(vertices):
                 yield a, b
 
 
-def _only_divisibility_edges(labels, nbrs) -> bool:
-    """Whether the adjacency nbrs joins exactly the divisibility pairs of labels."""
-    pairs = 0
-    for a, b in _divisibility_edges(labels):
-        if b not in nbrs[a]:
-            return False
-        pairs += 1
-    return 2 * pairs == sum(map(len, nbrs.values()))
-
-
 def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
-    """Divisibility graph of the requested kind; edge {a,b} iff a|b or b|a."""
+    """Divisibility graph of the requested kind; edge {a,b} iff a|b or b|a.
+
+    The only maker of a graph with a kind: it sets kind and param on the
+    graph it has just built.
+    """
     if kind.param > sieve.limit:
         raise InvalidArgumentError(f"parameter {kind.param} exceeds sieve limit {sieve.limit}")
     n = kind.param
@@ -183,7 +170,9 @@ def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
         vertices = list(compress(range(2, n + 1), sieve.mu[2 : n + 1]))
     else:
         vertices = [d for d in squarefree_divisors(n, sieve) if d != 1 and d != n]
-    return Graph(vertices, _divisibility_edges(vertices), kind=kind.name, param=n)
+    G = Graph(vertices, _divisibility_edges(vertices))
+    G.kind, G.param = kind.name, n
+    return G
 
 
 def induced_subgraph(G: Graph, W) -> Graph:

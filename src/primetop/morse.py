@@ -223,9 +223,7 @@ def morse_betti(M: MorseComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> tupl
 
 
 def _timeline_top(G: Graph) -> int:
-    if G.param is not None:
-        return G.param
-    return max(G.labels) if G.labels else 0
+    return G.param if G.kind else max(G.labels, default=0)
 
 
 def chi_timeline(G: Graph) -> list[int]:
@@ -249,29 +247,30 @@ def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int
 
 
 class Filtration:
-    """The filtration of G by the counting function, computed lazily and once.
+    """The filtration of a prime, integer or divisor graph by the counting function, computed lazily and once.
 
-    Each field is computed on first use and then kept, so every check that
-    reads the same field shares one computation.  On a prime, integer or
-    divisor graph whose labels are closed under division (x -> x/p for every
-    prime p of x), each label is factored once: the f-vector and chi count the
-    chains of the divisor poset per exponent signature, and the Betti
-    timeline is that of the prime complex Delta(n), reduced over
-    GF(field_prime) and over Q and witnessed without elimination by
-    Bjorner's matching.  On any other graph the f-vector counts the
-    enumerated simplices and both passes reduce them.  The critical counts
-    read the events, which classify one vertex per exponent signature and
-    certify the rest.  Each of the paper's identities is evaluated here
-    once, at every n, by a field that reads only that identity's inputs.
-    Timelines are lists of Python ints over n = 0..top, where top is G.param
-    (the largest label when G has no parameter).
+    G is a graph of build_graph, so its labels are closed under division (x
+    -> x/p for every prime p of x, x/p = 1 aside); a graph without a kind is
+    rejected, and read by the module functions instead.  Each field is
+    computed on first use and then kept, so every check that reads the same
+    field shares one computation.  Each label is factored once: the f-vector
+    and chi count the chains of the divisor poset per exponent signature,
+    and the Betti timeline is that of the prime complex Delta(n), reduced
+    over GF(field_prime) and over Q and witnessed without elimination by
+    Bjorner's matching.  The critical counts read the events, which classify
+    one vertex per exponent signature and certify the rest.  Each of the
+    paper's identities is evaluated here once, at every n, by a field that
+    reads only that identity's inputs.  Timelines are lists of Python ints
+    over n = 0..top, where top is G.param.
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
+        if G.kind is None:
+            raise InvalidArgumentError("Filtration reads build_graph's graphs; use chi_timeline and betti_timeline")
         self.G = G
         self.sieve = sieve
         self.field_prime = field_prime
-        self.top = _timeline_top(G)
+        self.top = G.param
         # filled by events: one representative per sorted exponent signature, and
         # the number of vertices classified without being a representative
         self.representatives: dict[tuple[int, ...], Representative] = {}
@@ -281,37 +280,22 @@ class Filtration:
     def simplices(self) -> list[list[tuple[int, ...]]]:
         """cliques(G): every simplex of the Whitney complex, by dimension.
 
-        Built only when read: no field reads it on labels closed under
-        division.
+        Built only when read: no field reads it.
         """
         return cliques(self.G)
 
     @cached_property
-    def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]] | None:
-        """{x: _exponent_signature(x, sieve)} for every label x in label order; None on a graph without a kind."""
-        return None if self.G.kind is None else {x: _exponent_signature(x, self.sieve) for x in self.G.labels}
-
-    @cached_property
-    def _closed(self) -> bool:
-        """Whether G has a kind and its labels, all above 1, are closed under x -> x/p (x/p = 1 aside).
-
-        The prime, integer and divisor graphs are; a hand-built graph such
-        as {2, 3, 5, 30} is not.
-        """
-        if self._factored is None or self.G.has_vertex(1):
-            return False
-        return all(x == p or self.G.has_vertex(x // p) for x, (_, primes) in self._factored.items() for p in primes)
+    def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """{x: _exponent_signature(x, sieve)} for every label x in label order."""
+        return {x: _exponent_signature(x, self.sieve) for x in self.G.labels}
 
     @cached_property
     def f(self) -> list[list[int]]:
         """f[k][n] = number of k-simplices of G(n), for n = 0..top.
 
-        On labels closed under division, the k-simplices with top vertex x
-        are the k-chains of divisors of x, counted once per exponent
-        signature by _chain_counts; else the simplices are enumerated.
+        The k-simplices with top vertex x are the k-chains of divisors of x,
+        counted once per exponent signature by _chain_counts.
         """
-        if not self._closed:
-            return _f_vector(self.simplices, self.top)
         rows: list[list[int]] = []
         for x, (exponents, _) in self._factored.items():
             counts = _chain_counts(exponents)
@@ -329,17 +313,13 @@ class Filtration:
     def betti(self) -> dict[int, list[int]]:
         """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top, checked against f by Euler-Poincare.
 
-        On a prime, integer or divisor graph both passes reduce Delta(n)
-        (_prime_complex), whose subdivision is the Whitney complex of G(n) on
-        its squarefree labels, and matching is the third witness.  On the
-        integer graph the result also rests on a theorem, checked here by
-        reading events: each non-squarefree x arrives as a homotopy
-        deformation, its divisors 1 < d < x forming a contractible poset.
-        Without Delta(n) (labels not _closed) both passes reduce the
-        simplices, as betti_timeline does.
+        Both passes reduce Delta(n) (_prime_complex), whose subdivision is
+        the Whitney complex of G(n) on its squarefree labels, and matching is
+        the third witness.  On the integer graph the result also rests on a
+        theorem, checked here by reading events: each non-squarefree x
+        arrives as a homotopy deformation, its divisors 1 < d < x forming a
+        contractible poset.
         """
-        if self._delta is None:
-            return _verified_betti(_simplicial(self.simplices), self.f, self.top, self.field_prime)
         if self.G.kind == "integer":
             x = next((ev.n for ev in self.events if not ev.mu and ev.kind != "homotopy"), None)
             if x is not None:
@@ -350,17 +330,15 @@ class Filtration:
         return _verified_betti(self._delta, self.f, self.top, self.field_prime, self.matching)
 
     @cached_property
-    def matching(self) -> list[list[int]] | None:
-        """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), each n certified; None without Delta(n)."""
-        if self._delta is None:
-            return None
+    def matching(self) -> list[list[int]]:
+        """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), each n certified."""
         cells, _, faces = self._delta
         return _bjorner_matching(cells, faces, self.top, self.field_prime)
 
     @cached_property
     def _delta(self):
-        """_prime_complex(_factored) on _closed labels, else None."""
-        return _prime_complex(self._factored) if self._closed else None
+        """_prime_complex(_factored)."""
+        return _prime_complex(self._factored)
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
@@ -374,20 +352,20 @@ class Filtration:
         takes the representative's verdict and indices once the map of its
         divisors through their exponent vectors is checked to be an
         isomorphism of the two stable spheres; mu is read from the sieve.
-        A vertex that fails the check, and every vertex of a graph without
-        a kind, is classified itself and counted in fallbacks.
+        A vertex that fails the check is classified itself and counted in
+        fallbacks.
         """
         factored, mu = self._factored, self.sieve.mu
         out = []
         for x in self.G.labels:
-            key, primes = factored[x] if factored is not None else (None, ())
+            key, primes = factored[x]
             rep = self.representatives.get(key)
             if rep is not None and _isomorphic_spheres(self.G, x, primes, rep):
                 e = rep.event
                 out.append(FiltrationEvent(x, mu[x], e.stable_sphere_dim, e.morse_index, e.ph_index, e.kind, e.method))
                 continue
             event = classify_vertex(self.G, x, self.sieve)
-            if rep is None and key is not None:
+            if rep is None:
                 self.representatives[key] = Representative(x, primes, stable_sphere(self.G, x), event)
             else:
                 self.fallbacks += 1

@@ -53,6 +53,8 @@ def test_build_graph_examples(sieve):
 def test_build_graph_validation(sieve):
     with pytest.raises(InvalidArgumentError):
         GraphKind.prime(1)
+    with pytest.raises(InvalidArgumentError, match="unknown graph kind 'foo'"):
+        GraphKind("foo", 4)
     with pytest.raises(InvalidArgumentError):
         build_graph(GraphKind.prime(sieve.limit + 1), sieve)
 
@@ -328,19 +330,43 @@ def test_graph_constructor_validation():
         Graph([1, 2], [(1, 3)])
     with pytest.raises(InvalidArgumentError):
         Graph([0, 1], [])
-    with pytest.raises(InvalidArgumentError, match="unknown graph kind 'foo'"):
-        Graph([2, 4], [(2, 4)], kind="foo", param=4)
 
 
-def test_divisibility_kind_requires_the_divisibility_edges():
-    # 2 | 8 with no edge 2-8: Filtration's counted f-vector would count the chain 2 | 4 | 8, a simplex cliques() lacks
-    with pytest.raises(InvalidArgumentError):
-        Graph([2, 4, 8], [(2, 4), (4, 8)], kind="integer", param=8)
-    # 2 - 3 is no divisibility pair
-    with pytest.raises(InvalidArgumentError):
-        Graph([2, 3, 6], [(2, 3), (2, 6), (3, 6)], kind="prime", param=6)
-    G = Graph([2, 4, 8], [(2, 4), (2, 8), (4, 8)], kind="integer", param=8)
-    assert cliques(G)[2] == [(2, 4, 8)]
+def divisibility_pairs(labels):
+    return [(a, b) for a, b in combinations(sorted(labels), 2) if b % a == 0]
+
+
+def test_only_build_graph_gives_a_kind():
+    # the anchor component's diameter is 6 (55 - 5 - 10 - 2 - 14 - 7 - 91); a "prime" kind on
+    # these labels, which are not Prime(91)'s, would let the smallest-divisor bridge certify 5
+    labels = [2, 5, 7, 10, 11, 13, 14, 22, 26, 55, 91]
+    with pytest.raises(TypeError):
+        Graph(labels, divisibility_pairs(labels), kind="prime", param=91)
+    G = Graph(labels, divisibility_pairs(labels))
+    assert (G.kind, G.param) == (None, None)
+    assert component_diameter(G, 2) == 6
+    assert verify_component_diameter_bound(G, 91, bound=5) == 91
+
+
+def assert_build_graph_is_its_definition(sieve, kind, n):
+    squarefree = [x for x in range(2, n + 1) if all(e == 1 for _, e in sieve.factorization(x))]
+    labels = {"integer": list(range(2, n + 1)), "prime": squarefree, "divisor": [d for d in squarefree if n % d == 0 and d != n]}
+    G = build_graph(GraphKind(kind, n), sieve)
+    assert (G.kind, G.param) == (kind, n)
+    assert list(G.labels) == labels[kind]
+    assert G.edges() == divisibility_pairs(labels[kind])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
+def test_build_graph_is_its_definition_any_n(sieve, kind, n):
+    assert_build_graph_is_its_definition(sieve, kind, n)
+
+
+# the m of test_betti_matches_the_subdivision_on_divisor_graphs
+@pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 30, 45, 105, 210, 1155, 2310])
+def test_build_graph_is_its_definition_on_divisor_graphs(sieve, m):
+    assert_build_graph_is_its_definition(sieve, "divisor", m)
 
 
 def test_build_graph_keeps_one_adjacency_copy():

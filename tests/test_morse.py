@@ -267,14 +267,6 @@ def test_exact_witness_reduces_one_column_per_squarefree_label(sieve, monkeypatc
     assert betti == betti_timeline(G)
 
 
-def test_graph_without_its_prime_complex_is_witnessed_by_its_simplices(sieve):
-    # 30 without 6, 10 and 15: labels not closed under division have no Delta(n)
-    G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
-    F = Filtration(G, sieve)
-    assert F._delta is None
-    assert F.betti == betti_timeline(G)
-
-
 @pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
 def test_betti_reduces_no_simplex_of_the_subdivision(sieve, monkeypatch, kind, n, squarefree):
     import primetop.cohomology as cohomology
@@ -503,23 +495,6 @@ def test_counted_f_equals_the_enumerated_chains(sieve, kind, n):
         assert Filtration(G, sieve).f == want
 
 
-@pytest.mark.parametrize(
-    "G",
-    [
-        # 30 without 6, 10 and 15, and 8 without 4: labels not closed under division
-        Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30),
-        Graph([2, 8], [(2, 8)], kind="integer", param=8),
-    ],
-    ids=["prime-2-3-5-30", "integer-2-8"],
-)
-def test_f_on_labels_not_closed_under_division_enumerates(sieve, G):
-    F = Filtration(G, sieve)
-    assert not F._closed and F._delta is None
-    assert F.f == _f_vector(cliques(G), G.param)
-    assert F.simplices == cliques(G)
-    assert F.betti == betti_timeline(G)
-
-
 def oracle_events(G, sieve):
     return [classify_vertex(G, x, sieve=sieve) for x in G.labels]
 
@@ -574,46 +549,48 @@ def test_tampered_representative_falls_back(sieve):
     assert F.representatives[(1, 1, 1)].sphere is dropped
 
 
-def test_graph_without_kind_classifies_every_vertex(sieve, monkeypatch):
-    import primetop.morse as morse
-
-    calls = []
-    oracle = morse.classify_vertex
-    monkeypatch.setattr(morse, "classify_vertex", lambda G, x, sieve: calls.append(x) or oracle(G, x, sieve))
-    B = barycentric_refinement(cycle_graph(5))
-    F = Filtration(B, sieve)
-    assert F.events == oracle_events(B, sieve)
-    assert calls == list(B.labels)
-    assert F.representatives == {} and F.fallbacks == B.n_vertices
+def test_filtration_reads_only_graphs_with_a_kind(sieve):
+    G = build_graph(GraphKind.prime(30), sieve)
+    for H in (Graph(G.labels, G.edges()), barycentric_refinement(cycle_graph(5))):
+        with pytest.raises(InvalidArgumentError, match="use chi_timeline and betti_timeline"):
+            Filtration(H, sieve)
 
 
-def test_representative_raises_where_the_oracle_does(sieve):
+def test_representative_raises_where_the_oracle_does(sieve, monkeypatch):
     # three incomparable divisors below 30: its stable sphere is neither
-    G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)], kind="prime", param=30)
+    G = Graph([2, 3, 5, 30], [(2, 30), (3, 30), (5, 30)])
     with pytest.raises(ClassificationError, match="stable sphere of 30 "):
         classify_vertex(G, 30, sieve=sieve)
-    with pytest.raises(ClassificationError, match="stable sphere of 30 "):
-        Filtration(G, sieve).events
+    # the same verdict on the hexagon of Prime(30) stops the events at its representative
+    import primetop.morse as morse
+
+    oracle = morse.sphere_dimension_within
+    neither = SimpleNamespace(is_sphere=False, status="neither")
+    monkeypatch.setattr(morse, "sphere_dimension_within", lambda S, W: neither if len(W) == 6 else oracle(S, W))
+    G = build_graph(GraphKind.prime(30), sieve)
+    for classify in (lambda: classify_vertex(G, 30, sieve=sieve), lambda: Filtration(G, sieve).events):
+        with pytest.raises(ClassificationError, match="stable sphere of 30 is neither"):
+            classify()
 
 
-def test_filtration_witness_names_first_torsion_step(sieve):
+def test_filtration_witness_names_first_torsion_step():
     G = projective_plane_subdivision()
     assert G.n_vertices == 31
     # GF(2) sees the 2-torsion that closes up at the last triangle; Q does not
     with pytest.raises(RankDiscrepancyError, match=r"first at n=31$") as exc:
-        Filtration(G, sieve, field_prime=2).betti
+        betti_timeline(G, 2)
     assert exc.value.field_prime == 2
-    betti = Filtration(G, sieve, field_prime=3).betti
+    betti = betti_timeline(G, 3)
     assert tuple(int(betti[k][31]) for k in sorted(betti)) == (1, 0, 0)
     assert [int(betti[1][n]) for n in (30, 31)] == [1, 0]  # Moebius band, then the closed surface
 
 
-def test_filtration_witness_beyond_2000_simplices(sieve):
+def test_filtration_witness_beyond_2000_simplices():
     # a star on labels 1..2002 (4003 simplices) enters before the projective plane
     G = projective_plane_behind_star()
     with pytest.raises(RankDiscrepancyError, match=r"first at n=2033$"):
-        Filtration(G, sieve, field_prime=2).betti
-    betti = Filtration(G, sieve, field_prime=3).betti
+        betti_timeline(G, 2)
+    betti = betti_timeline(G, 3)
     assert tuple(int(betti[k][2033]) for k in sorted(betti)) == (2, 0, 0)
 
 

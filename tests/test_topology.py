@@ -17,7 +17,7 @@ from primetop import (
     whitney_complex,
 )
 from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
-from primetop.graphs import complete_graph, cycle_graph, path_graph
+from primetop.graphs import cliques, complete_graph, cycle_graph, path_graph
 from primetop.morse import Filtration
 from primetop.topology import dimension_timeline, sphere_dimension_within
 
@@ -202,12 +202,11 @@ def kindless_graphs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(graph=kindless_graphs())
-def test_dimension_timeline_on_kindless_graphs(sieve, graph):
+def test_dimension_timeline_on_kindless_graphs(graph):
     # the pass over cliques(G) against inductive_dimension of every prefix G(n)
     G, lonely = graph
-    F = Filtration(G, sieve)
     assert all(u > lonely for u in G.neighbor_set(lonely))
-    dims = dimension_timeline(F.simplices, F.top)
+    dims = dimension_timeline(cliques(G), max(G.labels))
     assert len(dims) == max(G.labels) + 1
     for n, d in enumerate(dims):
         assert d == inductive_dimension(induced_subgraph(G, [v for v in G.labels if v <= n])), n
