@@ -41,6 +41,7 @@ from .graphs import (
     Graph,
     GraphKind,
     build_graph,
+    cliques,
     complete_graph,
     components,
     cycle_graph,
@@ -466,7 +467,7 @@ def cmd_series(config: argparse.Namespace) -> int:
     if config.what == "dimension":
         lines.append("n,dim_exact,dim_float")
         xs, ys = [], []
-        for n, d in enumerate(dimension_timeline(F.simplices, F.top)[6:], start=6):
+        for n, d in enumerate(dimension_timeline(cliques(F.G), F.top)[6:], start=6):
             lines.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
             xs.append(n)
             ys.append(float(d))
@@ -476,7 +477,7 @@ def cmd_series(config: argparse.Namespace) -> int:
             print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
     else:
         lines.append("n,wu,chi_scaled")
-        wu = wu_timeline(F.simplices, F.top)
+        wu = wu_timeline(cliques(F.G), F.top)
         for n in range(2, config.n_max + 1):
             lines.append(f"{n},{wu[n]},{100 - 15 * F.chi[n]}")
     _write_out(config, "\n".join(lines) + "\n")

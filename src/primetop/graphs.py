@@ -28,8 +28,8 @@ class Graph:
     kind and param are None except on a graph build_graph returns, where kind
     is one of DIVISIBILITY_KINDS, param its n (or m), the labels are the
     kind's and the edges exactly their divisibility pairs, by construction.
-    The counted f-vector, the prime complex Delta(n) and the events
-    certificate of morse.Filtration, and the smallest-divisor bridge of the
+    The counted f-vector, the prime complex Delta(n) and the per-signature
+    events of morse.Filtration, and the smallest-divisor bridge of the
     diameter sweep, rely on that.
     """
 

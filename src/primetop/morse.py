@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import accumulate, count, product, zip_longest
-from operator import itemgetter
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
@@ -75,21 +74,6 @@ class MorseComplex:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
-
-
-@dataclass(frozen=True)
-class Representative:
-    """The first vertex x of one sorted exponent signature, classified by classify_vertex.
-
-    primes lists the primes of x by (exponent descending, prime ascending);
-    sphere is the stable sphere of x, the target of every certificate that
-    reuses event for another vertex with the same signature.
-    """
-
-    x: int
-    primes: tuple[int, ...]
-    sphere: Graph
-    event: FiltrationEvent
 
 
 def stable_sphere(G: Graph, x: int) -> Graph:
@@ -258,10 +242,10 @@ class Filtration:
     and the Betti timeline is that of the prime complex Delta(n), reduced
     over GF(field_prime) and over Q and witnessed without elimination by
     Bjorner's matching.  The critical counts read the events, which classify
-    one vertex per exponent signature and certify the rest.  Each of the
-    paper's identities is evaluated here once, at every n, by a field that
-    reads only that identity's inputs.  Timelines are lists of Python ints
-    over n = 0..top, where top is G.param.
+    one vertex per exponent signature and give its event to the rest.  Each
+    of the paper's identities is evaluated here once, at every n, by a field
+    that reads only that identity's inputs.  Timelines are lists of Python
+    ints over n = 0..top, where top is G.param.
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -271,18 +255,6 @@ class Filtration:
         self.sieve = sieve
         self.field_prime = field_prime
         self.top = G.param
-        # filled by events: one representative per sorted exponent signature, and
-        # the number of vertices classified without being a representative
-        self.representatives: dict[tuple[int, ...], Representative] = {}
-        self.fallbacks = 0
-
-    @cached_property
-    def simplices(self) -> list[list[tuple[int, ...]]]:
-        """cliques(G): every simplex of the Whitney complex, by dimension.
-
-        Built only when read: no field reads it.
-        """
-        return cliques(self.G)
 
     @cached_property
     def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -341,36 +313,28 @@ class Filtration:
         return _prime_complex(self._factored)
 
     @cached_property
+    def representatives(self) -> dict[tuple[int, ...], FiltrationEvent]:
+        """{sorted exponents: classify_vertex(G, x, sieve)}, x the first label with those exponents."""
+        reps: dict[tuple[int, ...], FiltrationEvent] = {}
+        for x, (key, _) in self._factored.items():
+            if key not in reps:
+                reps[key] = classify_vertex(self.G, x, self.sieve)
+        return reps
+
+    @cached_property
     def events(self) -> list[FiltrationEvent]:
         """classify_vertex(G, x, sieve) for every vertex x of G, in label order.
 
-        Under f(x) = x the stable sphere of a vertex of a prime, integer or
-        divisor graph is the poset of its divisors 1 < d < x, whose shape
-        depends only on the sorted exponent signature of x.  classify_vertex
-        runs on the first vertex of each signature, which becomes that
-        signature's representative.  Every later vertex with the signature
-        takes the representative's verdict and indices once the map of its
-        divisors through their exponent vectors is checked to be an
-        isomorphism of the two stable spheres; mu is read from the sieve.
-        A vertex that fails the check is classified itself and counted in
-        fallbacks.
+        Under f(x) = x the stable sphere of a vertex x of a prime, integer or
+        divisor graph is, by build_graph's construction, the poset of its
+        divisors 1 < d < x, and the exponent-vector map is an isomorphism of
+        the posets of any two numbers with the same sorted exponents.  So each
+        vertex takes the event of its signature's representative, with its own
+        n and mu read from the sieve, on the same two facts that f and
+        Delta(n) rest on.
         """
-        factored, mu = self._factored, self.sieve.mu
-        out = []
-        for x in self.G.labels:
-            key, primes = factored[x]
-            rep = self.representatives.get(key)
-            if rep is not None and _isomorphic_spheres(self.G, x, primes, rep):
-                e = rep.event
-                out.append(FiltrationEvent(x, mu[x], e.stable_sphere_dim, e.morse_index, e.ph_index, e.kind, e.method))
-                continue
-            event = classify_vertex(self.G, x, self.sieve)
-            if rep is None:
-                self.representatives[key] = Representative(x, primes, stable_sphere(self.G, x), event)
-            else:
-                self.fallbacks += 1
-            out.append(event)
-        return out
+        reps, mu = self.representatives, self.sieve.mu
+        return [replace(reps[key], n=x, mu=mu[x]) for x, (key, _) in self._factored.items()]
 
     @cached_property
     def critical(self) -> list[list[int]]:
@@ -554,10 +518,9 @@ def _morse_boundary(boundary, partner: dict[int, int], faces) -> dict[int, int]:
 
 
 def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(exponents, primes) of x, ordered by exponent descending, then prime ascending."""
-    pairs = sorted(sieve.factorization(x), key=itemgetter(1), reverse=True)  # stable: primes stay ascending
-    primes, exponents = zip(*pairs) if pairs else ((), ())
-    return exponents, primes
+    """(exponents of x, descending; primes of x, ascending)."""
+    pairs = sieve.factorization(x)
+    return tuple(sorted((e for _, e in pairs), reverse=True)), tuple(p for p, _ in pairs)
 
 
 @cache
@@ -576,36 +539,3 @@ def _chain_counts(exponents: tuple[int, ...]) -> tuple[int, ...]:
             for k, c in enumerate(counts):
                 below[k] += c
     return (1, *below)
-
-
-def _transport(y: int, primes: tuple[int, ...], targets: tuple[int, ...]) -> int:
-    """prod targets[i] ** v_{primes[i]}(y), or 0 when y has a prime outside primes."""
-    image = 1
-    for p, q in zip(primes, targets):
-        while y % p == 0:
-            y //= p
-            image *= q
-    return image if y == 1 else 0
-
-
-def _isomorphic_spheres(G: Graph, x: int, primes: tuple[int, ...], rep: Representative) -> bool:
-    """Whether y -> _transport(y, primes, rep.primes) maps the stable sphere of x onto rep.sphere.
-
-    Certified when the map is a bijection onto the vertices of rep.sphere,
-    sends every edge to an edge and both spheres have the same number of
-    edges, which together make it a graph isomorphism.
-    """
-    neighbors = G.neighbors(x)
-    below = neighbors[: bisect_left(neighbors, x)]
-    image = {y: _transport(y, primes, rep.primes) for y in below}
-    if sorted(image.values()) != list(rep.sphere.labels):
-        return False
-    inside = frozenset(below)
-    edges = 0
-    for y in below:
-        for z in G.neighbor_set(y) & inside:
-            if y < z:
-                if not rep.sphere.has_edge(image[y], image[z]):
-                    return False
-                edges += 1
-    return 2 * edges == sum(map(rep.sphere.degree, rep.sphere.labels))

@@ -12,7 +12,7 @@ subset inside a fixed ambient graph: one recognition meets the same subsets
 call: each public entry point builds its own and passes them down the
 recursion, and nothing outlives the call.  Sharing across a filtration happens
 one level up, where morse.Filtration classifies one stable sphere per exponent
-signature and reuses the verdict through a checked isomorphism.
+signature and gives the verdict to every vertex with that signature.
 dimension_timeline runs no recursion: it keeps a link size, a running sum and
 a value per simplex of the filtration and updates them in one pass.  The
 recursion is pruned by screens that are theorems of the definition:

@@ -9,7 +9,6 @@ import pytest
 
 from primetop import (
     FactorSieve,
-    Filtration,
     GraphKind,
     barycentric_morse_complex,
     barycentric_refinement,
@@ -34,7 +33,7 @@ from primetop import (
 )
 from primetop.arithmetic import mertens_table, pi_k_tables
 from primetop.cli import main as cli_main
-from primetop.graphs import complete_graph, cycle_graph, verify_component_diameter_bound
+from primetop.graphs import cliques, complete_graph, cycle_graph, verify_component_diameter_bound
 from primetop.topology import dimension_timeline
 from conftest import betti_rank_oracle, random_connected_graphs
 
@@ -274,7 +273,7 @@ def test_c12_product_laws():
 
 def test_c13_figure_series(big_sieve):
     G = build_graph(GraphKind.prime(2690), big_sieve)
-    dims = dimension_timeline(Filtration(G, big_sieve).simplices, 2690)
+    dims = dimension_timeline(cliques(G), 2690)
     xs = list(range(6, 2691))
     ys = [float(dims[n]) for n in xs]
     A = np.column_stack([np.ones(len(xs)), np.array(xs, float), np.log(np.array(xs, float))])

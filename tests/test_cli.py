@@ -103,7 +103,7 @@ def test_warm_table_computes_no_filtration_field(tmp_path, monkeypatch):
     cache, cold, warm = tmp_path / "cache.jsonl", tmp_path / "cold.csv", tmp_path / "warm.csv"
     argv = ["table", "--n-max", "120", "--cache", str(cache), "--out"]
     assert run_main(argv + [str(cold)]) == 0
-    for name in ("simplices", "betti", "events"):
+    for name in ("f", "betti", "events"):
         monkeypatch.setattr(morse.Filtration, name, property(lambda F, name=name: pytest.fail(f"warm table read F.{name}")))
     assert run_main(argv + [str(warm)]) == 0
     assert warm.read_bytes() == cold.read_bytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from functools import cache
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
 from primetop.cli import check_formulas
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, _f_vector, _simplicial, reduce_exact, reduce_gf
-from primetop.morse import Representative, _bjorner_partner, betti_formulas
+from primetop.morse import _bjorner_partner, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
@@ -414,7 +415,6 @@ def test_sphere_birth_death_rule(sieve):
 def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
     F = Filtration(G, sieve, field_prime)
     top = G.param
-    assert F.simplices == cliques(G)
     assert np.array_equal(F.chi, chi_timeline(G))
     want = betti_timeline(G, field_prime)
     assert sorted(F.betti) == sorted(want)
@@ -422,7 +422,6 @@ def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
         assert np.array_equal(F.betti[k], want[k]), k
     events = [classify_vertex(G, x, sieve=sieve) for x in G.labels]
     assert F.events == events
-    assert F.fallbacks == 0
     for n in range(top + 1):
         assert F.critical_counts(n) == critical_counts(events, n), n
 
@@ -463,7 +462,7 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # a prime graph's simplices are enumerated only when read
+    # no field of a prime graph's filtration enumerates its simplices
     monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
     monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
     G = build_graph(GraphKind.prime(60), sieve)
@@ -476,8 +475,6 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     assert F.events is F.events
     # one classification per exponent signature: primes, pairs and triples
     assert calls == {"cliques": 0, "classify": 3}
-    assert F.simplices is F.simplices
-    assert calls == {"cliques": 1, "classify": 3}
 
 
 @settings(max_examples=25, deadline=None)
@@ -521,12 +518,11 @@ def test_events_classify_once_per_signature(sieve, kind, n, signatures):
     G = build_graph(GraphKind(kind, n), sieve)
     F = Filtration(G, sieve)
     assert F.events == oracle_events(G, sieve)
-    assert F.fallbacks == 0
     assert len(F.representatives) == signatures
     first = {}
     for x in G.labels:
         first.setdefault(sorted_exponents(x, sieve), x)
-    assert {key: rep.x for key, rep in F.representatives.items()} == first
+    assert {key: rep.n for key, rep in F.representatives.items()} == first
 
 
 @settings(max_examples=15, deadline=None)
@@ -535,18 +531,29 @@ def test_events_match_oracle_any_n(sieve, kind, n):
     G = build_graph(GraphKind(kind, n), sieve)
     F = Filtration(G, sieve)
     assert F.events == oracle_events(G, sieve)
-    assert F.fallbacks == 0
 
 
-def test_tampered_representative_falls_back(sieve):
-    G = build_graph(GraphKind.prime(2310), sieve)
-    sphere = stable_sphere(G, 30)  # the hexagon 2-6-3-15-5-10
-    dropped = Graph(sphere.labels, sphere.edges()[1:])
-    F = Filtration(G, sieve)
-    F.representatives[(1, 1, 1)] = Representative(30, (2, 3, 5), dropped, classify_vertex(G, 30, sieve))
-    assert F.events == oracle_events(G, sieve)
-    assert F.fallbacks == sum(len(sieve.factorization(x)) == 3 for x in G.labels)
-    assert F.representatives[(1, 1, 1)].sphere is dropped
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
+@example(kind="prime", n=2310)
+@example(kind="integer", n=520)
+@example(kind="divisor", n=2310)
+def test_stable_spheres_relabel_onto_their_signatures_first(sieve, kind, n):
+    # the theorem events rest on: the exponent-vector map from x to the first label r
+    # with x's sorted exponents carries the stable sphere of x onto that of r
+    G = build_graph(GraphKind(kind, n), sieve)
+    first = {}
+    for x in G.labels:
+        r = first.setdefault(sorted_exponents(x, sieve), x)
+        # the primes of x and of r, paired in the order (exponent descending, prime ascending)
+        pairs = zip(*(sorted(sieve.factorization(z), key=lambda pe: -pe[1]) for z in (x, r)))
+        to_r = {p: q for (p, _), (q, _) in pairs}
+
+        def image(y):
+            return math.prod(to_r[p] ** e for p, e in sieve.factorization(y))
+
+        S = stable_sphere(G, x)
+        assert Graph(map(image, S.labels), [(image(a), image(b)) for a, b in S.edges()]) == stable_sphere(G, r), x
 
 
 def test_filtration_reads_only_graphs_with_a_kind(sieve):

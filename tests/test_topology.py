@@ -18,7 +18,6 @@ from primetop import (
 )
 from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
 from primetop.graphs import cliques, complete_graph, cycle_graph, path_graph
-from primetop.morse import Filtration
 from primetop.topology import dimension_timeline, sphere_dimension_within
 
 
@@ -181,7 +180,7 @@ def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
 def test_timelines_match_from_scratch_any_n(sieve, kind, n):
     # the running passes against G(m) rebuilt for every m, by the literal definitions
     G = build_graph(GraphKind(kind, n), sieve)
-    simplices = Filtration(G, sieve).simplices
+    simplices = cliques(G)
     dims = dimension_timeline(simplices, n)
     wus = wu_timeline(simplices, n)
     assert len(dims) == len(wus) == n + 1
