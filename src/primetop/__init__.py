@@ -43,13 +43,11 @@ from .graphs import (
     GraphKind,
     barycentric_refinement,
     build_graph,
-    component_diameter,
     components,
     graph_product,
     heteroclinic,
     induced_subgraph,
     kummer_involution,
-    unit_sphere,
 )
 from .morse import (
     Filtration,
@@ -60,14 +58,12 @@ from .morse import (
     chi_timeline,
     classify_vertex,
     critical_counts,
-    events_to_csv,
     morse_betti,
     morse_inequality_check,
     stable_sphere,
 )
 from .topology import (
     SphereVerdict,
-    homotopy_reduce,
     inductive_dimension,
     is_contractible,
     sphere_dimension,

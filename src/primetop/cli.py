@@ -20,7 +20,7 @@ import tempfile
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import get_origin, get_type_hints
 
 from . import __version__
@@ -172,7 +172,7 @@ def _bool(x) -> str:
 
 
 def cmd_build(config: argparse.Namespace) -> int:
-    sieve = FactorSieve(max(config.n_max, 2))
+    sieve = FactorSieve(config.n_max)
     G = build_graph(GraphKind(config.kind, config.n_max), sieve)
     if config.format == "json":
         text = G.to_json() + "\n"
@@ -188,19 +188,17 @@ def cmd_build(config: argparse.Namespace) -> int:
 # --- table -------------------------------------------------------------------
 
 
-def _table_row(rec: CacheRecord, tables) -> str:
-    weak, strong, _ = morse_inequality_check(rec.betti, rec.critical_counts)
-    h1, h3 = betti_formulas(rec.n, tables, rec.betti)
+def _table_row(rec: CacheRecord, weak: bool, strong: bool, h1: bool | None, h3_failures: tuple[int, ...]) -> str:
     cells = [str(rec.n), str(rec.mertens), str(rec.chi)]
     cells += [str(x) for x in (rec.betti + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
     cells += [str(x) for x in (rec.critical_counts + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
-    cells += [_bool(weak), _bool(strong), _bool(h1 or rec.n < 4), _bool(all(h3.values()))]
+    cells += [_bool(weak), _bool(strong), _bool(h1 is not False), _bool(not h3_failures)]
     return ",".join(cells)
 
 
 def cmd_table(config: argparse.Namespace) -> int:
     n_max = config.n_max
-    sieve = FactorSieve(max(n_max, 2))
+    sieve = FactorSieve(n_max)
     F = Filtration(build_graph(GraphKind(config.kind, n_max), sieve), sieve, config.field_prime)
     # G(n) of Divisor(m) depends on m, so its records are keyed by m too
     kind = f"divisor({n_max})" if config.kind == "divisor" else config.kind
@@ -229,7 +227,12 @@ def cmd_table(config: argparse.Namespace) -> int:
         + ["weak", "strong", "h1", "h3"]
     )
     records = [cached.get(n) or fresh[n] for n in range(2, n_max + 1)]
-    lines = [",".join(header)] + [_table_row(rec, F.pi) for rec in records]
+    # the records' vectors as rows [k][i], zero past a vector's end
+    b = list(zip_longest(*(rec.betti for rec in records), fillvalue=0))
+    c = list(zip_longest(*(rec.critical_counts for rec in records), fillvalue=0))
+    morse = morse_inequality_check(b, c, len(records))
+    formulas = betti_formulas([rec.n for rec in records], F.pi, b)
+    lines = [",".join(header)] + [_table_row(rec, *m, *f) for rec, m, f in zip(records, morse, formulas)]
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 
@@ -253,9 +256,9 @@ def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     return out
 
 
-def _first(failing, config: argparse.Namespace, start: int = 2) -> int | None:
-    """The first n in start..n_max for which failing(n) is true, or None."""
-    return next((n for n in range(start, config.n_max + 1) if failing(n)), None)
+def _first(failing, config: argparse.Namespace) -> int | None:
+    """The first n in 2..n_max for which failing(n) is true, or None."""
+    return next((n for n in range(2, config.n_max + 1) if failing(n)), None)
 
 
 def _prefix_name(config: argparse.Namespace, n: int | str) -> str:
@@ -295,10 +298,10 @@ def check_diameter(config: argparse.Namespace, F: Filtration) -> tuple[bool, str
 
 
 def check_formulas(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
-    n = _first(lambda n: F.formulas[n][0] is False, config, start=4)
+    n = _first(lambda n: F.formulas[n][0] is False, config)
     if n is not None:
         return False, f"H1 fails first at n={n}"
-    failures = [(k, n) for n in range(4, config.n_max + 1) for k in F.formulas[n][1]]
+    failures = [(k, n) for n in range(2, config.n_max + 1) for k in F.formulas[n][1]]
     if failures:
         return False, "H3(k={}) fails first at n={}".format(*min(failures))
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
@@ -412,7 +415,7 @@ GRAPH_FREE_CHECKS = frozenset({"kummer", "kunneth"})
 def cmd_verify(config: argparse.Namespace) -> int:
     F = None
     if not GRAPH_FREE_CHECKS.issuperset(config.checks):
-        sieve = FactorSieve(max(config.n_max, 2))
+        sieve = FactorSieve(config.n_max)
         F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve, config.field_prime)
     all_ok = True
     with open(config.output_path, "w", encoding="utf-8") if config.output_path else nullcontext(sys.stdout) as out:
@@ -461,7 +464,7 @@ def fit_dimension(xs: list[int], ys: list[float]) -> tuple[float, float, float]:
 
 
 def cmd_series(config: argparse.Namespace) -> int:
-    sieve = FactorSieve(max(config.n_max, 2))
+    sieve = FactorSieve(config.n_max)
     F = Filtration(build_graph(GraphKind(config.kind, config.n_max), sieve), sieve)
     lines = []
     if config.what == "dimension":

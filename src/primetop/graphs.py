@@ -185,11 +185,6 @@ def induced_subgraph(G: Graph, W) -> Graph:
     return Graph(W, edges)
 
 
-def unit_sphere(G: Graph, x: int) -> Graph:
-    """Induced subgraph on the neighbors of x (x itself excluded)."""
-    return induced_subgraph(G, G.neighbor_set(x))
-
-
 def components(G: Graph) -> list[set[int]]:
     """Connected components as label sets, ordered by smallest member."""
     seen: set[int] = set()
@@ -216,16 +211,6 @@ def bfs_distances(G: Graph, source: int, within: set[int] | None = None) -> dict
             dist[w] = dist[u] + 1
             queue.append(w)
     return dist
-
-
-def component_diameter(G: Graph, anchor: int = 2) -> int:
-    """Max BFS distance over vertex pairs in the anchor's component."""
-    comp = bfs_distances(G, anchor).keys()
-    best = 0
-    for v in comp:
-        ecc = max(bfs_distances(G, v).values())
-        best = max(best, ecc)
-    return best
 
 
 def cliques(G: Graph) -> list[list[tuple[int, ...]]]:
@@ -321,11 +306,6 @@ def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise InvalidArgumentError(f"cycle needs >= 3 vertices, got {k}")
     return Graph(range(1, k + 1), [(i, i % k + 1) for i in range(1, k + 1)])
-
-
-def path_graph(k: int) -> Graph:
-    """Path on labels 1..k."""
-    return Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
 
 def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor: int = 2) -> int | None:

@@ -4,8 +4,9 @@ Vertices enter in ascending label order; each arrival either attaches a
 topological handle (a ball over a stable sphere) or is a homotopy deformation.
 This module classifies those events, tallies critical points, and carries the
 simplex-level Morse complex whose cohomology matches the simplicial one.  It
-checks two identities of the Betti numbers, each with its own per-n evaluator
-and its own inputs: the Morse inequalities against the critical counts
+checks two identities of the Betti numbers, each with one evaluator that reads
+whole timelines, rows [k][i] over the columns i, and returns a verdict per
+column: the Morse inequalities against the critical counts
 (morse_inequality_check, which needs the classification) and the
 counting-function formulas H1/H3 against the pi_k tables (betti_formulas).
 On the divisibility graphs the Betti numbers are those of the prime complex
@@ -18,7 +19,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import accumulate, count, product, zip_longest
+from itertools import accumulate, compress, count, product, repeat
+from operator import gt, lt, ne
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
@@ -119,46 +121,58 @@ def critical_counts(events, n: int) -> list[int]:
     return [counts[m] for m in range(max(counts, default=-1) + 1)]
 
 
-def morse_inequality_check(b, c) -> tuple[bool, bool, list[int]]:
-    """Weak and strong Morse inequalities for Betti vector b and counts c.
+def morse_inequality_check(b, c, width: int) -> list[tuple[bool, bool]]:
+    """(weak, strong) of the Morse inequalities in every column i < width of Betti rows b[k][i] and counts c[k][i].
 
     weak: b_k <= c_k for all k.  strong: every alternating partial sum
-    r_k = sum_{j<=k} (-1)^(k-j) (c_j - b_j) is nonnegative and the full
-    alternating sum telescopes to zero (Euler-Poincare).
+    r_k = sum_{j<=k} (-1)^(k-j) (c_j - b_j) is nonnegative and the last is
+    zero (Euler-Poincare).  A row k >= len(b) or len(c) reads as zeros, so
+    rows may be a list or a dict keyed 0..len - 1.  One dimension is read at
+    a time: the state is one row of r and the failed columns.
     """
-    d = [ck - bk for bk, ck in zip_longest(b, c, fillvalue=0)] or [0]
-    r = list(accumulate(d, lambda acc, dk: dk - acc))
-    strong = all(x >= 0 for x in r) and sum((-1) ** k * dk for k, dk in enumerate(d)) == 0
-    return all(dk >= 0 for dk in d), strong, r
+    zero = [0] * width
+    r, weak_fails, strong_fails = zero, set(), set()
+    for k in range(max(len(b), len(c))):
+        bk, ck = b[k] if k < len(b) else zero, c[k] if k < len(c) else zero
+        r = [y - x - rk for x, y, rk in zip(bk, ck, r)]
+        weak_fails.update(compress(count(), map(gt, bk, ck)))
+        strong_fails.update(compress(count(), map(lt, r, zero)))
+    strong_fails.update(compress(count(), r))
+    verdicts = [(True, True)] * width
+    for i in weak_fails | strong_fails:
+        verdicts[i] = (i not in weak_fails, i not in strong_fails)
+    return verdicts
 
 
-def betti_formulas(n: int, tables, b) -> tuple[bool, dict[int, bool]]:
-    """H1 and H3 at n for the Betti vector b, with b_k = 0 where b is shorter.
+def betti_formulas(ns, tables, b) -> list[tuple[bool | None, tuple[int, ...]]]:
+    """(H1, the k where H3 fails) at every n of ns for the Betti rows b[k][i] of ns[i].
 
-    H1: b_0 = 1 + pi(n) - pi(n//2).  H3: b_k = pi_{k+1}(n, odd) -
-    pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at least for k = 1..3.
-    tables is pi_k_tables(sieve, N, k_max) for some N >= n.  A k above k_max
-    counts zero, which is exact when k_max >= max(len(b), 4) or no squarefree
-    number up to N has more than k_max primes.
+    H1: b_0 = 1 + pi(n) - pi(n//2), None below n = 4.  H3: b_k =
+    pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at
+    least for k = 1..3; b is read as in morse_inequality_check.  tables is
+    pi_k_tables(sieve, N, k_max) for some N >= max(ns).  A k above k_max
+    counts zero, which is exact when k_max >= max(len(b), 4) or no
+    squarefree number up to N has more than k_max primes.
     """
-    top = max(len(b), 4)
-    b = list(b) + [0] * (top - len(b))
+    ns = list(ns)
+    zero = [0] * len(ns)
 
     def diff(k, odd):
         row = tables.get((k, odd))
-        return row[n] - row[n // 2] if row else 0
+        return [row[n] - row[n // 2] for n in ns] if row else zero
 
-    return b[0] == 1 + diff(1, False), {k: b[k] == diff(k + 1, True) for k in range(1, top)}
+    def mismatches(k, want):  # the columns i where b_k differs from want[i]
+        return compress(count(), map(ne, b[k] if k < len(b) else zero, want))
 
-
-def events_to_csv(events) -> str:
-    """Events as CSV with columns n, mu, sphere_dim, morse_index, ph_index, kind."""
-    lines = ["n,mu,sphere_dim,morse_index,ph_index,kind"]
-    for ev in events:
-        sphere_dim = "" if ev.stable_sphere_dim is None else str(ev.stable_sphere_dim)
-        morse_index = "" if ev.morse_index is None else str(ev.morse_index)
-        lines.append(f"{ev.n},{ev.mu},{sphere_dim},{morse_index},{ev.ph_index},{ev.kind}")
-    return "\n".join(lines) + "\n"
+    h1_fails = set(mismatches(0, [1 + d for d in diff(1, False)]))
+    h3_fails: dict[int, tuple[int, ...]] = {}
+    for k in range(1, max(len(b), 4)):
+        for i in mismatches(k, diff(k + 1, True)):
+            h3_fails[i] = h3_fails.get(i, ()) + (k,)
+    verdicts = [(True, ())] * len(ns)
+    for i in h1_fails | h3_fails.keys() | set(compress(count(), map(lt, ns, repeat(4)))):
+        verdicts[i] = (None if ns[i] < 4 else i not in h1_fails, h3_fails.get(i, ()))
+    return verdicts
 
 
 # --- simplex-level Morse complex (f = dim on the refinement) ----------------
@@ -241,10 +255,11 @@ class Filtration:
     and chi count the chains of the divisor poset per exponent signature,
     and the Betti timeline is that of the prime complex Delta(n), reduced
     over GF(field_prime) and over Q and witnessed without elimination by
-    Bjorner's matching.  The critical counts read the events, which classify
-    one vertex per exponent signature and give its event to the rest.  Each
-    of the paper's identities is evaluated here once, at every n, by a field
-    that reads only that identity's inputs.  Timelines are lists of Python
+    Bjorner's matching.  The critical counts and the Poincare-Hopf sums read
+    each label's representative, the event of the first vertex of its
+    exponent signature, and build no per-vertex event.  Each of the paper's
+    identities is evaluated here by one call over every n, in a field that
+    reads only that identity's inputs.  Timelines are lists of Python
     ints over n = 0..top, where top is G.param.
     """
 
@@ -288,12 +303,13 @@ class Filtration:
         Both passes reduce Delta(n) (_prime_complex), whose subdivision is
         the Whitney complex of G(n) on its squarefree labels, and matching is
         the third witness.  On the integer graph the result also rests on a
-        theorem, checked here by reading events: each non-squarefree x
-        arrives as a homotopy deformation, its divisors 1 < d < x forming a
-        contractible poset.
+        theorem, checked here by reading each label's representative: each
+        non-squarefree x arrives as a homotopy deformation, its divisors
+        1 < d < x forming a contractible poset.
         """
         if self.G.kind == "integer":
-            x = next((ev.n for ev in self.events if not ev.mu and ev.kind != "homotopy"), None)
+            reps, mu = self.representatives, self.sieve.mu
+            x = next((x for x, (key, _) in self._factored.items() if not mu[x] and reps[key].kind != "homotopy"), None)
             if x is not None:
                 raise RankDiscrepancyError(
                     f"Integer(n) is not a deformation of Delta(n) first at n={x}: {x} is not squarefree but critical",
@@ -338,12 +354,13 @@ class Filtration:
 
     @cached_property
     def critical(self) -> list[list[int]]:
-        """critical[m][n] = c_m(n), the critical events of index m up to n."""
-        width = 1 + max((ev.morse_index for ev in self.events if ev.kind == "critical"), default=-1)
+        """critical[m][n] = c_m(n), the critical events of index m up to n, each read from its representative."""
+        reps = self.representatives
+        width = 1 + max((ev.morse_index for ev in reps.values() if ev.kind == "critical"), default=-1)
         counts = [Counter() for _ in range(width)]
-        for ev in self.events:
-            if ev.kind == "critical":
-                counts[ev.morse_index][ev.n] += 1
+        for x, (key, _) in self._factored.items():
+            if reps[key].kind == "critical":
+                counts[reps[key].morse_index][x] += 1
         return [_cumulative(c, self.top) for c in counts]
 
     @cached_property
@@ -367,26 +384,23 @@ class Filtration:
 
         Else "index != -mu" (reported first) or "sum != chi".
         """
+        reps, mu = self.representatives, self.sieve.mu
         index, wrong = Counter(), Counter()
-        for ev in self.events:
-            index[ev.n] += ev.ph_index
-            wrong[ev.n] += ev.kind == "critical" and ev.ph_index != -ev.mu
+        for x, (key, _) in self._factored.items():
+            index[x] += reps[key].ph_index
+            wrong[x] += reps[key].kind == "critical" and reps[key].ph_index != -mu[x]
         total, bad = _cumulative(index, self.top), _cumulative(wrong, self.top)
         return ["index != -mu" if w else None if t == chi else "sum != chi" for w, t, chi in zip(bad, total, self.chi)]
 
     @cached_property
     def morse_inequalities(self) -> list[tuple[bool, bool]]:
-        """(weak, strong) of morse_inequality_check(b, c) for n = 0..top, c the critical counts."""
-        return [morse_inequality_check(b, self.critical_counts(n))[:2] for n, b in enumerate(self._betti_columns())]
+        """(weak, strong) for n = 0..top: morse_inequality_check(betti, critical, top + 1)."""
+        return morse_inequality_check(self.betti, self.critical, self.top + 1)
 
     @cached_property
     def formulas(self) -> list[tuple[bool | None, tuple[int, ...]]]:
-        """(H1, None below n = 4; the k where H3 fails) of betti_formulas(n, pi, b) for n = 0..top."""
-        out = []
-        for n, b in enumerate(self._betti_columns()):
-            h1, h3 = betti_formulas(n, self.pi, b)
-            out.append((None if n < 4 else h1, tuple(k for k, ok in h3.items() if not ok)))
-        return out
+        """(H1, None below n = 4; the k where H3 fails) for n = 0..top: betti_formulas(range(top + 1), pi, betti)."""
+        return betti_formulas(range(self.top + 1), self.pi, self.betti)
 
     def f_vector(self, n: int) -> list[int]:
         """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
@@ -399,11 +413,6 @@ class Filtration:
     def critical_counts(self, n: int) -> list[int]:
         """critical_counts(events, n), read from the cumulative counts."""
         return self._column(self.critical, n)
-
-    def _betti_columns(self):
-        """b for n = 0..top, b(n) read in every dimension of G(top)."""
-        rows = [self.betti[k] for k in sorted(self.betti)]
-        return ([r[n] for r in rows] for n in range(self.top + 1))
 
     def _column(self, rows: list[list[int]], n: int) -> list[int]:
         """[row[n] for row in rows] without its trailing zeros, for n in 0..top."""

@@ -314,23 +314,3 @@ def _dim(amb: Graph, sub: frozenset, table: dict) -> Fraction:
     result = 1 + total / len(sub)
     table[sub] = result
     return result
-
-
-def homotopy_reduce(G: Graph) -> Graph:
-    """Delete vertices with contractible unit spheres until none remains.
-
-    Deletions scan labels in ascending order and restart after every removal,
-    so the result is deterministic.  Betti numbers are preserved.
-    """
-    memo = {"contract": {}, "sphere": {}}
-    sub = set(G.labels)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(sub):
-            link = G.neighbor_set(v) & sub
-            if _contractible(G, frozenset(link), memo):
-                sub.remove(v)
-                changed = True
-                break
-    return induced_subgraph(G, sub)

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's own rank/recursion engines:
 moebius by trial division, Betti numbers by numpy floating-point matrix rank
 or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
-tuple counts by direct enumeration.
+tuple counts by direct enumeration, component diameters by a BFS from every
+vertex.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from primetop import FactorSieve, Graph, boundary_matrices
 from primetop.cohomology import rank_exact
-from primetop.graphs import complete_graph, components, cycle_graph
+from primetop.graphs import bfs_distances, complete_graph, components, cycle_graph
 
 
 @pytest.fixture(scope="session")
@@ -116,6 +117,21 @@ def projective_plane_behind_star() -> Graph:
     """A star on labels 1..2002 (4003 simplices), then the projective plane on 2003..2033: 4,184 simplices."""
     plane = projective_plane_subdivision(first=2003)
     return Graph(range(1, 2034), [(1, v) for v in range(2, 2003)] + plane.edges())
+
+
+def path_graph(k: int) -> Graph:
+    """Path on labels 1..k."""
+    return Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
+
+
+def component_diameter(G: Graph, anchor: int = 2) -> int:
+    """Max BFS distance over vertex pairs in the anchor's component; the diameter sweep's oracle."""
+    comp = bfs_distances(G, anchor).keys()
+    best = 0
+    for v in comp:
+        ecc = max(bfs_distances(G, v).values())
+        best = max(best, ecc)
+    return best
 
 
 def random_connected_graphs(count: int, seed: int = 11, max_vertices: int = 7) -> list[Graph]:

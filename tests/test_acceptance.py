@@ -151,8 +151,7 @@ def test_c05_morse_inequalities(G, events, big_sieve):
         c = critical_counts(events, n)
         for m, cm in enumerate(c):
             assert cm == tabs[(m + 1, False)][n], f"n={n} m={m}"
-        weak, strong, _ = morse_inequality_check(bv.b, c)
-        assert weak and strong, f"n={n}"
+        assert morse_inequality_check([[x] for x in bv.b], [[x] for x in c], 1) == [(True, True)], f"n={n}"
     print("ACCEPTANCE 5: PASS - weak and strong Morse inequalities hold for every n <= 250")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from primetop import (
     FactorSieve,
+    Filtration,
     GraphKind,
     build_graph,
     cli,
@@ -400,6 +401,27 @@ def test_verify_enumerates_no_chain_and_factors_no_signature(monkeypatch, capsys
     assert calls == {"cliques": 0, "factorization": labels}
 
 
+@pytest.mark.parametrize("kind, n_max", [("prime", 2310), ("integer", 520)])
+def test_verify_builds_no_per_vertex_event(monkeypatch, capsys, kind, n_max):
+    # the critical counts, the index sums and the integer graph's deformation guard read each
+    # signature's representative: one event per sorted exponent signature, none per vertex
+    import primetop.morse as morse
+
+    sieve = FactorSieve(n_max)
+    labels = build_graph(GraphKind(kind, n_max), sieve).labels
+    signatures = {tuple(sorted((e for _, e in sieve.factorization(x)), reverse=True)) for x in labels}
+    built, init = [], morse.FiltrationEvent.__init__
+
+    def counting_init(ev, *args, **kwargs):
+        built.append(ev)
+        init(ev, *args, **kwargs)
+
+    monkeypatch.setattr(morse.FiltrationEvent, "__init__", counting_init)
+    assert run_main(["verify", "--kind", kind, "--n-max", str(n_max), "--checks", "hopf,morse-strong,formulas"]) == 0
+    assert capsys.readouterr().out.count(": pass - ") == 3
+    assert len(built) == len(signatures) < len(labels)
+
+
 @pytest.mark.parametrize("kind, n_max", [("prime", 300), ("divisor", 210)])
 @pytest.mark.parametrize(
     "checks, unused", [("formulas", "classify_vertex"), ("morse-weak,morse-strong", "pi_k_tables")]
@@ -465,6 +487,13 @@ def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
         assert rec["fvector"] == list(K.f_vector), rec
         assert rec["betti"] == list(betti_rank_oracle(K)), rec
         assert rec["chi"] == sum((-1) ** k * v for k, v in enumerate(K.f_vector)), rec
+    # the verdict columns are the Filtration's verdicts, h1 reading true below n = 4
+    F = Filtration(G, FactorSieve(n_max))
+    rows = [line.split(",")[-4:] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    assert rows == [
+        [cli._bool(x) for x in (*F.morse_inequalities[n], F.formulas[n][0] is not False, not F.formulas[n][1])]
+        for n in range(2, n_max + 1)
+    ]
 
 
 def test_table_divisor_without_small_vertices(tmp_path):

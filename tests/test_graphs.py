@@ -13,7 +13,6 @@ from primetop import (
     InvalidArgumentError,
     barycentric_refinement,
     build_graph,
-    component_diameter,
     components,
     euler_characteristic,
     graph_product,
@@ -22,7 +21,6 @@ from primetop import (
     induced_subgraph,
     kummer_involution,
     primorial,
-    unit_sphere,
     whitney_complex,
 )
 from primetop.errors import InternalConsistencyError
@@ -32,9 +30,10 @@ from primetop.graphs import (
     cliques,
     complete_graph,
     cycle_graph,
-    path_graph,
     verify_component_diameter_bound,
 )
+
+from conftest import component_diameter, path_graph
 
 
 def test_build_graph_examples(sieve):
@@ -68,21 +67,6 @@ def test_induced_subgraph(sieve):
     assert induced_subgraph(G, G.labels) == G
     with pytest.raises(InvalidArgumentError):
         induced_subgraph(G, {4})
-
-
-def test_unit_sphere(sieve):
-    G30 = build_graph(GraphKind.prime(30), sieve)
-    S = unit_sphere(G30, 30)
-    assert S.labels == (2, 3, 5, 6, 10, 15)
-    assert all(S.degree(v) == 2 for v in S.labels)
-    G10 = build_graph(GraphKind.prime(10), sieve)
-    assert unit_sphere(G10, 7).labels == ()
-    G105 = build_graph(GraphKind.prime(105), sieve)
-    S105 = unit_sphere(G105, 105)
-    assert S105.labels == (3, 5, 7, 15, 21, 35)
-    assert all(S105.degree(v) == 2 for v in S105.labels)
-    with pytest.raises(InvalidArgumentError):
-        unit_sphere(G10, 9999)
 
 
 def test_components(sieve):

@@ -121,11 +121,34 @@ def test_critical_counts_monotone(sieve):
 
 
 def test_morse_inequality_check():
-    assert morse_inequality_check((3, 1), (6, 4)) == (True, True, [3, 0])
-    weak, strong, r = morse_inequality_check((2, 1), (2, 1))
-    assert weak and strong and r == [0, 0]
-    weak, strong, _ = morse_inequality_check((2,), (1,))
-    assert not weak and not strong
+    assert morse_inequality_check([[3], [1]], [[6], [4]], 1) == [(True, True)]
+    assert morse_inequality_check([[2], [1]], [[2], [1]], 1) == [(True, True)]
+    assert morse_inequality_check([[2]], [[1]], 1) == [(False, False)]
+
+
+def as_rows(columns, width, as_numpy):
+    """The columns as rows [k][i], k < width, zero past a column's end; numpy arrays if as_numpy."""
+    rows = [[col[k] if k < len(col) else 0 for col in columns] for k in range(width)]
+    return [np.array(row, dtype=np.int64) for row in rows] if as_numpy else rows
+
+
+column_lists = st.lists(st.lists(st.integers(0, 3), max_size=4), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=column_lists, c=column_lists, b_rows=st.integers(0, 4), c_rows=st.integers(0, 4), as_numpy=st.booleans())
+# column 0 breaks the weak inequality (so the strong one too), column 1 only the strong one
+@example(b=[[2], [0, 1]], c=[[1], [1, 1]], b_rows=2, c_rows=2, as_numpy=False)
+@example(b=[[0]], c=[[1]], b_rows=1, c_rows=1, as_numpy=True)  # partial sums hold, Euler-Poincare fails
+@example(b=[[0, 0]] * 3, c=[[0, 0]] * 3, b_rows=2, c_rows=2, as_numpy=True)  # zero rows
+@example(b=[[]] * 3, c=[[]] * 3, b_rows=0, c_rows=0, as_numpy=False)  # no rows at all
+def test_morse_inequality_check_matches_literal_at_every_column(b, c, b_rows, c_rows, as_numpy):
+    # columns of unequal width, read as zero past their end, as are rows one side lacks
+    width = max(len(b), len(c))
+    b, c = (b + [[]] * width)[:width], (c + [[]] * width)[:width]
+    got = morse_inequality_check(as_rows(b, b_rows, as_numpy), as_rows(c, c_rows, as_numpy), width)
+    want = [literal_morse_inequalities(bi[:b_rows], ci[:c_rows]) for bi, ci in zip(b, c)]
+    assert got == want
 
 
 def test_betti_formulas_read_b4():
@@ -135,10 +158,40 @@ def test_betti_formulas_read_b4():
     assert int(tables[(5, True)][15015]) - int(tables[(5, True)][7507]) == 1
     b = [1 + int(tables[(1, False)][15015] - tables[(1, False)][7507])]
     b += [int(tables[(k + 1, True)][15015] - tables[(k + 1, True)][7507]) for k in (1, 2, 3)]
-    h1, h3 = betti_formulas(15015, tables, b + [1])
-    assert h1 and h3 == {1: True, 2: True, 3: True, 4: True}
-    assert betti_formulas(15015, tables, b + [0])[1][4] is False
-    assert betti_formulas(15015, tables, b)[1] == {1: True, 2: True, 3: True}
+    assert betti_formulas([15015], tables, [[x] for x in b + [1]]) == [(True, ())]
+    assert betti_formulas([15015], tables, [[x] for x in b + [0]]) == [(True, (4,))]
+    assert betti_formulas([15015], tables, [[x] for x in b]) == [(True, ())]
+
+
+def literal_betti_formulas(n, b, count):
+    """(H1, None below n = 4; the k where H3 fails) at n as stated, count(k, x, odd) counting pi_k(x)."""
+    b = list(b) + [0] * (4 - len(b))
+    h1 = None if n < 4 else b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
+    return h1, tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ns=st.lists(st.integers(0, 400), max_size=8),
+    offsets=st.lists(st.lists(st.integers(-1, 1), min_size=8, max_size=8), max_size=6),
+    as_numpy=st.booleans(),
+)
+@example(ns=[2, 3, 4, 30, 105, 400], offsets=[[0] * 8] * 4, as_numpy=True)  # H1 and H3 hold
+@example(ns=[3, 4, 210], offsets=[], as_numpy=False)  # no rows: b reads zero
+def test_betti_formulas_match_pi_k_counted_literally(sieve, ns, offsets, as_numpy):
+    # b_k(n) is the formula's value plus an offset, so a zero offset makes it hold
+    count = cache(lambda k, x, odd: pi_k(k, x, odd, sieve))
+    tables = pi_k_tables(sieve, 400, 4)
+
+    def formula(k, n):  # the value H1 (k = 0) or H3 gives b_k(n)
+        if k == 0:
+            return 1 + count(1, n, False) - count(1, n // 2, False)
+        return count(k + 1, n, True) - count(k + 1, n // 2, True)
+
+    b = [[formula(k, n) + offsets[k][i] for i, n in enumerate(ns)] for k in range(len(offsets))]
+    rows = [np.array(row, dtype=np.int64) for row in b] if as_numpy else b
+    want = [literal_betti_formulas(n, [row[i] for row in b], count) for i, n in enumerate(ns)]
+    assert betti_formulas(ns, tables, rows) == want
 
 
 def test_check_formulas_reads_every_dimension(sieve):
@@ -377,17 +430,6 @@ def test_integer_betti_checks_its_deformations(sieve, monkeypatch):
     monkeypatch.setattr(morse, "classify_vertex", four_critical)
     with pytest.raises(RankDiscrepancyError, match=r"first at n=4: 4 is not squarefree but critical$"):
         Filtration(build_graph(GraphKind.integer(60), sieve), sieve).betti
-
-
-def test_events_to_csv(sieve):
-    from primetop import events_to_csv
-
-    text = events_to_csv(Filtration(build_graph(GraphKind.integer(12), sieve), sieve).events)
-    lines = text.splitlines()
-    assert lines[0] == "n,mu,sphere_dim,morse_index,ph_index,kind"
-    rows = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
-    assert rows[9][5] == "homotopy" and rows[9][2] == "" and rows[9][3] == ""
-    assert rows[6] == ["6", "1", "0", "1", "-1", "critical"]
 
 
 def test_betti_delta_at_checkpoints(sieve):
@@ -642,10 +684,7 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         assert F.poincare_hopf[n] == (None if index_ok and sum_ok else "sum != chi" if index_ok else "index != -mu"), n
         b = [F.betti[k][n] for k in sorted(F.betti)]
         assert F.morse_inequalities[n] == literal_morse_inequalities(b, critical_counts(F.events, n)), n
-        b += [0] * (4 - len(b))
-        h1 = b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
-        h3_failures = tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
-        assert F.formulas[n] == (None if n < 4 else h1, h3_failures), n
+        assert F.formulas[n] == literal_betti_formulas(n, b, count), n
         if kind != "divisor":  # H2, c_m(n) = pi_{m+1}(n), fails at most n of a divisor graph
             c = F.critical_counts(n)
             assert c + [0] == [count(m + 1, n, False) for m in range(len(c) + 1)], n

@@ -9,7 +9,6 @@ from primetop import (
     GraphKind,
     betti_numbers,
     build_graph,
-    homotopy_reduce,
     induced_subgraph,
     inductive_dimension,
     is_contractible,
@@ -17,8 +16,10 @@ from primetop import (
     whitney_complex,
 )
 from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
-from primetop.graphs import cliques, complete_graph, cycle_graph, path_graph
+from primetop.graphs import cliques, complete_graph, cycle_graph
 from primetop.topology import dimension_timeline, sphere_dimension_within
+
+from conftest import path_graph
 
 
 def trimmed_betti(G):
@@ -209,23 +210,6 @@ def test_dimension_timeline_on_kindless_graphs(graph):
     assert len(dims) == max(G.labels) + 1
     for n, d in enumerate(dims):
         assert d == inductive_dimension(induced_subgraph(G, [v for v in G.labels if v <= n])), n
-
-
-def test_homotopy_reduce_small(sieve, small_corpus):
-    GI = build_graph(GraphKind.integer(6), sieve)
-    R = homotopy_reduce(GI)
-    assert trimmed_betti(R) == trimmed_betti(GI) == (2,)
-    GP = build_graph(GraphKind.prime(6), sieve)
-    assert trimmed_betti(homotopy_reduce(GP)) == trimmed_betti(GP)
-    assert homotopy_reduce(small_corpus["C4"]) == small_corpus["C4"]
-
-
-def test_homotopy_reduce_preserves_betti(sieve):
-    checkpoints = list(range(2, 61)) + [105, 150, 210, 300]
-    for n in checkpoints:
-        for kind in (GraphKind.prime(n), GraphKind.integer(n)):
-            G = build_graph(kind, sieve)
-            assert trimmed_betti(homotopy_reduce(G)) == trimmed_betti(G)
 
 
 def test_integer_and_prime_betti_agree(sieve):
