@@ -196,6 +196,12 @@ def _table_row(rec: CacheRecord, weak: bool, strong: bool, h1: bool | None, h3_f
     return ",".join(cells)
 
 
+def _trimmed(column: list[int]) -> list[int]:
+    while column and not column[-1]:
+        column.pop()
+    return column
+
+
 def cmd_table(config: argparse.Namespace) -> int:
     n_max = config.n_max
     sieve = FactorSieve(n_max)
@@ -203,21 +209,24 @@ def cmd_table(config: argparse.Namespace) -> int:
     # G(n) of Divisor(m) depends on m, so its records are keyed by m too
     kind = f"divisor({n_max})" if config.kind == "divisor" else config.kind
     cached = _load_cache(config.cache_path, kind, config.field_prime) if config.cache_path else {}
-    fresh = {
-        n: CacheRecord(
-            kind=kind,
-            n=n,
-            fvector=F.f_vector(n),
-            betti=F.betti_numbers(n),
-            chi=F.chi[n],
-            mertens=F.mertens[n],
-            critical_counts=F.critical_counts(n),
-            tool_version=__version__,
-            field_prime=config.field_prime,
-        )
-        for n in range(2, n_max + 1)
-        if n not in cached
-    }
+    fresh = {}
+    # if some n of this run is not cached, one transpose of the timelines: n, its f, Betti and critical column
+    if any(n not in cached for n in range(2, n_max + 1)):
+        nf, nb = len(F.f), len(F.betti)
+        for n, *column in zip(range(n_max + 1), *F.f, *F.betti, *F.critical):
+            if n >= 2 and n not in cached:
+                fvector = _trimmed(column[:nf])
+                fresh[n] = CacheRecord(
+                    kind=kind,
+                    n=n,
+                    fvector=fvector,
+                    betti=column[nf : nf + nb][: len(fvector)],
+                    chi=F.chi[n],
+                    mertens=F.mertens[n],
+                    critical_counts=_trimmed(column[nf + nb :]),
+                    tool_version=__version__,
+                    field_prime=config.field_prime,
+                )
     if config.cache_path and fresh:
         _append_cache(config.cache_path, list(fresh.values()))
     header = (

@@ -1,12 +1,12 @@
 """Whitney complexes, boundary operators, exact Betti numbers, Hodge blocks.
 
 Every Betti number comes from one column reduction with clearing
-(_betti_changes), run over GF(p) (default p = 2^31 - 1) and again by exact
-fraction-free integer elimination at every size, then checked against
-Euler-Poincare; any disagreement raises.  On a divisibility graph both
-passes of morse.Filtration reduce the prime complex Delta(n), not the
-simplices.
-Timelines are lists of Python ints, indexed [k][n].  Floating point appears
+(_betti_changes) and one witness, _verified_betti, which runs it over GF(p)
+(default p = 2^31 - 1) and by exact fraction-free integer elimination at
+every size, then checks Euler-Poincare; any disagreement raises.
+betti_numbers is its case with one key.  On a divisibility graph both passes
+of morse.Filtration reduce the prime complex Delta(n), not the simplices.
+Timelines are lists of rows of Python ints, indexed [k][n].  Floating point appears
 only in the Hodge/Witten spectral cross-checks and in the Lefschetz
 supertrace, each of which has an exact counterpart elsewhere in the package;
 only those functions, and the Wu oracle, import numpy.
@@ -233,23 +233,14 @@ def _betti_changes(order, key, faces, reduce) -> list[Counter]:
     return changes
 
 
-def _betti_sums(simplices, reduce) -> tuple[int, ...]:
-    """Betti vector of the complex with these simplices: each dimension's changes, summed."""
-    return tuple(sum(change.values()) for change in _betti_changes(simplices, itemgetter(-1), _faces, reduce))
-
-
 def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> BettiVector:
-    """b_k over GF(field_prime), witnessed by exact integer elimination and Euler-Poincare at every size.
+    """b_k over GF(field_prime), witnessed by _verified_betti with every simplex at key 0.
 
     A disagreement raises RankDiscrepancyError so the caller can retry with a
     different prime.
     """
-    b = _betti_sums(K.simplices, partial(reduce_gf, p=field_prime))
-    if _betti_sums(K.simplices, reduce_exact) != b:
-        raise RankDiscrepancyError(f"rank over GF({field_prime}) disagrees with exact rational rank", field_prime)
-    if sum((-1) ** k * v for k, v in enumerate(b)) != euler_characteristic(K):
-        raise RankDiscrepancyError("Betti numbers violate Euler-Poincare", field_prime)
-    return BettiVector(b=b, field_prime=field_prime, verified_rational=True)
+    b = _verified_betti(_one_key(K), [[len(dim)] for dim in K.simplices], 0, field_prime)
+    return BettiVector(b=tuple(row[0] for row in b), field_prime=field_prime, verified_rational=True)
 
 
 def _cumulative(changes, top: int) -> list[int]:
@@ -282,12 +273,17 @@ def _betti_timeline(complex_, top: int, reduce) -> list[list[int]]:
     return [_cumulative(change, top) for change in _betti_changes(*complex_, reduce)]
 
 
+def _one_key(K: SimplicialComplex):
+    """(cells, key, faces) of K with every simplex at key 0, for a timeline of the one column n = 0."""
+    return K.simplices, lambda s: 0, _faces
+
+
 def _simplicial(simplices):
     """(cells, key, faces) of the simplices for _verified_betti: each dimension sorted by top vertex, the key."""
     return [sorted(dim, key=itemgetter(-1)) for dim in simplices], itemgetter(-1), _faces
 
 
-def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, certificate=None) -> dict[int, list[int]]:
+def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, certificate=None) -> list[list[int]]:
     """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
     complex_ is the (cells, key, faces) of a filtered complex, each cells[k]
@@ -305,7 +301,7 @@ def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, ce
         _first_mismatch(b, certificate, field_prime, "Bjorner's matching")
     b += [[0] * (top + 1) for _ in range(len(f) - len(b))]
     _first_mismatch([_chi(b, top)], [_chi(f, top)], field_prime, "Euler-Poincare")
-    return dict(enumerate(b))
+    return b
 
 
 def _first_mismatch(got: list[list[int]], want: list[list[int]], field_prime: int, what: str) -> None:

@@ -126,9 +126,8 @@ def morse_inequality_check(b, c, width: int) -> list[tuple[bool, bool]]:
 
     weak: b_k <= c_k for all k.  strong: every alternating partial sum
     r_k = sum_{j<=k} (-1)^(k-j) (c_j - b_j) is nonnegative and the last is
-    zero (Euler-Poincare).  A row k >= len(b) or len(c) reads as zeros, so
-    rows may be a list or a dict keyed 0..len - 1.  One dimension is read at
-    a time: the state is one row of r and the failed columns.
+    zero (Euler-Poincare).  A row k >= len(b) or len(c) reads as zeros.  One k
+    is read at a time: the state is one row of r and the failed columns.
     """
     zero = [0] * width
     r, weak_fails, strong_fails = zero, set(), set()
@@ -149,7 +148,7 @@ def betti_formulas(ns, tables, b) -> list[tuple[bool | None, tuple[int, ...]]]:
 
     H1: b_0 = 1 + pi(n) - pi(n//2), None below n = 4.  H3: b_k =
     pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at
-    least for k = 1..3; b is read as in morse_inequality_check.  tables is
+    least for k = 1..3; a row k >= len(b) reads as zeros.  tables is
     pi_k_tables(sieve, N, k_max) for some N >= max(ns).  A k above k_max
     counts zero, which is exact when k_max >= max(len(b), 4) or no
     squarefree number up to N has more than k_max primes.
@@ -230,14 +229,14 @@ def chi_timeline(G: Graph) -> list[int]:
     return _chi(_f_vector(cliques(G), top), top)
 
 
-def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> dict[int, list[int]]:
-    """b_k(G(n)) for every n at once, by one filtration-ordered reduction.
+def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[list[int]]:
+    """b_k(G(n)) for every n at once, rows [k][n], by one filtration-ordered reduction.
 
     The columns of each dimension enter in the order of their top vertex
-    label, through the clearing reduction that also gives betti_numbers.
-    Exact over GF(field_prime), and checked against exact rational
-    elimination of the same simplices and Euler-Poincare at every n.  It
-    reads the Whitney complex of any graph, and is the oracle of
+    label, through _verified_betti, the witness that also gives
+    betti_numbers: exact over GF(field_prime), and checked against exact
+    rational elimination of the same simplices and Euler-Poincare at every
+    n.  It reads the Whitney complex of any graph, and is the oracle of
     Filtration.betti on the divisibility graphs.
     """
     simplices, top = cliques(G), _timeline_top(G)
@@ -259,8 +258,8 @@ class Filtration:
     each label's representative, the event of the first vertex of its
     exponent signature, and build no per-vertex event.  Each of the paper's
     identities is evaluated here by one call over every n, in a field that
-    reads only that identity's inputs.  Timelines are lists of Python
-    ints over n = 0..top, where top is G.param.
+    reads only that identity's inputs.  A timeline is a list of Python ints
+    over n = 0..top, where top is G.param, or a list of such rows [k][n].
     """
 
     def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -297,8 +296,8 @@ class Filtration:
         return _chi(self.f, self.top)
 
     @cached_property
-    def betti(self) -> dict[int, list[int]]:
-        """betti_timeline(G, field_prime): b_k(G(n)) for n = 0..top, checked against f by Euler-Poincare.
+    def betti(self) -> list[list[int]]:
+        """betti_timeline(G, field_prime): rows b[k][n] for n = 0..top, checked against f by Euler-Poincare.
 
         Both passes reduce Delta(n) (_prime_complex), whose subdivision is
         the Whitney complex of G(n) on its squarefree labels, and matching is
@@ -401,27 +400,6 @@ class Filtration:
     def formulas(self) -> list[tuple[bool | None, tuple[int, ...]]]:
         """(H1, None below n = 4; the k where H3 fails) for n = 0..top: betti_formulas(range(top + 1), pi, betti)."""
         return betti_formulas(range(self.top + 1), self.pi, self.betti)
-
-    def f_vector(self, n: int) -> list[int]:
-        """whitney_complex(G(n)).f_vector, read from the cumulative f-vector."""
-        return self._column(self.f, n)
-
-    def betti_numbers(self, n: int) -> list[int]:
-        """betti_numbers(whitney_complex(G(n))).b: one entry per dimension of G(n)."""
-        return [self.betti[k][n] for k in range(len(self.f_vector(n)))]
-
-    def critical_counts(self, n: int) -> list[int]:
-        """critical_counts(events, n), read from the cumulative counts."""
-        return self._column(self.critical, n)
-
-    def _column(self, rows: list[list[int]], n: int) -> list[int]:
-        """[row[n] for row in rows] without its trailing zeros, for n in 0..top."""
-        if not 0 <= n <= self.top:
-            raise InvalidArgumentError(f"n = {n} outside the filtration's range 0..{self.top}")
-        column = [row[n] for row in rows]
-        while column and not column[-1]:
-            column.pop()
-        return column
 
 
 def _prime_complex(factored):

@@ -21,13 +21,12 @@ recursion is pruned by screens that are theorems of the definition:
 * a cone (some vertex adjacent to all others) is contractible;
 * a greedy collapse deletes only vertices whose link is a point or a cone,
   both contractible, so when it reaches one vertex the definition, applied to
-  its deletions in reverse, makes every graph on the way contractible; this
-  certificate runs before the Betti screen below;
-* deleting a vertex whose subset-link is a cone preserves Betti numbers, and a
-  contractible graph has the Betti numbers of a point over every field, so the
-  contractibility screens rank over GF(p) alone.  Sphere verdicts of the large
-  path keep the rationally witnessed Betti numbers: a sphere pattern over
-  GF(p) can hide torsion, as the projective plane over GF(2) does.
+  its deletions in reverse, makes every graph on the way contractible;
+* above the cap, a collapse that stalls keeps the Betti numbers (deleting a
+  vertex whose link is a cone leaves them), and a contractible graph has those
+  of a point over every field, so a non-point vector over GF(p) alone rules it
+  out.  The large path's sphere verdicts keep the rationally witnessed Betti
+  numbers: a GF(p) sphere pattern can hide torsion (RP^2 over GF(2)).
 
 Above the fixed recursion cap of RECURSION_CAP = 25 vertices only
 certificate-based answers are given (greedy collapse to a point, disconnection,
@@ -43,12 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .cohomology import DEFAULT_FIELD_PRIME, _betti_sums, betti_numbers, reduce_gf, whitney_complex
+from .cohomology import DEFAULT_FIELD_PRIME, _betti_timeline, _one_key, betti_numbers, reduce_gf, whitney_complex
 from .errors import ResourceLimitError
 from .graphs import Graph, bfs_distances, induced_subgraph
 
 RECURSION_CAP = 25
-_BETTI_SCREEN_MIN = 10
 
 
 @dataclass(frozen=True)
@@ -85,19 +83,10 @@ def _cone_apex(amb: Graph, sub: frozenset) -> int | None:
     return None
 
 
-def _betti_of_subset(amb: Graph, sub: frozenset):
-    return betti_numbers(whitney_complex(induced_subgraph(amb, sub))).b
-
-
 def _betti_gf_of_subset(amb: Graph, sub: frozenset) -> tuple[int, ...]:
-    """Betti numbers of the subset over GF(DEFAULT_FIELD_PRIME) alone: the GF(p) pass of betti_numbers.
-
-    Enough for the contractibility screens: a contractible complex has the
-    Betti numbers of a point over every field, so a non-point vector over one
-    field already proves it is not contractible.
-    """
+    """Betti numbers of the subset over GF(DEFAULT_FIELD_PRIME) alone: the GF(p) pass of betti_numbers."""
     K = whitney_complex(induced_subgraph(amb, sub))
-    return _betti_sums(K.simplices, partial(reduce_gf, p=DEFAULT_FIELD_PRIME))
+    return tuple(row[0] for row in _betti_timeline(_one_key(K), 0, partial(reduce_gf, p=DEFAULT_FIELD_PRIME)))
 
 
 def _is_point_pattern(b: tuple[int, ...]) -> bool:
@@ -156,8 +145,6 @@ def _contractible_uncached(amb: Graph, sub: frozenset, memo: dict) -> bool:
         return True
     if len(sub) > RECURSION_CAP:
         return _contractible_large(amb, sub, reduced, memo)
-    if len(sub) >= _BETTI_SCREEN_MIN and not _is_point_pattern(_betti_gf_of_subset(amb, sub)):
-        return False
     for v in sorted(sub):
         link = _link(amb, sub, v)
         if _contractible(amb, link, memo) and _contractible(amb, sub - {v}, memo):
@@ -228,7 +215,7 @@ def _sphere_fast(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
         kdim = _unit_sphere_dims(amb, sub, memo)
         if kdim is not None:
             k = kdim + 1
-            if _sphere_pattern(_betti_of_subset(amb, sub), k):
+            if _sphere_pattern(betti_numbers(whitney_complex(induced_subgraph(amb, sub))).b, k):
                 return SphereVerdict("sphere", k, "fast")
         status = "contractible" if _contractible(amb, sub, memo) else "neither"
         return SphereVerdict(status, None, "fast")

@@ -10,7 +10,9 @@ from primetop import (
     Filtration,
     GraphKind,
     build_graph,
+    classify_vertex,
     cli,
+    critical_counts,
     euler_characteristic,
     induced_subgraph,
     inductive_dimension,
@@ -104,7 +106,7 @@ def test_warm_table_computes_no_filtration_field(tmp_path, monkeypatch):
     cache, cold, warm = tmp_path / "cache.jsonl", tmp_path / "cold.csv", tmp_path / "warm.csv"
     argv = ["table", "--n-max", "120", "--cache", str(cache), "--out"]
     assert run_main(argv + [str(cold)]) == 0
-    for name in ("f", "betti", "events"):
+    for name in ("f", "betti", "critical", "events"):
         monkeypatch.setattr(morse.Filtration, name, property(lambda F, name=name: pytest.fail(f"warm table read F.{name}")))
     assert run_main(argv + [str(warm)]) == 0
     assert warm.read_bytes() == cold.read_bytes()
@@ -222,6 +224,20 @@ def test_dimension_fit_needs_three_rows(tmp_path, capsys, n_max):
     rows, fit = series_from_scratch("prime", n_max, "dimension")
     assert out.read_text() == rows
     assert capsys.readouterr().err == (fit if n_max >= 8 else "")
+
+
+def test_table_with_records_past_n_max_builds_the_missing_one(tmp_path, capsys):
+    # the cache keeps 38 records, more than the 19 of a --n-max 20 run, but not its n = 5
+    cache, out, plain = tmp_path / "cache.jsonl", tmp_path / "o.csv", tmp_path / "plain.csv"
+    assert run_main(["table", "--n-max", "40", "--cache", str(cache), "--out", str(out)]) == 0
+    lines = cache.read_text().splitlines()
+    assert json.loads(lines[3])["n"] == 5
+    lines[3] = lines[3][:20]
+    cache.write_text("".join(line + "\n" for line in lines))
+    assert run_main(["table", "--n-max", "20", "--cache", str(cache), "--out", str(out)]) == 0
+    assert "truncating corrupt cache line 4" in capsys.readouterr().err
+    assert run_main(["table", "--n-max", "20", "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_table_corrupt_middle_line_keeps_both_sides(tmp_path, capsys):
@@ -475,11 +491,14 @@ def test_diameter_at_scale(capsys):
     assert capsys.readouterr().out == "diameter: pass - component diameter <= 5 for 4 <= n <= 20000\n"
 
 
-@pytest.mark.parametrize("kind, n_max", [("prime", 60), ("integer", 40), ("divisor", 210)])
+# Divisor(7) has no vertex, so no row to transpose, and Divisor(4) one
+@pytest.mark.parametrize("kind, n_max", [("prime", 60), ("integer", 40), ("divisor", 210), ("divisor", 7), ("divisor", 4)])
 def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
     cache = tmp_path / "cache.jsonl"
     assert run_main(["table", "--kind", kind, "--n-max", str(n_max), "--cache", str(cache), "--out", str(tmp_path / "t.csv")]) == 0
-    G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))
+    sieve = FactorSieve(n_max)
+    G = build_graph(GraphKind(kind, n_max), sieve)
+    events = [classify_vertex(G, x, sieve) for x in G.labels]
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     assert [rec["n"] for rec in records] == list(range(2, n_max + 1))
     for rec in records:
@@ -487,6 +506,7 @@ def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
         assert rec["fvector"] == list(K.f_vector), rec
         assert rec["betti"] == list(betti_rank_oracle(K)), rec
         assert rec["chi"] == sum((-1) ** k * v for k, v in enumerate(K.f_vector)), rec
+        assert rec["critical_counts"] == critical_counts(events, rec["n"]), rec
     # the verdict columns are the Filtration's verdicts, h1 reading true below n = 4
     F = Filtration(G, FactorSieve(n_max))
     rows = [line.split(",")[-4:] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
@@ -511,18 +531,12 @@ def test_table_divisor_without_small_vertices(tmp_path):
         ["table", "--n-max", "100", "--sieve-limit", "99"],
         ["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "50"],
         ["series", "--what", "wu", "--n-max", "100", "--sieve-limit", "0"],
+        ["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "100"],
     ],
 )
-def test_sieve_limit_below_range_is_usage_error(argv, capsys):
+def test_sieve_limit_is_no_option(argv, capsys):
+    # the sieve is sized from --n-max (and --d for kummer), at any --sieve-limit
     with pytest.raises(SystemExit) as exc:
         run_main(argv)
     assert exc.value.code == 2
-    assert "--sieve-limit" in capsys.readouterr().err
-
-
-def test_sieve_limit_at_range_is_accepted(capsys):
-    # the sieve is sized from --n-max (and --d for kummer); --sieve-limit is no option
-    with pytest.raises(SystemExit) as exc:
-        run_main(["verify", "--checks", "mertens", "--n-max", "100", "--sieve-limit", "100"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --sieve-limit 100" in capsys.readouterr().err
+    assert "unrecognized arguments: --sieve-limit" in capsys.readouterr().err

@@ -37,6 +37,15 @@ from primetop.morse import _bjorner_partner, betti_formulas
 
 from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
 
+
+def column(rows, n):
+    """[row[n] for row in rows] without its trailing zeros: one n of the timelines rows[k][n]."""
+    col = [row[n] for row in rows]
+    while col and not col[-1]:
+        col.pop()
+    return col
+
+
 def test_stable_sphere_examples(sieve):
     G30 = build_graph(GraphKind.prime(30), sieve)
     assert stable_sphere(G30, 6).labels == (2, 3)
@@ -95,12 +104,12 @@ def test_run_filtration_b2_at_105(sieve):
 
 def test_filtration_reads_no_n_outside_its_range(sieve):
     F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
-    assert F.betti_numbers(30) == [5, 1, 0] and F.critical_counts(30) == [10, 7, 1]
-    for read in (F.f_vector, F.betti_numbers, F.critical_counts):
-        assert read(0) == []
-        for n in (-1, 31):
-            with pytest.raises(InvalidArgumentError, match="outside"):
-                read(n)
+    assert [row[30] for row in F.betti] == [5, 1, 0] and column(F.critical, 30) == [10, 7, 1]
+    # every row spans n = 0..top and no further
+    for rows in (F.f, F.betti, F.critical):
+        assert column(rows, 0) == [] and {len(row) for row in rows} == {31}
+        with pytest.raises(IndexError):
+            column(rows, 31)
 
 
 def test_critical_counts(sieve):
@@ -199,7 +208,7 @@ def test_check_formulas_reads_every_dimension(sieve):
     top = np.zeros(31, dtype=np.int64)
     top[20:] = 1  # no odd number up to 30 has five prime factors
     tampered = Filtration(F.G, sieve)
-    tampered.betti = dict(F.betti) | {3: np.zeros(31, dtype=np.int64), 4: top}
+    tampered.betti = [*F.betti, np.zeros(31, dtype=np.int64), top]
     ok, message = check_formulas(SimpleNamespace(n_max=30), tampered)
     assert not ok and message == "H3(k=4) fails first at n=20"
     ok, _ = check_formulas(SimpleNamespace(n_max=30), F)
@@ -251,8 +260,8 @@ def test_betti_timeline_matches_from_scratch(sieve):
     for n in range(2, 121):
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= n]))
         bv = betti_numbers(K)
-        for k in tl:
-            assert tl[k][n] == bv[k], (n, k)
+        for k, row in enumerate(tl):
+            assert row[n] == bv[k], (n, k)
 
 
 def reduce_without_clearing(simplices, top, reduce):
@@ -459,13 +468,13 @@ def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
     top = G.param
     assert np.array_equal(F.chi, chi_timeline(G))
     want = betti_timeline(G, field_prime)
-    assert sorted(F.betti) == sorted(want)
-    for k in want:
-        assert np.array_equal(F.betti[k], want[k]), k
+    assert len(F.betti) == len(want)
+    for k, row in enumerate(want):
+        assert np.array_equal(F.betti[k], row), k
     events = [classify_vertex(G, x, sieve=sieve) for x in G.labels]
     assert F.events == events
     for n in range(top + 1):
-        assert F.critical_counts(n) == critical_counts(events, n), n
+        assert column(F.critical, n) == critical_counts(events, n), n
 
 
 @pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200)])
@@ -488,7 +497,7 @@ def test_timelines_hold_python_ints(sieve, kind, n):
     # a fixed-width entry could wrap; a Python int cannot
     G = build_graph(GraphKind(kind, n), sieve)
     F = Filtration(G, sieve)
-    rows = [*F.f, F.chi, *F.betti.values(), *F.critical, chi_timeline(G), *betti_timeline(G).values()]
+    rows = [*F.f, F.chi, *F.betti, *F.critical, chi_timeline(G), *betti_timeline(G)]
     for row in rows:
         assert len(row) == n + 1 and all(type(v) is int for v in row)
 
@@ -513,7 +522,7 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
     # f and chi count the chains per exponent signature, and betti reduces Delta(n)
     assert F.chi is F.chi and F.betti is F.betti
     assert calls == {"cliques": 0, "classify": 0}
-    assert F.critical_counts(60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
+    assert column(F.critical, 60) == [17, 17, 2]  # pi(60), squarefree pairs and triples
     assert F.events is F.events
     # one classification per exponent signature: primes, pairs and triples
     assert calls == {"cliques": 0, "classify": 3}
@@ -630,7 +639,7 @@ def test_filtration_witness_names_first_torsion_step():
         betti_timeline(G, 2)
     assert exc.value.field_prime == 2
     betti = betti_timeline(G, 3)
-    assert tuple(int(betti[k][31]) for k in sorted(betti)) == (1, 0, 0)
+    assert tuple(int(row[31]) for row in betti) == (1, 0, 0)
     assert [int(betti[1][n]) for n in (30, 31)] == [1, 0]  # Moebius band, then the closed surface
 
 
@@ -640,7 +649,7 @@ def test_filtration_witness_beyond_2000_simplices():
     with pytest.raises(RankDiscrepancyError, match=r"first at n=2033$"):
         betti_timeline(G, 2)
     betti = betti_timeline(G, 3)
-    assert tuple(int(betti[k][2033]) for k in sorted(betti)) == (2, 0, 0)
+    assert tuple(int(row[2033]) for row in betti) == (2, 0, 0)
 
 
 def test_run_filtration_reads_the_filtration(sieve):
@@ -653,8 +662,9 @@ def test_run_filtration_reads_the_filtration(sieve):
     for n in (2, 15, 30, 100, 105, 120):  # 100 and 120 are not vertices
         K = complex_below(n + 1)
         now, prev = betti_rank_oracle(K), betti_rank_oracle(complex_below(n))
-        assert tuple(F.betti_numbers(n)) == now and F.chi[n] == euler_characteristic(K), n
-        assert F.critical_counts(n) == critical_counts(F.events, n), n
+        betti = [row[n] for row in F.betti][: len(column(F.f, n))]  # one entry per dimension of G(n)
+        assert tuple(betti) == now and F.chi[n] == euler_characteristic(K), n
+        assert column(F.critical, n) == critical_counts(F.events, n), n
         prev += (0,) * (len(now) - len(prev))
         assert [F.betti[k][n] - F.betti[k][n - 1] for k in range(len(now))] == [a - b for a, b in zip(now, prev)], n
 
@@ -682,11 +692,11 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         index_ok = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
         sum_ok = sum(ev.ph_index for ev in below) == F.chi[n]
         assert F.poincare_hopf[n] == (None if index_ok and sum_ok else "sum != chi" if index_ok else "index != -mu"), n
-        b = [F.betti[k][n] for k in sorted(F.betti)]
+        b = [row[n] for row in F.betti]
         assert F.morse_inequalities[n] == literal_morse_inequalities(b, critical_counts(F.events, n)), n
         assert F.formulas[n] == literal_betti_formulas(n, b, count), n
         if kind != "divisor":  # H2, c_m(n) = pi_{m+1}(n), fails at most n of a divisor graph
-            c = F.critical_counts(n)
+            c = column(F.critical, n)
             assert c + [0] == [count(m + 1, n, False) for m in range(len(c) + 1)], n
         seen.add((F.mertens_euler[n], F.formulas[n][0]))
     # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur

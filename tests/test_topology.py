@@ -86,8 +86,8 @@ def test_contractibility_screens_rank_over_one_field(monkeypatch):
         raise AssertionError("a contractibility screen ran exact elimination")
 
     monkeypatch.setattr(cohomology, "reduce_exact", no_exact)
-    # 12 vertices take the screen of the exact path, 40 the one after the
-    # stalled collapse; labels from 10^12 would show an array sized by label
+    # 12 vertices take the exact recursion, 40 the screen after the stalled
+    # collapse; labels from 10^12 would show an array sized by label
     for first in (1000, 10**12):
         for k in (12, 40):
             ring = Graph(range(first, first + k), [(first + i, first + (i + 1) % k) for i in range(k)])
