@@ -58,6 +58,7 @@ from .morse import (
     chi_timeline,
     classify_vertex,
     critical_counts,
+    divisor_sphere,
     morse_betti,
     morse_inequality_check,
     stable_sphere,

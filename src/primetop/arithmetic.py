@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, compress, count
+from operator import eq, mul
 
 from .errors import InvalidArgumentError
 
 # The first 15 primes: their primorial, 614889782588491410, is the largest primorial below 2^63.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _SLICE = 1 << 15
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # byte b to b + 1
+_PARITY = bytes((1, 255)) * 128  # byte w to (-1)^w as a signed byte
 
 
 class FactorSieve:
@@ -28,10 +31,11 @@ class FactorSieve:
     prime p <= sqrt(limit), largest first, writes p over its multiples from p^2
     on by slice assignment, so the smallest prime factor writes last; an entry
     left equal to its index is prime.  Each slice covers at most _SLICE
-    multiples, which bounds the temporary right-hand side.  One pass over spf
-    then fills mu[x] = mu(x) and omega[x], the number of distinct primes of x
-    (both array('b'), mu[1] = 1): x = p * (x // p) with p = spf[x], and p
-    divides x // p exactly when x is not squarefree.
+    multiples, which bounds the temporary right-hand side.  omega[x], the
+    number of distinct primes of x, and mu[x] = mu(x) (both array('b'),
+    mu[1] = 1) are filled by slices too: every prime p adds one to
+    omega[p::p], mu is (-1)^omega with mu[p*p::p*p] zeroed for each p <=
+    sqrt(limit).
     """
 
     def __init__(self, limit: int):
@@ -47,18 +51,16 @@ class FactorSieve:
                 stop = min(start + p * _SLICE, self.limit + 1)
                 spf[start:stop:p] = array("l", [p]) * len(range(start, stop, p))
         self.spf = spf
-        self.mu = mu = array("b", bytes(self.limit + 1))
-        self.omega = omega = array("b", bytes(self.limit + 1))
-        mu[1] = 1
-        for x in range(2, self.limit + 1):
-            p = spf[x]
-            m = x // p
-            if m % p:
-                mu[x] = -mu[m]
-                omega[x] = omega[m] + 1
-            else:
-                omega[x] = omega[m]
         self._primes: list[int] | None = None
+        omega = bytearray(self.limit + 1)
+        for p in compress(count(), map(eq, spf, count())):  # spf[x] == x: 0 and the primes
+            if p:
+                omega[p::p] = omega[p::p].translate(_PLUS_ONE)
+        mu = omega.translate(_PARITY)
+        mu[0] = 0
+        for p in small:
+            mu[p * p :: p * p] = bytes(len(range(p * p, self.limit + 1, p * p)))
+        self.mu, self.omega = array("b", mu), array("b", omega)
 
     @property
     def primes(self) -> list[int]:
@@ -103,10 +105,10 @@ def mertens(n: int, sieve: FactorSieve) -> int:
     return sum(moebius(k, sieve) for k in range(1, n + 1))
 
 
-def mertens_table(sieve: FactorSieve, n: int) -> list[int]:
-    """List M[0..n] of Mertens values (M[0] = 0), for sweep-style consumers."""
+def mertens_table(sieve: FactorSieve, n: int) -> array:
+    """M[0..n], the Mertens values (M[0] = 0) as an array('q'), for sweep-style consumers."""
     sieve.check_range(n)
-    return list(accumulate(sieve.mu[1 : n + 1], initial=0))
+    return array("q", accumulate(sieve.mu[1 : n + 1], initial=0))
 
 
 def prime_pi(x: float, sieve: FactorSieve) -> int:
@@ -141,19 +143,19 @@ def pi_k(k: int, x: float, odd_only: bool, sieve: FactorSieve) -> int:
     return count
 
 
-def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool], list[int]]:
-    """Cumulative pi_k lists for all 1 <= k <= k_max and both parities.
+def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool], array]:
+    """Cumulative pi_k rows for all 1 <= k <= k_max and both parities.
 
-    Returns {(k, odd_only): list A with A[x] = pi_k(k, x, odd_only)} for x in
-    [0, n], read from the sieve's omega and mu; intended for per-n sweeps
-    where calling pi_k repeatedly would be quadratic.
+    Returns {(k, odd_only): array('q') A with A[x] = pi_k(k, x, odd_only)}
+    for x in [0, n], read from the sieve's omega and mu; intended for per-n
+    sweeps where calling pi_k repeatedly would be quadratic.
     """
     sieve.check_range(n)
-    every = [w if u else 0 for w, u in zip(sieve.omega[1 : n + 1], sieve.mu[1 : n + 1])]
-    odd = every[:]
-    odd[1::2] = [0] * (len(odd) // 2)  # the even m = 2, 4, ...
+    every = array("b", map(mul, sieve.omega[1 : n + 1], map(abs, sieve.mu[1 : n + 1])))
+    odd = array("b", every)
+    odd[1::2] = array("b", bytes(len(odd) // 2))  # the even m = 2, 4, ...
     return {
-        (k, odd_only): list(accumulate(map(k.__eq__, marks), initial=0))
+        (k, odd_only): array("q", accumulate(map(k.__eq__, marks), initial=0))
         for k in range(1, k_max + 1)
         for odd_only, marks in ((False, every), (True, odd))
     }

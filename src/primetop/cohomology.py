@@ -6,7 +6,7 @@ Every Betti number comes from one column reduction with clearing
 every size, then checks Euler-Poincare; any disagreement raises.
 betti_numbers is its case with one key.  On a divisibility graph both passes
 of morse.Filtration reduce the prime complex Delta(n), not the simplices.
-Timelines are lists of rows of Python ints, indexed [k][n].  Floating point appears
+Timelines are lists of array('q') rows, indexed [k][n].  Floating point appears
 only in the Hodge/Witten spectral cross-checks and in the Lefschetz
 supertrace, each of which has an exact counterpart elsewhere in the package;
 only those functions, and the Wu oracle, import numpy.
@@ -14,12 +14,13 @@ only those functions, and the Wu oracle, import numpy.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, combinations
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, RankDiscrepancyError, ResourceLimitError
@@ -243,34 +244,46 @@ def betti_numbers(K: SimplicialComplex, field_prime: int = DEFAULT_FIELD_PRIME) 
     return BettiVector(b=tuple(row[0] for row in b), field_prime=field_prime, verified_rational=True)
 
 
-def _cumulative(changes, top: int) -> list[int]:
-    """t[n] = the sum of changes[m] over m <= n, for n = 0..top; changes maps each m to its change."""
-    t = [0] * (top + 1)
-    for m, d in changes.items():
-        t[m] = d
-    return list(accumulate(t))
+def _cumulative(marks, width: int, top: int) -> list[array]:
+    """Rows t[k][n] for k < width and n = 0..top: t[k][n] sums the c of every mark (k, m, c) with m <= n."""
+    rows = [_zeros(top) for _ in range(width)]
+    for k, m, c in marks:
+        rows[k][m] += c
+    for k, row in enumerate(rows):
+        rows[k] = array("q", accumulate(row))
+    return rows
 
 
-def _f_vector(simplices, top: int) -> list[list[int]]:
+def _marks(counters):
+    """The marks (k, m, c) of counters[k][m] = c, for _cumulative."""
+    return ((k, m, c) for k, counts in enumerate(counters) for m, c in counts.items())
+
+
+def _zeros(top: int) -> array:
+    """The timeline 0 for n = 0..top."""
+    return array("q", bytes(8 * (top + 1)))
+
+
+def _f_vector(simplices, top: int) -> list[array]:
     """f[k][n] = number of k-simplices whose top vertex is at most n, for n = 0..top."""
-    f = [_cumulative(Counter(s[-1] for s in dim), top) for dim in simplices]
+    f = _cumulative(((k, s[-1], 1) for k, dim in enumerate(simplices) for s in dim), len(simplices), top)
     while f and not any(f[-1]):
         f.pop()
     return f
 
 
-def _chi(f: list[list[int]], top: int) -> list[int]:
+def _chi(f, top: int) -> array:
     """chi(n) for n = 0..top, the alternating sum over k of the cumulative f-vector."""
-    chi = [0] * (top + 1)
+    chi = _zeros(top)
     for k, row in enumerate(f):
-        sign = -1 if k % 2 else 1
-        chi = [c + sign * v for c, v in zip(chi, row)]
+        chi = array("q", map(sub if k % 2 else add, chi, row))
     return chi
 
 
-def _betti_timeline(complex_, top: int, reduce) -> list[list[int]]:
+def _betti_timeline(complex_, top: int, reduce) -> list[array]:
     """b[k][n] for n = 0..top of complex_ = (cells, key, faces): the cumulative sum of _betti_changes over keys."""
-    return [_cumulative(change, top) for change in _betti_changes(*complex_, reduce)]
+    changes = _betti_changes(*complex_, reduce)
+    return _cumulative(_marks(changes), len(changes), top)
 
 
 def _one_key(K: SimplicialComplex):
@@ -283,7 +296,7 @@ def _simplicial(simplices):
     return [sorted(dim, key=itemgetter(-1)) for dim in simplices], itemgetter(-1), _faces
 
 
-def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, certificate=None) -> list[list[int]]:
+def _verified_betti(complex_, f, top: int, field_prime: int, certificate=None) -> list[array]:
     """b_k(n) over GF(field_prime) for n = 0..top, with an exact rational witness at every n.
 
     complex_ is the (cells, key, faces) of a filtered complex, each cells[k]
@@ -299,12 +312,12 @@ def _verified_betti(complex_, f: list[list[int]], top: int, field_prime: int, ce
     _first_mismatch(b, _betti_timeline(complex_, top, reduce_exact), field_prime, "exact rational rank")
     if certificate is not None:
         _first_mismatch(b, certificate, field_prime, "Bjorner's matching")
-    b += [[0] * (top + 1) for _ in range(len(f) - len(b))]
+    b += [_zeros(top) for _ in range(len(f) - len(b))]
     _first_mismatch([_chi(b, top)], [_chi(f, top)], field_prime, "Euler-Poincare")
     return b
 
 
-def _first_mismatch(got: list[list[int]], want: list[list[int]], field_prime: int, what: str) -> None:
+def _first_mismatch(got, want, field_prime: int, what: str) -> None:
     """Raise RankDiscrepancyError at the first n where the timelines got[k][n] and want[k][n] differ."""
     for n, (g, w) in enumerate(zip(zip(*got), zip(*want))):
         if g != w:

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import compress
+from heapq import merge
+from itertools import groupby
+from operator import itemgetter
 
 from .arithmetic import FactorSieve
 from .errors import InternalConsistencyError, InvalidArgumentError
@@ -28,9 +31,7 @@ class Graph:
     kind and param are None except on a graph build_graph returns, where kind
     is one of DIVISIBILITY_KINDS, param its n (or m), the labels are the
     kind's and the edges exactly their divisibility pairs, by construction.
-    The counted f-vector, the prime complex Delta(n) and the per-signature
-    events of morse.Filtration, and the smallest-divisor bridge of the
-    diameter sweep, rely on that.
+    The smallest-divisor bridge of the diameter sweep relies on that.
     """
 
     kind: str | None = None
@@ -155,23 +156,52 @@ def _divisibility_edges(vertices):
                 yield a, b
 
 
+def _label_rule(kind: GraphKind, sieve: FactorSieve):
+    """is_label(y) for 1 < y <= kind.param: whether y is a label of the kind's graph.
+
+    Integer(n) has every such y, Prime(n) the squarefree ones and Divisor(m)
+    the squarefree divisors of m other than m.  The labels are closed under
+    division: every divisor d > 1 of a label is a label.
+    """
+    m, mu = kind.param, sieve.mu
+    if kind.name == "integer":
+        return lambda y: True
+    if kind.name == "prime":
+        return mu.__getitem__
+    return lambda y: y != m and mu[y] and not m % y
+
+
+def kind_labels(kind: GraphKind, sieve: FactorSieve) -> array:
+    """The labels of the kind's graph, ascending, as an array('q'), by _label_rule; build_graph's too."""
+    if kind.param > sieve.limit:
+        raise InvalidArgumentError(f"parameter {kind.param} exceeds sieve limit {sieve.limit}")
+    n = kind.param
+    candidates = squarefree_divisors(n, sieve)[1:] if kind.name == "divisor" else range(2, n + 1)
+    return array("q", filter(_label_rule(kind, sieve), candidates))
+
+
+def proper_divisors(x: int, sieve: FactorSieve) -> list[int]:
+    """The divisors 1 < d < x of x, ascending, read from the sieve's spf chain."""
+    spf = sieve.spf
+    divisors, m = [1], x
+    while m > 1:
+        p, block = spf[m], len(divisors)
+        while not m % p:
+            m //= p
+            divisors += [d * p for d in divisors[-block:]]
+    divisors.sort()
+    return divisors[1:-1]
+
+
 def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
-    """Divisibility graph of the requested kind; edge {a,b} iff a|b or b|a.
+    """Divisibility graph of the requested kind on kind_labels; edge {a,b} iff a|b or b|a.
 
     The only maker of a graph with a kind: it sets kind and param on the
     graph it has just built.
     """
-    if kind.param > sieve.limit:
-        raise InvalidArgumentError(f"parameter {kind.param} exceeds sieve limit {sieve.limit}")
-    n = kind.param
-    if kind.name == "integer":
-        vertices = list(range(2, n + 1))
-    elif kind.name == "prime":
-        vertices = list(compress(range(2, n + 1), sieve.mu[2 : n + 1]))
-    else:
-        vertices = [d for d in squarefree_divisors(n, sieve) if d != 1 and d != n]
-    G = Graph(vertices, _divisibility_edges(vertices))
-    G.kind, G.param = kind.name, n
+    labels = kind_labels(kind, sieve)
+    G = Graph(labels, _divisibility_edges(labels))
+    G.kind, G.param = kind.name, kind.param
     return G
 
 
@@ -201,11 +231,16 @@ def bfs_distances(G: Graph, source: int, within: set[int] | None = None) -> dict
     """BFS distance map from source, optionally restricted to a vertex subset."""
     if not G.has_vertex(source):
         raise InvalidArgumentError(f"unknown vertex label {source}")
+    return _distances(G.neighbor_set, source, within)
+
+
+def _distances(neighbours, source: int, within=None) -> dict[int, int]:
+    """BFS distance map from source over neighbours(v), optionally restricted to the vertices in within."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in G.neighbor_set(u):
+        for w in neighbours(u):
             if w in dist or (within is not None and w not in within):
                 continue
             dist[w] = dist[u] + 1
@@ -308,16 +343,20 @@ def cycle_graph(k: int) -> Graph:
     return Graph(range(1, k + 1), [(i, i % k + 1) for i in range(1, k + 1)])
 
 
-def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor: int = 2) -> int | None:
+def verify_component_diameter_bound(
+    G: Graph | GraphKind, n_max: int, bound: int = 5, anchor: int = 2, sieve: FactorSieve | None = None
+) -> int | None:
     """First n in [4, n_max] where the anchor component's diameter exceeds bound.
 
-    Returns None when the bound holds everywhere.  A composite (a label with
-    a smaller neighbour) attaches on arrival and a prime p when 2p arrives;
-    the members are the vertices attached so far.  Distances between members
-    only shrink as the filtration grows, so each pair needs checking only at
-    the first n where both ends are members: an eccentricity check of every
-    vertex at its own join time covers all pairs.  Two certificates bound
-    that eccentricity; a BFS runs only where they do not reach bound, and its
+    G is a Graph, or a GraphKind whose graph is read from sieve without being
+    built (_neighbour_source).  Returns None when the bound holds everywhere.
+    A composite (a label with a smaller neighbour) attaches on arrival and a
+    prime p when 2p arrives; the members are the vertices attached so far,
+    all of them at most n.  Distances between members only shrink as the
+    filtration grows, so each pair needs checking only at the first n where
+    both ends are members: an eccentricity check of every vertex at its own
+    join time covers all pairs.  Two certificates bound that eccentricity; a
+    BFS over the members runs only where they do not reach bound, and its
     connectivity check then applies.  On the prime, integer and divisor
     graphs no BFS runs at bound 5; other graphs (kind None) get only the
     first certificate.
@@ -342,68 +381,91 @@ def verify_component_diameter_bound(G: Graph, n_max: int, bound: int = 5, anchor
     has ecc(x) <= max(4, far[x] + the largest far of the anchor and the prime
     members), which can settle x only for bounds of 4 and up.
     """
-    if not G.has_vertex(anchor):
+    source = _neighbour_source(G, sieve)
+    labels, neighbours, _, _ = source
+    if anchor not in labels:
         raise InvalidArgumentError(f"unknown anchor {anchor}")
-    for n, i, certified, _, member in _certified_joins(G, n_max, anchor):
+    for n, x, certified, far in _certified_joins(source, n_max, anchor):
         if certified <= bound:
             continue
-        members = {v for v, flag in zip(G.labels, member) if flag}
-        dist = bfs_distances(G, G.labels[i], within=members)
-        if len(dist) != len(members):
+        dist = _distances(lambda v: neighbours(v, n), x, within=far)
+        if len(dist) != len(far):
             raise InternalConsistencyError(f"anchor component disconnected at n={n}")
         if max(dist.values()) > bound:
             return n
     return None
 
 
-def _certified_joins(G: Graph, n_max: int, anchor: int):
-    """(n, i, certified, far, member) for each vertex index i joining at n in [4, n_max].
+def _neighbour_source(G: Graph | GraphKind, sieve: FactorSieve | None):
+    """(labels, neighbours(v, n), composite(v), bridge) for the diameter sweep, storing no adjacency of its own.
 
-    certified is the certificates' upper bound on the eccentricity of i among
-    the members (math.inf when they give none); far and member are the live
-    far bounds and member flags, valid until the next n.
+    neighbours(v, n) holds the neighbours of v up to n at least, and
+    composite(v) says whether v has a smaller neighbour.  A Graph gives its
+    neighbour sets, and the smallest-divisor bridge when it has a kind.  A
+    kind's graph is read from the sieve: the neighbours of v are its divisors
+    1 < d < v and its multiples j*v <= n that are labels.  A composite joins
+    at n = v and a prime p at n = 2p, so each join reads at most
+    2**omega(v) - 1 neighbours.
     """
-    index = {v: i for i, v in enumerate(G.labels)}
-    adjacency = [[index[u] for u in G.neighbor_set(v)] for v in G.labels]
-    anchor_index = index[anchor]
-    bridge = G.kind is not None
-    # In a divisibility graph a label is composite iff it has a smaller neighbour.
-    composite = [i != anchor_index and min(row, default=i) < i for i, row in enumerate(adjacency)]
-    joins: dict[int, list[int]] = {}
-    for i, v in enumerate(G.labels):
-        joins.setdefault(v if composite[i] or i == anchor_index else 2 * v, []).append(i)
-    member = bytearray(G.n_vertices)
-    far = [math.inf] * G.n_vertices
-    far[anchor_index] = 0
+    if isinstance(G, Graph):
+        nbrs = G.neighbor_set
+        return G.labels, lambda v, n: nbrs(v), lambda v: min(nbrs(v), default=v) < v, G.kind is not None
+    spf, is_label = sieve.spf, _label_rule(G, sieve)
+
+    def neighbours(v, n):
+        return proper_divisors(v, sieve) + [y for y in range(2 * v, n + 1, v) if is_label(y)]
+
+    return kind_labels(G, sieve), neighbours, lambda v: spf[v] != v, True
+
+
+def _certified_joins(source, n_max: int, anchor: int):
+    """(n, x, certified, far) for each label x joining at n in [4, n_max], source a _neighbour_source.
+
+    certified is the certificates' upper bound on the eccentricity of x among
+    the members (math.inf when they give none); far maps each member to its
+    live far bound, valid until the next n.
+    """
+    labels, neighbours, smaller, bridge = source
+
+    def composite(v):
+        return v != anchor and smaller(v)
+
+    joins = merge(
+        ((v, v) for v in labels if v == anchor or composite(v)),
+        ((2 * v, v) for v in labels if v != anchor and not composite(v)),
+    )
+    far: dict[int, float] = {}
     members_at = Counter()  # members per far value
     primes_at = Counter()  # the same for the anchor and the primes
-    for n in sorted(t for t in joins if t <= n_max):
-        joiners = joins[n]
-        for i in joiners:
-            member[i] = 1
-        for _ in joiners:  # joiners may reach the members only through each other
-            for i in joiners:
-                far[i] = min(far[i], 1 + min((far[w] for w in adjacency[i] if member[w]), default=math.inf))
-        for i in joiners:
-            members_at[far[i]] += 1
-            if not composite[i]:
-                primes_at[far[i]] += 1
-        for i in joiners:
-            closer = far[i] + 1
-            for w in adjacency[i]:
-                if member[w] and closer < far[w]:
+    for n, group in groupby(joins, itemgetter(0)):
+        if n > n_max:
+            break
+        near = {v: neighbours(v, n) for _, v in group}
+        for v in near:
+            far[v] = 0 if v == anchor else math.inf
+        for _ in near:  # joiners may reach the members only through each other
+            for v, row in near.items():
+                far[v] = min(far[v], 1 + min((far[w] for w in row if w in far), default=math.inf))
+        for v in near:
+            members_at[far[v]] += 1
+            if not composite(v):
+                primes_at[far[v]] += 1
+        for v, row in near.items():
+            closer = far[v] + 1
+            for w in row:
+                if w in far and closer < far[w]:
                     _recount(members_at, far[w], closer)
-                    if not composite[w]:
+                    if not composite(w):
                         _recount(primes_at, far[w], closer)
                     far[w] = closer
         if n < 4:
             continue
         radius = max(members_at)
-        for i in joiners:
-            certified = far[i] + radius
-            if bridge and composite[i]:
-                certified = min(certified, max(4, far[i] + max(primes_at)))
-            yield n, i, certified, far, member
+        for v in near:
+            certified = far[v] + radius
+            if bridge and composite(v):
+                certified = min(certified, max(4, far[v] + max(primes_at)))
+            yield n, v, certified, far
 
 
 def _recount(counts: Counter, old, new) -> None:

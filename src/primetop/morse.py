@@ -15,11 +15,12 @@ Delta(n), certified without elimination by Bjorner's matching at every n.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import accumulate, compress, count, product, repeat
+from itertools import compress, count, product, repeat
 from operator import gt, lt, ne
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
@@ -30,6 +31,7 @@ from .cohomology import (
     _cumulative,
     _f_vector,
     _faces,
+    _marks,
     _simplicial,
     _verified_betti,
     euler_characteristic,
@@ -43,7 +45,7 @@ from .errors import (
     InvalidArgumentError,
     RankDiscrepancyError,
 )
-from .graphs import Graph, cliques, induced_subgraph
+from .graphs import Graph, GraphKind, build_graph, cliques, induced_subgraph, kind_labels, proper_divisors
 from .topology import sphere_dimension_within
 
 
@@ -84,14 +86,28 @@ def stable_sphere(G: Graph, x: int) -> Graph:
     return induced_subgraph(G, neighbors[: bisect_left(neighbors, x)])
 
 
+def divisor_sphere(x: int, sieve: FactorSieve) -> Graph:
+    """stable_sphere(G, x) for a label x of a prime, integer or divisor graph G, built without G.
+
+    Its vertices are the divisors 1 < d < x, all labels of G since the labels
+    are closed under division, and its edges their divisibility pairs.
+    """
+    divisors = proper_divisors(x, sieve)
+    return Graph(divisors, [(a, b) for i, a in enumerate(divisors) for b in divisors[i + 1 :] if not b % a])
+
+
 def classify_vertex(G: Graph, x: int, sieve: FactorSieve) -> FiltrationEvent:
-    """Classify the filtration step at x from its stable sphere.
+    """Classify the filtration step at x from its stable sphere in G: _classify(stable_sphere(G, x), x, sieve)."""
+    return _classify(stable_sphere(G, x), x, sieve)
+
+
+def _classify(sphere: Graph, x: int, sieve: FactorSieve) -> FiltrationEvent:
+    """The filtration step at x, classified from its stable sphere.
 
     A sphere verdict makes x critical with morse_index = sphere dim + 1; a
     contractible stable sphere makes the step a homotopy deformation.  Any
     other verdict is a genuine finding and raises ClassificationError.
     """
-    sphere = stable_sphere(G, x)
     ph = 1 - euler_characteristic(whitney_complex(sphere))
     verdict = sphere_dimension_within(sphere, sphere.labels)
     mu = moebius(x, sieve)
@@ -223,13 +239,13 @@ def _timeline_top(G: Graph) -> int:
     return G.param if G.kind else max(G.labels, default=0)
 
 
-def chi_timeline(G: Graph) -> list[int]:
+def chi_timeline(G: Graph) -> array:
     """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
     top = _timeline_top(G)
     return _chi(_f_vector(cliques(G), top), top)
 
 
-def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[list[int]]:
+def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[array]:
     """b_k(G(n)) for every n at once, rows [k][n], by one filtration-ordered reduction.
 
     The columns of each dimension enter in the order of their top vertex
@@ -246,69 +262,90 @@ def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[lis
 class Filtration:
     """The filtration of a prime, integer or divisor graph by the counting function, computed lazily and once.
 
-    G is a graph of build_graph, so its labels are closed under division (x
-    -> x/p for every prime p of x, x/p = 1 aside); a graph without a kind is
-    rejected, and read by the module functions instead.  Each field is
-    computed on first use and then kept, so every check that reads the same
-    field shares one computation.  Each label is factored once: the f-vector
-    and chi count the chains of the divisor poset per exponent signature,
-    and the Betti timeline is that of the prime complex Delta(n), reduced
-    over GF(field_prime) and over Q and witnessed without elimination by
-    Bjorner's matching.  The critical counts and the Poincare-Hopf sums read
-    each label's representative, the event of the first vertex of its
-    exponent signature, and build no per-vertex event.  Each of the paper's
-    identities is evaluated here by one call over every n, in a field that
-    reads only that identity's inputs.  A timeline is a list of Python ints
-    over n = 0..top, where top is G.param, or a list of such rows [k][n].
+    kind is a GraphKind; the labels are kind_labels(kind, sieve), the label
+    rule build_graph uses, and are closed under division (x -> x/p for every
+    prime p of x, x/p = 1 aside).  A Graph is rejected, and read by the
+    module functions instead.  Each field is computed on first use and then
+    kept, so every check that reads the same field shares one computation.
+    Every field but G reads the sieve and the labels alone: G, the graph
+    build_graph makes, is built only when read.  Each label is factored once,
+    into the index of its exponent signature, and every per-signature value
+    is computed once: the f-vector and chi count the chains of the divisor
+    poset, and the critical counts and the Poincare-Hopf sums read each
+    label's representative, the event of the first label of its signature,
+    classified on a stable sphere built from its divisors.  The Betti
+    timeline is that of the prime complex Delta(n), reduced over
+    GF(field_prime) and over Q and witnessed without elimination by
+    Bjorner's matching.  Each of the paper's identities is evaluated here by
+    one call over every n, in a field that reads only that identity's
+    inputs.  A timeline is an array('q') over n = 0..top, where top is
+    kind.param, or a list of such rows [k][n].
     """
 
-    def __init__(self, G: Graph, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
-        if G.kind is None:
-            raise InvalidArgumentError("Filtration reads build_graph's graphs; use chi_timeline and betti_timeline")
-        self.G = G
+    def __init__(self, kind: GraphKind, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
+        if not isinstance(kind, GraphKind):
+            raise InvalidArgumentError("Filtration reads a GraphKind; for a Graph use chi_timeline and betti_timeline")
+        self.kind = kind
         self.sieve = sieve
         self.field_prime = field_prime
-        self.top = G.param
+        self.top = kind.param
+        self.labels = kind_labels(kind, sieve)
 
     @cached_property
-    def _factored(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """{x: _exponent_signature(x, sieve)} for every label x in label order."""
-        return {x: _exponent_signature(x, self.sieve) for x in self.G.labels}
+    def G(self) -> Graph:
+        """build_graph(kind, sieve), built on first use."""
+        return build_graph(self.kind, self.sieve)
 
     @cached_property
-    def f(self) -> list[list[int]]:
+    def _signatures(self) -> tuple[array, dict[tuple[int, ...], int]]:
+        """(index, first), the signature of each label as an index into one table per signature.
+
+        first maps each sorted exponent signature to its first label, in
+        label order, and index[i] is the position in first of the signature
+        of labels[i].
+        """
+        slots: dict[tuple[int, ...], tuple[int, int]] = {}  # signature: (position, first label)
+        index = array("H")
+        for x in self.labels:
+            key = tuple(sorted((e for _, e in self.sieve.factorization(x)), reverse=True))
+            index.append(slots.setdefault(key, (len(slots), x))[0])
+        return index, {key: x for key, (_, x) in slots.items()}
+
+    def _per_label(self, values):
+        """(x, the value of its signature) for every label x, in label order; values lists one per signature."""
+        index, _ = self._signatures
+        return zip(self.labels, map(list(values).__getitem__, index))
+
+    @cached_property
+    def f(self) -> list[array]:
         """f[k][n] = number of k-simplices of G(n), for n = 0..top.
 
         The k-simplices with top vertex x are the k-chains of divisors of x,
         counted once per exponent signature by _chain_counts.
         """
-        rows: list[list[int]] = []
-        for x, (exponents, _) in self._factored.items():
-            counts = _chain_counts(exponents)
-            rows += [[0] * (self.top + 1) for _ in range(len(counts) - len(rows))]
-            for row, c in zip(rows, counts):
-                row[x] = c
-        return [list(accumulate(row)) for row in rows]
+        counts = [_chain_counts(key) for key in self._signatures[1]]
+        marks = ((k, x, c) for x, chains in self._per_label(counts) for k, c in enumerate(chains))
+        return _cumulative(marks, max(map(len, counts), default=0), self.top)
 
     @cached_property
-    def chi(self) -> list[int]:
+    def chi(self) -> array:
         """chi_timeline(G): chi(G(n)) for n = 0..top, the alternating sum of f."""
         return _chi(self.f, self.top)
 
     @cached_property
-    def betti(self) -> list[list[int]]:
+    def betti(self) -> list[array]:
         """betti_timeline(G, field_prime): rows b[k][n] for n = 0..top, checked against f by Euler-Poincare.
 
         Both passes reduce Delta(n) (_prime_complex), whose subdivision is
         the Whitney complex of G(n) on its squarefree labels, and matching is
         the third witness.  On the integer graph the result also rests on a
-        theorem, checked here by reading each label's representative: each
+        theorem, checked here on each signature's representative: each
         non-squarefree x arrives as a homotopy deformation, its divisors
         1 < d < x forming a contractible poset.
         """
-        if self.G.kind == "integer":
-            reps, mu = self.representatives, self.sieve.mu
-            x = next((x for x, (key, _) in self._factored.items() if not mu[x] and reps[key].kind != "homotopy"), None)
+        if self.kind.name == "integer":
+            reps = self.representatives.items()
+            x = min((ev.n for key, ev in reps if key[0] > 1 and ev.kind != "homotopy"), default=None)
             if x is not None:
                 raise RankDiscrepancyError(
                     f"Integer(n) is not a deformation of Delta(n) first at n={x}: {x} is not squarefree but critical",
@@ -317,58 +354,54 @@ class Filtration:
         return _verified_betti(self._delta, self.f, self.top, self.field_prime, self.matching)
 
     @cached_property
-    def matching(self) -> list[list[int]]:
+    def matching(self) -> list[array]:
         """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), each n certified."""
         cells, _, faces = self._delta
         return _bjorner_matching(cells, faces, self.top, self.field_prime)
 
     @cached_property
     def _delta(self):
-        """_prime_complex(_factored)."""
-        return _prime_complex(self._factored)
+        """_prime_complex(labels, sieve)."""
+        return _prime_complex(self.labels, self.sieve)
 
     @cached_property
     def representatives(self) -> dict[tuple[int, ...], FiltrationEvent]:
-        """{sorted exponents: classify_vertex(G, x, sieve)}, x the first label with those exponents."""
-        reps: dict[tuple[int, ...], FiltrationEvent] = {}
-        for x, (key, _) in self._factored.items():
-            if key not in reps:
-                reps[key] = classify_vertex(self.G, x, self.sieve)
-        return reps
+        """{sorted exponents: the event of x}, x the first label with those exponents.
+
+        Each x is classified on divisor_sphere(x, sieve); classify_vertex(G,
+        x, sieve), the same _classify on stable_sphere(G, x), is its oracle.
+        """
+        return {key: _classify(divisor_sphere(x, self.sieve), x, self.sieve) for key, x in self._signatures[1].items()}
 
     @cached_property
     def events(self) -> list[FiltrationEvent]:
         """classify_vertex(G, x, sieve) for every vertex x of G, in label order.
 
         Under f(x) = x the stable sphere of a vertex x of a prime, integer or
-        divisor graph is, by build_graph's construction, the poset of its
-        divisors 1 < d < x, and the exponent-vector map is an isomorphism of
-        the posets of any two numbers with the same sorted exponents.  So each
-        vertex takes the event of its signature's representative, with its own
-        n and mu read from the sieve, on the same two facts that f and
-        Delta(n) rest on.
+        divisor graph is the poset of its divisors 1 < d < x, and the
+        exponent-vector map is an isomorphism of the posets of any two
+        numbers with the same sorted exponents.  So each vertex takes the
+        event of its signature's representative, with its own n and mu read
+        from the sieve, on the same two facts that f and Delta(n) rest on.
         """
-        reps, mu = self.representatives, self.sieve.mu
-        return [replace(reps[key], n=x, mu=mu[x]) for x, (key, _) in self._factored.items()]
+        mu = self.sieve.mu
+        return [replace(ev, n=x, mu=mu[x]) for x, ev in self._per_label(self.representatives.values())]
 
     @cached_property
-    def critical(self) -> list[list[int]]:
+    def critical(self) -> list[array]:
         """critical[m][n] = c_m(n), the critical events of index m up to n, each read from its representative."""
-        reps = self.representatives
-        width = 1 + max((ev.morse_index for ev in reps.values() if ev.kind == "critical"), default=-1)
-        counts = [Counter() for _ in range(width)]
-        for x, (key, _) in self._factored.items():
-            if reps[key].kind == "critical":
-                counts[reps[key].morse_index][x] += 1
-        return [_cumulative(c, self.top) for c in counts]
+        reps = self.representatives.values()
+        width = 1 + max((ev.morse_index for ev in reps if ev.kind == "critical"), default=-1)
+        marks = ((ev.morse_index, x, 1) for x, ev in self._per_label(reps) if ev.kind == "critical")
+        return _cumulative(marks, width, self.top)
 
     @cached_property
-    def mertens(self) -> list[int]:
+    def mertens(self) -> array:
         """mertens_table(sieve, top): M(n) for n = 0..top."""
         return mertens_table(self.sieve, self.top)
 
     @cached_property
-    def pi(self) -> dict[tuple[int, bool], list[int]]:
+    def pi(self) -> dict[tuple[int, bool], array]:
         """pi_k_tables(sieve, top, k_max), k_max the most primes of a squarefree number up to top."""
         return pi_k_tables(self.sieve, self.top, next(k for k in count(1) if primorial(k + 1) > self.top))
 
@@ -383,12 +416,13 @@ class Filtration:
 
         Else "index != -mu" (reported first) or "sum != chi".
         """
-        reps, mu = self.representatives, self.sieve.mu
-        index, wrong = Counter(), Counter()
-        for x, (key, _) in self._factored.items():
-            index[x] += reps[key].ph_index
-            wrong[x] += reps[key].kind == "critical" and reps[key].ph_index != -mu[x]
-        total, bad = _cumulative(index, self.top), _cumulative(wrong, self.top)
+        mu = self.sieve.mu
+        marks = (
+            mark
+            for x, ev in self._per_label(self.representatives.values())
+            for mark in ((0, x, ev.ph_index), (1, x, ev.kind == "critical" and ev.ph_index != -mu[x]))
+        )
+        total, bad = _cumulative(marks, 2, self.top)
         return ["index != -mu" if w else None if t == chi else "sum != chi" for w, t, chi in zip(bad, total, self.chi)]
 
     @cached_property
@@ -402,22 +436,28 @@ class Filtration:
         return betti_formulas(range(self.top + 1), self.pi, self.betti)
 
 
-def _prime_complex(factored):
-    """The prime complex Delta(n) on the squarefree labels of Filtration._factored, as (cells, key, faces).
+def _prime_complex(labels, sieve: FactorSieve):
+    """The prime complex Delta(n) on the squarefree labels, as (cells, key, faces).
 
-    cells[k] lists the labels with k + 1 primes, each keyed by itself; x =
-    p_0 p_1 ... p_k, primes ascending, has the boundary sum_i (-1)^i x / p_i,
-    built once as its (face, sign) list, which faces(x) returns (a vertex's
-    is empty).
+    cells[k] is an array('q') of the labels with k + 1 primes, each keyed by
+    itself; x = p_0 p_1 ... p_k, primes ascending, has the boundary
+    sum_i (-1)^i x / p_i.  faces(x) builds it as a (face, sign) list from
+    the sieve's spf on each call (a vertex's is empty), so no face is stored.
     """
-    cells: list[list[int]] = []
-    boundary: dict[int, list[tuple[int, int]]] = {}
-    for x, (exponents, primes) in factored.items():
-        if exponents[0] == 1:  # all exponents are 1, and primes ascend
-            cells += [[] for _ in range(len(primes) - len(cells))]
-            cells[len(primes) - 1].append(x)
-            boundary[x] = [(x // p, -1 if i % 2 else 1) for i, p in enumerate(primes)] if len(primes) > 1 else []
-    return cells, lambda x: x, boundary.__getitem__
+    mu, omega, spf = sieve.mu, sieve.omega, sieve.spf
+    cells: list[array] = []
+    for x in compress(labels, map(mu.__getitem__, labels)):
+        cells += [array("q") for _ in range(omega[x] - len(cells))]
+        cells[omega[x] - 1].append(x)
+
+    def faces(x):
+        primes, m = [], x
+        while m > 1:
+            primes.append(spf[m])
+            m //= spf[m]
+        return [(x // p, -1 if i % 2 else 1) for i, p in enumerate(primes)] if len(primes) > 1 else []
+
+    return cells, lambda x: x, faces
 
 
 def _bjorner_partner(x: int, q: int, n: int, is_cell) -> int | None:
@@ -425,7 +465,7 @@ def _bjorner_partner(x: int, q: int, n: int, is_cell) -> int | None:
     return q * x if x % q and q * x <= n and is_cell(q * x) else None
 
 
-def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int]]:
+def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[array]:
     """c[k][n], the critical k-cells of Bjorner's matching on Delta(n), for n = 0..top, each n certified.
 
     cells and faces are those of _prime_complex; q is their smallest prime.
@@ -443,7 +483,11 @@ def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int
     over every field.  Nothing is assumed from Bjorner's theorem: the first
     failed check raises RankDiscrepancyError naming n and the cell.
     """
-    dims = {x: k for k, row in enumerate(cells) for x in row}
+    dims = bytearray(top + 1)  # 1 + the dimension of each cell, 0 off the cells
+    for k, row in enumerate(cells):
+        for x in row:
+            dims[x] = k + 1
+    is_cell = dims.__getitem__
     q = cells[0][0] if cells else 0
     partner: dict[int, int] = {}
     changes = [Counter() for _ in cells]
@@ -451,8 +495,8 @@ def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int
     def fail(n, x, what):
         raise RankDiscrepancyError(f"Bjorner's matching fails first at n={n}: cell {x} {what}", field_prime)
 
-    for n in sorted(dims):
-        up = _bjorner_partner(n, q, n, dims.__contains__)
+    for n in compress(count(), dims):
+        up = _bjorner_partner(n, q, n, is_cell)
         if up is not None:
             fail(n, n, f"is matched with {up}, not a coface in Delta({n})")
         boundary = faces(n)
@@ -462,9 +506,9 @@ def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int
                 twice[v] = twice.get(v, 0) + s * t
         if any(twice.values()):
             fail(n, n, "has a boundary whose boundary is not zero")
-        pairs = [y for y, _ in boundary if _bjorner_partner(y, q, n, dims.__contains__) == n]
+        pairs = [y for y, _ in boundary if _bjorner_partner(y, q, n, is_cell) == n]
         if not pairs:
-            changes[dims[n]][n] += 1
+            changes[dims[n] - 1][n] += 1
             flow = _morse_boundary(boundary, partner, faces)
             if flow:
                 fail(n, n, f"is critical with Morse boundary {flow}")
@@ -479,8 +523,8 @@ def _bjorner_matching(cells, faces, top: int, field_prime: int) -> list[list[int
         if any(z % q for z, _ in boundary if z != y):
             fail(n, n, f"is matched with {y} and has a face that {q} does not divide")
         partner[y], partner[n] = n, y
-        changes[dims[y]][n] -= 1
-    return [_cumulative(c, top) for c in changes]
+        changes[dims[y] - 1][n] -= 1
+    return _cumulative(_marks(changes), len(changes), top)
 
 
 def _morse_boundary(boundary, partner: dict[int, int], faces) -> dict[int, int]:
@@ -502,12 +546,6 @@ def _morse_boundary(boundary, partner: dict[int, int], faces) -> dict[int, int]:
             s = next(t for v, t in up if v == y)
             paths += [(v, -w * s * t) for v, t in up if v != y]
     return {y: w for y, w in total.items() if w}
-
-
-def _exponent_signature(x: int, sieve: FactorSieve) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(exponents of x, descending; primes of x, ascending)."""
-    pairs = sieve.factorization(x)
-    return tuple(sorted((e for _, e in pairs), reverse=True)), tuple(p for p, _ in pairs)
 
 
 @cache

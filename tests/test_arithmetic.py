@@ -206,14 +206,14 @@ def test_prime_pi_at_every_x(sieve):
 
 
 def test_tables_hold_python_ints(sieve):
-    # a fixed-width entry could wrap; a Python int cannot
+    # each table is an array('q'), read as Python ints; a value past 64 bits raises OverflowError, it does not wrap
     assert all(type(v) is int for v in mertens_table(sieve, 3000))
     for table in pi_k_tables(sieve, 3000, 5).values():
         assert len(table) == 3001 and all(type(v) is int for v in table)
 
 
 def test_sieve_mu_and_omega_match_trial_division(sieve10k):
-    # mu and omega come from one pass over spf; trial division is the oracle at every x
+    # trial division is the oracle of mu and omega at every x
     for x in range(1, 10**4 + 1):
         factors, _ = distinct_primes_bruteforce(x)
         assert (sieve10k.mu[x], sieve10k.omega[x]) == (moebius_bruteforce(x), len(factors)), x
@@ -224,3 +224,16 @@ def test_sieve_mu_and_omega_match_trial_division(sieve10k):
         for k in range(1, 6):
             for odd in (False, True):
                 assert tabs[(k, odd)][n] == pi_k(k, n, odd, sieve10k), (n, k, odd)
+
+
+def test_sieve_mu_and_omega_match_factorization(sieve10k):
+    # the slice-filled mu and omega against the spf chain, at every x up to 10^4
+    for x in range(1, 10**4 + 1):
+        exponents = [e for _, e in sieve10k.factorization(x)]
+        mu = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+        assert (sieve10k.mu[x], sieve10k.omega[x]) == (mu, len(exponents)), x
+    assert (sieve10k.mu[0], sieve10k.omega[0]) == (0, 0)
+    # each limit ends some p::p and p*p::p*p slice at a different place
+    for limit in range(2, 300):
+        s = FactorSieve(limit)
+        assert (s.mu, s.omega) == (sieve10k.mu[: limit + 1], sieve10k.omega[: limit + 1]), limit

@@ -417,6 +417,48 @@ def test_verify_enumerates_no_chain_and_factors_no_signature(monkeypatch, capsys
     assert calls == {"cliques": 0, "factorization": labels}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "prime", "--n-max", "2310", "--checks", "mertens,hopf,morse-strong,formulas,diameter"],
+        ["verify", "--kind", "integer", "--n-max", "520", "--checks", "mertens,hopf,morse-strong,formulas"],
+        ["verify", "--kind", "divisor", "--n-max", "2310", "--checks", "mertens,hopf,morse-strong,formulas,diameter"],
+        ["table", "--kind", "prime", "--n-max", "350"],
+        ["table", "--kind", "integer", "--n-max", "200"],
+    ],
+)
+def test_verify_and_table_build_no_graph_but_the_stable_spheres(monkeypatch, capsys, argv):
+    # every Graph made is the divisor sphere of a representative, one per signature, or a subgraph
+    # that sphere recognition takes of one; build_graph never runs
+    import primetop.graphs as graphs
+    import primetop.morse as morse
+
+    code, out = run_main(argv), capsys.readouterr().out
+    made, spheres = [], []
+    init, sphere = graphs.Graph.__init__, morse.divisor_sphere
+
+    def recording_init(G, labels, edges):
+        init(G, labels, edges)
+        made.append(set(G.labels))
+
+    def forbidden(*args):
+        raise AssertionError("build_graph ran")
+
+    monkeypatch.setattr(graphs.Graph, "__init__", recording_init)
+    monkeypatch.setattr(morse, "divisor_sphere", lambda x, sieve: spheres.append(x) or sphere(x, sieve))
+    for module in (graphs, morse, cli):
+        monkeypatch.setattr(module, "build_graph", forbidden)
+    assert run_main(argv) == code
+    assert capsys.readouterr().out == out
+    kind, n_max = argv[2], int(argv[4])
+    sieve = FactorSieve(n_max)
+    labels = graphs.kind_labels(GraphKind(kind, n_max), sieve)
+    signatures = {tuple(sorted((e for _, e in sieve.factorization(x)), reverse=True)) for x in labels}
+    assert len(spheres) == len(set(spheres)) == len(signatures)
+    divisors = [set(graphs.proper_divisors(x, sieve)) for x in spheres]
+    assert made and all(any(vertices <= d for d in divisors) for vertices in made)
+
+
 @pytest.mark.parametrize("kind, n_max", [("prime", 2310), ("integer", 520)])
 def test_verify_builds_no_per_vertex_event(monkeypatch, capsys, kind, n_max):
     # the critical counts, the index sums and the integer graph's deformation guard read each
@@ -440,7 +482,7 @@ def test_verify_builds_no_per_vertex_event(monkeypatch, capsys, kind, n_max):
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 300), ("divisor", 210)])
 @pytest.mark.parametrize(
-    "checks, unused", [("formulas", "classify_vertex"), ("morse-weak,morse-strong", "pi_k_tables")]
+    "checks, unused", [("formulas", "_classify"), ("morse-weak,morse-strong", "pi_k_tables")]
 )
 def test_identity_check_reads_only_its_inputs(monkeypatch, capsys, kind, n_max, checks, unused):
     # H1/H3 need the pi_k tables and no vertex classification; the Morse inequalities the reverse
@@ -508,7 +550,7 @@ def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
         assert rec["chi"] == sum((-1) ** k * v for k, v in enumerate(K.f_vector)), rec
         assert rec["critical_counts"] == critical_counts(events, rec["n"]), rec
     # the verdict columns are the Filtration's verdicts, h1 reading true below n = 4
-    F = Filtration(G, FactorSieve(n_max))
+    F = Filtration(GraphKind(kind, n_max), FactorSieve(n_max))
     rows = [line.split(",")[-4:] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
     assert rows == [
         [cli._bool(x) for x in (*F.morse_inequalities[n], F.formulas[n][0] is not False, not F.formulas[n][1])]

@@ -26,6 +26,9 @@ from primetop import (
 from primetop.errors import InternalConsistencyError
 from primetop.graphs import (
     _certified_joins,
+    _neighbour_source,
+    kind_labels,
+    proper_divisors,
     bfs_distances,
     cliques,
     complete_graph,
@@ -165,29 +168,31 @@ def test_diameter_bound_matches_literal_sweep_any_n(sieve, kind, n, bound):
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 2310), ("integer", 520), ("divisor", 30030)])
 def test_diameter_certificates_are_upper_bounds(kind, n_max):
-    G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))
-    joined = []
-    for n, i, certified, far, member in _certified_joins(G, n_max, 2):
-        members = {v for v, flag in zip(G.labels, member) if flag}
-        to_anchor = bfs_distances(G, 2, within=members)
-        assert to_anchor.keys() == members, n
-        assert all(bound >= to_anchor[v] for v, bound in zip(G.labels, far) if v in members), n
-        x = G.labels[i]
-        assert certified >= max(bfs_distances(G, x, within=members).values()), (n, x)
-        joined.append(x)
-    assert sorted(joined) == [v for v in G.labels if v != 2 and (2 * v if _is_prime_label(v) else v) <= n_max]
+    sieve = FactorSieve(n_max)
+    G = build_graph(GraphKind(kind, n_max), sieve)
+    # the graph's neighbour sets, and the same graph read from the sieve
+    for source in (_neighbour_source(G, None), _neighbour_source(GraphKind(kind, n_max), sieve)):
+        joined = []
+        for n, x, certified, far in _certified_joins(source, n_max, 2):
+            members = set(far)
+            to_anchor = bfs_distances(G, 2, within=members)
+            assert to_anchor.keys() == members, n
+            assert all(bound >= to_anchor[v] for v, bound in far.items()), n
+            assert certified >= max(bfs_distances(G, x, within=members).values()), (n, x)
+            joined.append(x)
+        assert sorted(joined) == [v for v in G.labels if v != 2 and (2 * v if _is_prime_label(v) else v) <= n_max]
 
 
 def _count_bfs(monkeypatch):
-    """Patch graphs.bfs_distances to record the source label of every run."""
+    """Patch graphs._distances, the BFS of the diameter sweep, to record the source label of every run."""
     calls = []
-    bfs = graphs.bfs_distances
+    bfs = graphs._distances
 
-    def counted(G, source, within=None):
+    def counted(neighbours, source, within=None):
         calls.append(source)
-        return bfs(G, source, within)
+        return bfs(neighbours, source, within)
 
-    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    monkeypatch.setattr(graphs, "_distances", counted)
     return calls
 
 
@@ -196,7 +201,49 @@ def test_diameter_certificates_settle_every_join(monkeypatch):
     sieve = FactorSieve(20000)
     for kind, n_max in (("prime", 2310), ("integer", 520), ("prime", 20000)):
         assert verify_component_diameter_bound(build_graph(GraphKind(kind, n_max), sieve), n_max) is None
+        assert verify_component_diameter_bound(GraphKind(kind, n_max), n_max, sieve=sieve) is None
     assert calls == []
+
+
+def kindless_copy_outcome(G, n, bound):
+    """The sweep on Graph(G.labels, G.edges()): the far-bound certificate and BFS only."""
+    copy = Graph(G.labels, G.edges())
+    assert copy.kind is None
+    return _outcome(verify_component_diameter_bound, copy, n, bound)
+
+
+def sieve_sweep_outcome(sieve, kind, n, bound):
+    """The sweep on the kind's graph read from the sieve, with no Graph built."""
+    return _outcome(lambda *args: verify_component_diameter_bound(*args, sieve=sieve), GraphKind(kind, n), n, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(4, 400), bound=st.integers(2, 5))
+@example(kind="prime", n=400, bound=3)
+@example(kind="integer", n=200, bound=4)
+@example(kind="divisor", n=210, bound=2)
+def test_sieve_diameter_sweep_matches_the_kindless_copy(sieve, kind, n, bound):
+    if kind == "divisor":  # Divisor(m) has the anchor 2 only for an even m > 2
+        n -= n % 2
+    G = build_graph(GraphKind(kind, n), sieve)
+    assert sieve_sweep_outcome(sieve, kind, n, bound) == kindless_copy_outcome(G, n, bound)
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 520), ("divisor", 2310), ("divisor", 30030)])
+def test_sieve_diameter_sweep_matches_the_kindless_copy_at_benchmark_sizes(kind, n):
+    sieve = FactorSieve(n)
+    G = build_graph(GraphKind(kind, n), sieve)
+    for bound in range(2, 6):
+        assert sieve_sweep_outcome(sieve, kind, n, bound) == kindless_copy_outcome(G, n, bound), bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 3000))
+@example(x=1)
+@example(x=2310)
+@example(x=2048)
+def test_proper_divisors_by_trial_division(sieve, x):
+    assert proper_divisors(x, sieve) == [d for d in range(2, x) if not x % d]
 
 
 def test_diameter_bfs_fallback_on_kindless_graph(sieve, monkeypatch):
@@ -338,6 +385,8 @@ def assert_build_graph_is_its_definition(sieve, kind, n):
     G = build_graph(GraphKind(kind, n), sieve)
     assert (G.kind, G.param) == (kind, n)
     assert list(G.labels) == labels[kind]
+    # the label rule that build_graph and morse.Filtration read
+    assert kind_labels(GraphKind(kind, n), sieve).tolist() == labels[kind]
     assert G.edges() == divisibility_pairs(labels[kind])
 
 

@@ -22,6 +22,7 @@ from primetop import (
     chi_timeline,
     classify_vertex,
     critical_counts,
+    divisor_sphere,
     euler_characteristic,
     induced_subgraph,
     morse_betti,
@@ -44,6 +45,11 @@ def column(rows, n):
     while col and not col[-1]:
         col.pop()
     return col
+
+
+def rows(timeline):
+    """The rows [k][n] of a timeline as lists, to compare with a list oracle."""
+    return [list(row) for row in timeline]
 
 
 def test_stable_sphere_examples(sieve):
@@ -78,7 +84,7 @@ def test_classify_vertex_rejects_neither(sieve):
 
 
 def test_event_invariants(sieve):
-    for ev in Filtration(build_graph(GraphKind.integer(60), sieve), sieve).events:
+    for ev in Filtration(GraphKind.integer(60), sieve).events:
         if ev.kind == "critical":
             assert ev.ph_index in (-1, 1)
             assert ev.ph_index == (-1) ** ev.morse_index == -ev.mu
@@ -89,7 +95,7 @@ def test_event_invariants(sieve):
 
 
 def test_run_filtration_b1_timeline(sieve):
-    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    F = Filtration(GraphKind.prime(30), sieve)
     points = (14, 15, 21, 29, 30)
     assert {n: F.betti[1][n] for n in points} == {14: 0, 15: 1, 21: 2, 29: 2, 30: 1}
     for n in points:
@@ -98,12 +104,12 @@ def test_run_filtration_b1_timeline(sieve):
 
 
 def test_run_filtration_b2_at_105(sieve):
-    b2 = Filtration(build_graph(GraphKind.prime(105), sieve), sieve).betti[2]
+    b2 = Filtration(GraphKind.prime(105), sieve).betti[2]
     assert (b2[104], b2[105]) == (0, 1)
 
 
 def test_filtration_reads_no_n_outside_its_range(sieve):
-    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    F = Filtration(GraphKind.prime(30), sieve)
     assert [row[30] for row in F.betti] == [5, 1, 0] and column(F.critical, 30) == [10, 7, 1]
     # every row spans n = 0..top and no further
     for rows in (F.f, F.betti, F.critical):
@@ -113,14 +119,14 @@ def test_filtration_reads_no_n_outside_its_range(sieve):
 
 
 def test_critical_counts(sieve):
-    events = Filtration(build_graph(GraphKind.prime(30), sieve), sieve).events
+    events = Filtration(GraphKind.prime(30), sieve).events
     assert critical_counts(events, 10) == [4, 2]
     assert critical_counts(events, 30)[2] == 1
     assert critical_counts(events, 2) == [1]
 
 
 def test_critical_counts_monotone(sieve):
-    events = Filtration(build_graph(GraphKind.prime(120), sieve), sieve).events
+    events = Filtration(GraphKind.prime(120), sieve).events
     prev = []
     for n in range(2, 121):
         c = critical_counts(events, n)
@@ -204,10 +210,10 @@ def test_betti_formulas_match_pi_k_counted_literally(sieve, ns, offsets, as_nump
 
 
 def test_check_formulas_reads_every_dimension(sieve):
-    F = Filtration(build_graph(GraphKind.prime(30), sieve), sieve)
+    F = Filtration(GraphKind.prime(30), sieve)
     top = np.zeros(31, dtype=np.int64)
     top[20:] = 1  # no odd number up to 30 has five prime factors
-    tampered = Filtration(F.G, sieve)
+    tampered = Filtration(F.kind, sieve)
     tampered.betti = [*F.betti, np.zeros(31, dtype=np.int64), top]
     ok, message = check_formulas(SimpleNamespace(n_max=30), tampered)
     assert not ok and message == "H3(k=4) fails first at n=20"
@@ -302,16 +308,17 @@ def test_clearing_leaves_the_betti_timeline_unchanged(sieve, kind, n):
 def test_prime_complex_has_the_betti_timeline_of_the_subdivision(sieve, case):
     kind, n = case
     G = build_graph(GraphKind(kind, n), sieve)
-    delta = Filtration(G, sieve)._delta
+    F = Filtration(GraphKind(kind, n), sieve)
+    delta = F._delta
     assert sorted(x for dim in delta[0] for x in dim) == [x for x in G.labels if sieve.is_squarefree(x)]
-    got = _betti_timeline(delta, n, reduce_exact)
-    want = _betti_timeline(_simplicial(cliques(G)), n, reduce_exact)
+    got = rows(_betti_timeline(delta, n, reduce_exact))
+    want = rows(_betti_timeline(_simplicial(cliques(G)), n, reduce_exact))
     # the integer graph has chains such as 2 | 4 | 8, longer than any face of Delta(n)
     assert len(got) <= len(want)
     assert got + [[0] * (n + 1)] * (len(want) - len(got)) == want
     if kind == "integer":
         # the theorem the witness rests on there: no non-squarefree arrival is critical
-        events = Filtration(G, sieve).events
+        events = F.events
         assert all(ev.kind == "homotopy" for ev in events if not sieve.is_squarefree(ev.n))
 
 
@@ -324,10 +331,10 @@ def test_exact_witness_reduces_one_column_per_squarefree_label(sieve, monkeypatc
     monkeypatch.setattr(cohomology, "reduce_exact", lambda col, pivots: calls.append(len(col)) or oracle(col, pivots))
     G = build_graph(GraphKind(kind, n), sieve)
     assert sum(map(sieve.is_squarefree, G.labels)) == squarefree
-    betti = Filtration(G, sieve).betti
+    betti = Filtration(GraphKind(kind, n), sieve).betti
     # the subdivisions have 11,830 (prime) and 15,850 (integer) simplices
     assert 0 < len(calls) <= squarefree
-    assert betti == betti_timeline(G)
+    assert rows(betti) == rows(betti_timeline(G))
 
 
 @pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
@@ -338,17 +345,17 @@ def test_betti_reduces_no_simplex_of_the_subdivision(sieve, monkeypatch, kind, n
     oracle = cohomology.reduce_gf
     monkeypatch.setattr(cohomology, "reduce_gf", lambda col, pivots, p: calls.append(col) or oracle(col, pivots, p))
     G = build_graph(GraphKind(kind, n), sieve)
-    betti = Filtration(G, sieve).betti
+    betti = Filtration(GraphKind(kind, n), sieve).betti
     # the GF(p) pass reduces Delta(n), not the 11,830 (prime) or 15,850 (integer) simplices
     assert 0 < len(calls) <= squarefree
-    assert betti == betti_timeline(G)
+    assert rows(betti) == rows(betti_timeline(G))
 
 
 def assert_betti_matches_the_subdivision(G, sieve):
-    F = Filtration(G, sieve)
-    assert F.betti == betti_timeline(G)
+    F = Filtration(GraphKind(G.kind, G.param), sieve)
+    assert rows(F.betti) == rows(betti_timeline(G))
     # the critical cells of Bjorner's matching are Delta(n)'s Betti numbers, and Delta(n) has no more dimensions
-    assert F.matching == [F.betti[k] for k in range(len(F.matching))]
+    assert rows(F.matching) == rows(F.betti[: len(F.matching)])
     assert not any(any(F.betti[k]) for k in range(len(F.matching), len(F.betti)))
 
 
@@ -376,8 +383,8 @@ def _tampered_delta(monkeypatch, faces_of):
 
     oracle = morse._prime_complex
 
-    def tampered(factored):
-        cells, key, faces = oracle(factored)
+    def tampered(*args):
+        cells, key, faces = oracle(*args)
         return cells, key, lambda x: faces_of(x, faces(x))
 
     monkeypatch.setattr(morse, "_prime_complex", tampered)
@@ -400,7 +407,7 @@ def _flip(cell, face):
 def test_matching_rejects_a_flipped_face_sign(sieve, monkeypatch, cell, face, message):
     _tampered_delta(monkeypatch, _flip(cell, face))
     with pytest.raises(RankDiscrepancyError, match=message):
-        Filtration(build_graph(GraphKind.prime(300), sieve), sieve).betti
+        Filtration(GraphKind.prime(300), sieve).betti
 
 
 @pytest.mark.parametrize(
@@ -423,26 +430,26 @@ def test_matching_rejects_a_wrong_pairing(sieve, monkeypatch, partner, message):
 
     monkeypatch.setattr(morse, "_bjorner_partner", partner)
     with pytest.raises(RankDiscrepancyError, match=message):
-        Filtration(build_graph(GraphKind.prime(300), sieve), sieve).betti
+        Filtration(GraphKind.prime(300), sieve).betti
 
 
 def test_integer_betti_checks_its_deformations(sieve, monkeypatch):
     # Delta(n) gives the Betti numbers of Integer(n) only if every non-squarefree x is a deformation
     import primetop.morse as morse
 
-    oracle = morse.classify_vertex
+    oracle = morse._classify
 
-    def four_critical(G, x, sieve):
-        event = oracle(G, x, sieve)
+    def four_critical(sphere, x, sieve):
+        event = oracle(sphere, x, sieve)
         return dataclasses.replace(event, kind="critical") if x == 4 else event
 
-    monkeypatch.setattr(morse, "classify_vertex", four_critical)
+    monkeypatch.setattr(morse, "_classify", four_critical)
     with pytest.raises(RankDiscrepancyError, match=r"first at n=4: 4 is not squarefree but critical$"):
-        Filtration(build_graph(GraphKind.integer(60), sieve), sieve).betti
+        Filtration(GraphKind.integer(60), sieve).betti
 
 
 def test_betti_delta_at_checkpoints(sieve):
-    b1 = Filtration(build_graph(GraphKind.prime(30), sieve), sieve).betti[1]
+    b1 = Filtration(GraphKind.prime(30), sieve).betti[1]
     assert not any(b1[:15]) and b1[15] == 1  # the first loop appears at 15
     assert b1[30] - b1[29] == -1  # and one dies at 30
 
@@ -464,7 +471,7 @@ def test_sphere_birth_death_rule(sieve):
 
 
 def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
-    F = Filtration(G, sieve, field_prime)
+    F = Filtration(GraphKind(G.kind, G.param), sieve, field_prime)
     top = G.param
     assert np.array_equal(F.chi, chi_timeline(G))
     want = betti_timeline(G, field_prime)
@@ -494,9 +501,9 @@ def test_filtration_fields_match_oracles_any_n(sieve, kind, n, field_prime):
 
 @pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200), ("divisor", 210), ("divisor", 7)])
 def test_timelines_hold_python_ints(sieve, kind, n):
-    # a fixed-width entry could wrap; a Python int cannot
+    # each row is an array('q'), read as Python ints; a value past 64 bits raises OverflowError, it does not wrap
     G = build_graph(GraphKind(kind, n), sieve)
-    F = Filtration(G, sieve)
+    F = Filtration(GraphKind(kind, n), sieve)
     rows = [*F.f, F.chi, *F.betti, *F.critical, chi_timeline(G), *betti_timeline(G)]
     for row in rows:
         assert len(row) == n + 1 and all(type(v) is int for v in row)
@@ -515,9 +522,8 @@ def test_filtration_is_lazy_and_computes_once(sieve, monkeypatch):
 
     # no field of a prime graph's filtration enumerates its simplices
     monkeypatch.setattr(morse, "cliques", counting("cliques", morse.cliques))
-    monkeypatch.setattr(morse, "classify_vertex", counting("classify", morse.classify_vertex))
-    G = build_graph(GraphKind.prime(60), sieve)
-    F = Filtration(G, sieve)
+    monkeypatch.setattr(morse, "_classify", counting("classify", morse._classify))
+    F = Filtration(GraphKind.prime(60), sieve)
     assert calls == {"cliques": 0, "classify": 0}
     # f and chi count the chains per exponent signature, and betti reduces Delta(n)
     assert F.chi is F.chi and F.betti is F.betti
@@ -540,7 +546,7 @@ def test_counted_f_equals_the_enumerated_chains(sieve, kind, n):
     want = _f_vector(cliques(G), n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(morse, "cliques", lambda G: pytest.fail("counted f enumerated the chains"))
-        assert Filtration(G, sieve).f == want
+        assert rows(Filtration(GraphKind(kind, n), sieve).f) == rows(want)
 
 
 def oracle_events(G, sieve):
@@ -555,8 +561,8 @@ def test_events_run_no_betti_screen(sieve, kind, n, monkeypatch):
     screens = []
     oracle = topology._betti_gf_of_subset
     monkeypatch.setattr(topology, "_betti_gf_of_subset", lambda amb, sub: screens.append(sub) or oracle(amb, sub))
-    F = Filtration(build_graph(GraphKind(kind, n), sieve), sieve)
-    assert len(F.events) == F.G.n_vertices
+    F = Filtration(GraphKind(kind, n), sieve)
+    assert len(F.events) == len(F.labels)
     assert screens == []
 
 
@@ -567,7 +573,7 @@ def sorted_exponents(x, sieve):
 @pytest.mark.parametrize("kind, n, signatures", [("prime", 2310, 5), ("integer", 520, 31), ("divisor", 2310, 4)])
 def test_events_classify_once_per_signature(sieve, kind, n, signatures):
     G = build_graph(GraphKind(kind, n), sieve)
-    F = Filtration(G, sieve)
+    F = Filtration(GraphKind(kind, n), sieve)
     assert F.events == oracle_events(G, sieve)
     assert len(F.representatives) == signatures
     first = {}
@@ -580,7 +586,7 @@ def test_events_classify_once_per_signature(sieve, kind, n, signatures):
 @given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
 def test_events_match_oracle_any_n(sieve, kind, n):
     G = build_graph(GraphKind(kind, n), sieve)
-    F = Filtration(G, sieve)
+    F = Filtration(GraphKind(kind, n), sieve)
     assert F.events == oracle_events(G, sieve)
 
 
@@ -607,9 +613,45 @@ def test_stable_spheres_relabel_onto_their_signatures_first(sieve, kind, n):
         assert Graph(map(image, S.labels), [(image(a), image(b)) for a, b in S.edges()]) == stable_sphere(G, r), x
 
 
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 600))
+@example(kind="prime", n=2310)
+@example(kind="integer", n=520)
+@example(kind="divisor", n=2310)
+def test_divisor_spheres_are_the_stable_spheres(sieve, kind, n):
+    G = build_graph(GraphKind(kind, n), sieve)
+    for x in G.labels:
+        assert divisor_sphere(x, sieve) == stable_sphere(G, x), x
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400))
+@example(kind="prime", n=400)
+@example(kind="integer", n=300)
+@example(kind="divisor", n=210)
+@example(kind="divisor", n=7)
+def test_array_timelines_equal_their_list_oracles(sieve, kind, n):
+    G = build_graph(GraphKind(kind, n), sieve)
+    F = Filtration(GraphKind(kind, n), sieve)
+    assert tuple(F.labels) == G.labels
+    timelines = [*F.f, F.chi, *F.betti, *F.matching, *F.critical, F.mertens, *F.pi.values()]
+    assert {(row.typecode, len(row)) for row in timelines} <= {("q", n + 1)}
+    assert rows(F.f) == rows(_f_vector(cliques(G), n))
+    assert list(F.chi) == [sum((-1) ** k * row[m] for k, row in enumerate(rows(F.f))) for m in range(n + 1)]
+    assert rows(F.betti) == rows(betti_timeline(G))
+    assert rows(F.matching) == rows(F.betti[: len(F.matching)])
+    for m in range(n + 1):
+        assert column(F.critical, m) == critical_counts(F.events, m), m
+    assert list(F.mertens) == [0] + [mertens(m, sieve) for m in range(1, n + 1)]
+    for (k, odd), row in F.pi.items():
+        assert list(row) == [pi_k(k, x, odd, sieve) for x in range(n + 1)], (k, odd)
+
+
 def test_filtration_reads_only_graphs_with_a_kind(sieve):
+    # it takes the kind itself, and builds the graph only when F.G is read
     G = build_graph(GraphKind.prime(30), sieve)
-    for H in (Graph(G.labels, G.edges()), barycentric_refinement(cycle_graph(5))):
+    assert Filtration(GraphKind.prime(30), sieve).G == G
+    for H in (G, Graph(G.labels, G.edges()), barycentric_refinement(cycle_graph(5))):
         with pytest.raises(InvalidArgumentError, match="use chi_timeline and betti_timeline"):
             Filtration(H, sieve)
 
@@ -626,7 +668,7 @@ def test_representative_raises_where_the_oracle_does(sieve, monkeypatch):
     neither = SimpleNamespace(is_sphere=False, status="neither")
     monkeypatch.setattr(morse, "sphere_dimension_within", lambda S, W: neither if len(W) == 6 else oracle(S, W))
     G = build_graph(GraphKind.prime(30), sieve)
-    for classify in (lambda: classify_vertex(G, 30, sieve=sieve), lambda: Filtration(G, sieve).events):
+    for classify in (lambda: classify_vertex(G, 30, sieve=sieve), lambda: Filtration(GraphKind.prime(30), sieve).events):
         with pytest.raises(ClassificationError, match="stable sphere of 30 is neither"):
             classify()
 
@@ -654,7 +696,7 @@ def test_filtration_witness_beyond_2000_simplices():
 
 def test_run_filtration_reads_the_filtration(sieve):
     G = build_graph(GraphKind.prime(120), sieve)
-    F = Filtration(G, sieve)
+    F = Filtration(GraphKind.prime(120), sieve)
 
     def complex_below(n):
         return whitney_complex(induced_subgraph(G, [v for v in G.labels if v < n]))
@@ -682,7 +724,7 @@ def literal_morse_inequalities(b, c):
 def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
     # every verdict against the identity as stated: M(n) summed from mu, pi_k counted
     # for each x, critical counts and index sums read from the events
-    F = Filtration(build_graph(GraphKind(kind, n_max), sieve), sieve)
+    F = Filtration(GraphKind(kind, n_max), sieve)
     count = cache(lambda k, x, odd: pi_k(k, x, odd, sieve))
     seen = set()
     for n in range(2, n_max + 1):
