@@ -173,9 +173,11 @@ def _bool(x) -> str:
 
 def cmd_build(config: argparse.Namespace) -> int:
     sieve = FactorSieve(config.n_max)
-    G = build_graph(GraphKind(config.kind, config.n_max), sieve)
+    kind = GraphKind(config.kind, config.n_max)
+    G = build_graph(kind, sieve)
     if config.format == "json":
-        text = G.to_json() + "\n"
+        data = {"kind": kind.name, "param": kind.param, "vertices": G.labels, "edges": G.edges()}
+        text = json.dumps(data, separators=(", ", ": ")) + "\n"
     elif config.format == "dot":
         text = G.to_dot()
     else:
@@ -300,7 +302,7 @@ def _morse_sweep(config: argparse.Namespace, F: Filtration, which: int) -> tuple
 
 
 def check_diameter(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
-    bad = verify_component_diameter_bound(F.kind, config.n_max, bound=5, anchor=2, sieve=F.sieve)
+    bad = verify_component_diameter_bound(F.kind, F.sieve, config.n_max, bound=5, anchor=2)
     if bad is not None:
         return False, f"first counterexample n={bad}"
     return True, f"component diameter <= 5 for 4 <= n <= {config.n_max}"

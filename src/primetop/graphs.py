@@ -5,12 +5,12 @@ adjacency is stored once, as a dict from each label to the frozenset of its
 neighbours, and neighbors() sorts on demand for the callers that need order.
 All constructions are deterministic: vertices ascend, edges are emitted in
 ascending lexicographic order, and derived graphs (refinement, product) label
-their vertices by a canonical sort of the underlying simplices.
+their vertices by a canonical sort of the underlying simplices.  A graph
+carries no kind: a divisibility graph is named by its GraphKind(name, n).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections import Counter, deque
@@ -26,16 +26,7 @@ DIVISIBILITY_KINDS = ("prime", "integer", "divisor")
 
 
 class Graph:
-    """Immutable finite simple graph on distinct positive-integer labels.
-
-    kind and param are None except on a graph build_graph returns, where kind
-    is one of DIVISIBILITY_KINDS, param its n (or m), the labels are the
-    kind's and the edges exactly their divisibility pairs, by construction.
-    The smallest-divisor bridge of the diameter sweep relies on that.
-    """
-
-    kind: str | None = None
-    param: int | None = None
+    """Immutable finite simple graph on distinct positive-integer labels."""
 
     def __init__(self, labels, edges):
         labels = tuple(sorted(labels))
@@ -92,15 +83,6 @@ class Graph:
         return f"Graph({self.n_vertices} vertices, {len(self.edges())} edges)"
 
     # --- export ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        data = {
-            "kind": self.kind,
-            "param": self.param,
-            "vertices": list(self.labels),
-            "edges": [list(e) for e in self.edges()],
-        }
-        return json.dumps(data, separators=(", ", ": "))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -194,15 +176,9 @@ def proper_divisors(x: int, sieve: FactorSieve) -> list[int]:
 
 
 def build_graph(kind: GraphKind, sieve: FactorSieve) -> Graph:
-    """Divisibility graph of the requested kind on kind_labels; edge {a,b} iff a|b or b|a.
-
-    The only maker of a graph with a kind: it sets kind and param on the
-    graph it has just built.
-    """
+    """Divisibility graph of the requested kind on kind_labels; edge {a,b} iff a|b or b|a."""
     labels = kind_labels(kind, sieve)
-    G = Graph(labels, _divisibility_edges(labels))
-    G.kind, G.param = kind.name, kind.param
-    return G
+    return Graph(labels, _divisibility_edges(labels))
 
 
 def induced_subgraph(G: Graph, W) -> Graph:
@@ -344,22 +320,20 @@ def cycle_graph(k: int) -> Graph:
 
 
 def verify_component_diameter_bound(
-    G: Graph | GraphKind, n_max: int, bound: int = 5, anchor: int = 2, sieve: FactorSieve | None = None
+    kind: GraphKind, sieve: FactorSieve, n_max: int, bound: int = 5, anchor: int = 2
 ) -> int | None:
     """First n in [4, n_max] where the anchor component's diameter exceeds bound.
 
-    G is a Graph, or a GraphKind whose graph is read from sieve without being
-    built (_neighbour_source).  Returns None when the bound holds everywhere.
-    A composite (a label with a smaller neighbour) attaches on arrival and a
-    prime p when 2p arrives; the members are the vertices attached so far,
-    all of them at most n.  Distances between members only shrink as the
-    filtration grows, so each pair needs checking only at the first n where
-    both ends are members: an eccentricity check of every vertex at its own
-    join time covers all pairs.  Two certificates bound that eccentricity; a
-    BFS over the members runs only where they do not reach bound, and its
-    connectivity check then applies.  On the prime, integer and divisor
-    graphs no BFS runs at bound 5; other graphs (kind None) get only the
-    first certificate.
+    The kind's graph is read from the sieve, not built (_neighbour_source).
+    Returns None when the bound holds everywhere.  A composite (a label with
+    a smaller neighbour) attaches on arrival and a prime p when 2p arrives;
+    the members are the vertices attached so far, all of them at most n.
+    Distances between members only shrink as the filtration grows, so each
+    pair needs checking only at the first n where both ends are members: an
+    eccentricity check of every vertex at its own join time covers all
+    pairs.  Two certificates bound that eccentricity; a BFS over the members
+    runs only where they do not reach bound, and its connectivity check then
+    applies.  No BFS runs at bound 5.
 
     Far bounds.  far[v] is an upper bound on the distance from v to the
     anchor.  A joiner x gets 1 + the least far of its member neighbours, and
@@ -369,23 +343,22 @@ def verify_component_diameter_bound(
     ecc(x) <= far[x] + radius, the radius being the largest far of a member.
     A vertex with no known path to the anchor keeps an infinite bound.
 
-    Smallest-divisor bridge (kinds prime, integer and divisor).  The smallest
-    neighbour s(v) of a composite v is its smallest prime factor, so
-    s(v)**2 <= v.  Let v and w be composite members at n.  If s(v) = s(w),
-    v - s(v) - w has length 2.  Otherwise v - s(v) - s(v)s(w) - s(w) - w has
-    length 4.  Here s(v)s(w) <= sqrt(v)sqrt(w) <= n is a product of two
-    distinct primes: a vertex of the prime and integer graphs, and a divisor
-    of m other than m in Divisor(m), since Divisor(pq) has no composite.  It
-    is composite, hence a member.  Each s is the anchor or a prime with
-    2s <= s**2 <= n, hence a member too.  So d(v, w) <= 4, and a composite x
-    has ecc(x) <= max(4, far[x] + the largest far of the anchor and the prime
-    members), which can settle x only for bounds of 4 and up.
+    Smallest-divisor bridge.  The smallest neighbour s(v) of a composite v
+    is its smallest prime factor, so s(v)**2 <= v.  Let v and w be composite
+    members at n.  If s(v) = s(w), v - s(v) - w has length 2.  Otherwise
+    v - s(v) - s(v)s(w) - s(w) - w has length 4.  Here s(v)s(w) <=
+    sqrt(v)sqrt(w) <= n is a product of two distinct primes: a vertex of the
+    prime and integer graphs, and a divisor of m other than m in Divisor(m),
+    since Divisor(pq) has no composite.  It is composite, hence a member.
+    Each s is the anchor or a prime with 2s <= s**2 <= n, hence a member
+    too.  So d(v, w) <= 4, and a composite x has ecc(x) <= max(4, far[x] +
+    the largest far of the anchor and the prime members), which can settle x
+    only for bounds of 4 and up.
     """
-    source = _neighbour_source(G, sieve)
-    labels, neighbours, _, _ = source
+    labels, neighbours = kind_labels(kind, sieve), _neighbour_source(kind, sieve)
     if anchor not in labels:
         raise InvalidArgumentError(f"unknown anchor {anchor}")
-    for n, x, certified, far in _certified_joins(source, n_max, anchor):
+    for n, x, certified, far in _certified_joins(labels, neighbours, sieve.spf, n_max, anchor):
         if certified <= bound:
             continue
         dist = _distances(lambda v: neighbours(v, n), x, within=far)
@@ -396,39 +369,32 @@ def verify_component_diameter_bound(
     return None
 
 
-def _neighbour_source(G: Graph | GraphKind, sieve: FactorSieve | None):
-    """(labels, neighbours(v, n), composite(v), bridge) for the diameter sweep, storing no adjacency of its own.
+def _neighbour_source(kind: GraphKind, sieve: FactorSieve):
+    """neighbours(v, n) of the kind's graph for the diameter sweep, read from the sieve and storing no adjacency.
 
-    neighbours(v, n) holds the neighbours of v up to n at least, and
-    composite(v) says whether v has a smaller neighbour.  A Graph gives its
-    neighbour sets, and the smallest-divisor bridge when it has a kind.  A
-    kind's graph is read from the sieve: the neighbours of v are its divisors
-    1 < d < v and its multiples j*v <= n that are labels.  A composite joins
-    at n = v and a prime p at n = 2p, so each join reads at most
-    2**omega(v) - 1 neighbours.
+    The neighbours of v up to n are its divisors 1 < d < v and its multiples
+    j*v <= n that are labels.  A composite joins at n = v and a prime p at
+    n = 2p, so each join reads at most 2**omega(v) - 1 neighbours.
     """
-    if isinstance(G, Graph):
-        nbrs = G.neighbor_set
-        return G.labels, lambda v, n: nbrs(v), lambda v: min(nbrs(v), default=v) < v, G.kind is not None
-    spf, is_label = sieve.spf, _label_rule(G, sieve)
+    is_label = _label_rule(kind, sieve)
 
     def neighbours(v, n):
         return proper_divisors(v, sieve) + [y for y in range(2 * v, n + 1, v) if is_label(y)]
 
-    return kind_labels(G, sieve), neighbours, lambda v: spf[v] != v, True
+    return neighbours
 
 
-def _certified_joins(source, n_max: int, anchor: int):
-    """(n, x, certified, far) for each label x joining at n in [4, n_max], source a _neighbour_source.
+def _certified_joins(labels, neighbours, spf, n_max: int, anchor: int):
+    """(n, x, certified, far) for each label x joining at n in [4, n_max], neighbours a _neighbour_source.
 
+    A label v is composite, with a smaller neighbour, when spf[v] != v.
     certified is the certificates' upper bound on the eccentricity of x among
     the members (math.inf when they give none); far maps each member to its
     live far bound, valid until the next n.
     """
-    labels, neighbours, smaller, bridge = source
 
     def composite(v):
-        return v != anchor and smaller(v)
+        return v != anchor and spf[v] != v
 
     joins = merge(
         ((v, v) for v in labels if v == anchor or composite(v)),
@@ -463,7 +429,7 @@ def _certified_joins(source, n_max: int, anchor: int):
         radius = max(members_at)
         for v in near:
             certified = far[v] + radius
-            if bridge and composite(v):
+            if composite(v):
                 certified = min(certified, max(4, far[v] + max(primes_at)))
             yield n, v, certified, far
 

@@ -235,18 +235,13 @@ def morse_betti(M: MorseComplex, field_prime: int = DEFAULT_FIELD_PRIME) -> tupl
 # --- filtration-wide invariants ---------------------------------------------
 
 
-def _timeline_top(G: Graph) -> int:
-    return G.param if G.kind else max(G.labels, default=0)
-
-
-def chi_timeline(G: Graph) -> array:
-    """chi(G(n)) for every n, from cumulative per-top-vertex simplex counts."""
-    top = _timeline_top(G)
+def chi_timeline(G: Graph, top: int) -> array:
+    """chi(G(n)) for n = 0..top, from cumulative per-top-vertex simplex counts."""
     return _chi(_f_vector(cliques(G), top), top)
 
 
-def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[array]:
-    """b_k(G(n)) for every n at once, rows [k][n], by one filtration-ordered reduction.
+def betti_timeline(G: Graph, top: int, field_prime: int = DEFAULT_FIELD_PRIME) -> list[array]:
+    """b_k(G(n)) for n = 0..top at once, rows [k][n], by one filtration-ordered reduction.
 
     The columns of each dimension enter in the order of their top vertex
     label, through _verified_betti, the witness that also gives
@@ -255,7 +250,7 @@ def betti_timeline(G: Graph, field_prime: int = DEFAULT_FIELD_PRIME) -> list[arr
     n.  It reads the Whitney complex of any graph, and is the oracle of
     Filtration.betti on the divisibility graphs.
     """
-    simplices, top = cliques(G), _timeline_top(G)
+    simplices = cliques(G)
     return _verified_betti(_simplicial(simplices), _f_vector(simplices, top), top, field_prime)
 
 
@@ -329,12 +324,12 @@ class Filtration:
 
     @cached_property
     def chi(self) -> array:
-        """chi_timeline(G): chi(G(n)) for n = 0..top, the alternating sum of f."""
+        """chi_timeline(G, top): chi(G(n)) for n = 0..top, the alternating sum of f."""
         return _chi(self.f, self.top)
 
     @cached_property
     def betti(self) -> list[array]:
-        """betti_timeline(G, field_prime): rows b[k][n] for n = 0..top, checked against f by Euler-Poincare.
+        """betti_timeline(G, top, field_prime): rows b[k][n] for n = 0..top, checked against f by Euler-Poincare.
 
         Both passes reduce Delta(n) (_prime_complex), whose subdivision is
         the Whitney complex of G(n) on its squarefree labels, and matching is

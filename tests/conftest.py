@@ -5,7 +5,8 @@ moebius by trial division, Betti numbers by numpy floating-point matrix rank
 or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
 tuple counts by direct enumeration, component diameters by a BFS from every
-vertex.
+vertex, and the diameter sweep literally, by trial division and a BFS at every
+join.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from primetop import FactorSieve, Graph, boundary_matrices
 from primetop.cohomology import rank_exact
+from primetop.errors import InternalConsistencyError
 from primetop.graphs import bfs_distances, complete_graph, components, cycle_graph
 
 
@@ -132,6 +134,39 @@ def component_diameter(G: Graph, anchor: int = 2) -> int:
         ecc = max(bfs_distances(G, v).values())
         best = max(best, ecc)
     return best
+
+
+def is_prime_label(v: int) -> bool:
+    return v >= 2 and all(v % p for p in range(2, int(v**0.5) + 1))
+
+
+def diameter_bound_oracle(G, n_max, bound=5, anchor=2):
+    """The literal sweep: rebuild the member set by trial division at every join event."""
+
+    def in_component(v, n):
+        if v > n:
+            return False
+        return v == anchor or not is_prime_label(v) or 2 * v <= n
+
+    def joins_at(v):
+        if v == anchor:
+            return v
+        return 2 * v if is_prime_label(v) else v
+
+    events = {}
+    for v in G.labels:
+        events.setdefault(joins_at(v), []).append(v)
+    for n in range(4, n_max + 1):
+        for w in events.get(n, ()):
+            if not in_component(w, n):
+                continue
+            members = {v for v in G.labels if in_component(v, n)}
+            dist = bfs_distances(G, w, within=members)
+            if len(dist) != len(members):
+                raise InternalConsistencyError(f"anchor component disconnected at n={n}")
+            if max(dist.values()) > bound:
+                return n
+    return None
 
 
 def random_connected_graphs(count: int, seed: int = 11, max_vertices: int = 7) -> list[Graph]:

@@ -57,7 +57,7 @@ def events(G, big_sieve):
 
 @pytest.fixture(scope="module")
 def timeline(G):
-    return betti_timeline(G)
+    return betti_timeline(G, N_MAX)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def padded_eq(a, b):
 
 
 def test_c01_mertens_euler(G, big_sieve):
-    chi = chi_timeline(G)
+    chi = chi_timeline(G, N_MAX)
     mert = mertens_table(big_sieve, N_MAX)
     for n in range(2, N_MAX + 1):
         assert chi[n] == 1 - mert[n], f"n={n}"
@@ -94,7 +94,7 @@ def test_c01_mertens_euler(G, big_sieve):
 
 
 def test_c02_poincare_hopf(G, events, big_sieve):
-    chi = chi_timeline(G)
+    chi = chi_timeline(G, N_MAX)
     ph = np.zeros(N_MAX + 1, dtype=np.int64)
     for ev in events:
         ph[ev.n] = ev.ph_index
@@ -222,8 +222,8 @@ def test_c09_kummer_divisor_spheres(big_sieve):
           "involution is an automorphism with Lefschetz number 0 both ways")
 
 
-def test_c10_diameter(G):
-    assert verify_component_diameter_bound(G, N_MAX, bound=5, anchor=2) is None
+def test_c10_diameter(big_sieve):
+    assert verify_component_diameter_bound(GraphKind.prime(N_MAX), big_sieve, N_MAX, bound=5, anchor=2) is None
     print(f"ACCEPTANCE 10: PASS - component diameter <= 5 for all 4 <= n <= {N_MAX}")
 
 

@@ -13,16 +13,25 @@ import pytest
 
 import primetop.graphs as graphs
 import primetop.morse as morse
-from primetop import Filtration, Graph, GraphKind, RankDiscrepancyError, build_graph, classify_vertex
+from primetop import Filtration, GraphKind, RankDiscrepancyError, build_graph, classify_vertex
 from primetop.cli import check_mertens
 from primetop.errors import InternalConsistencyError
 
+from conftest import diameter_bound_oracle
 
-def _outcome(G, n, bound, sieve=None):
+
+def _outcome(sweep, *args):
     try:
-        return graphs.verify_component_diameter_bound(G, n, bound, sieve=sieve)
+        return sweep(*args)
     except InternalConsistencyError as exc:
         return str(exc)
+
+
+def _sweep_and_oracle(sieve, kind, n, bound):
+    """The diameter sweep on the kind, and the literal sweep on its graph: trial division and a BFS at every join."""
+    K = GraphKind(kind, n)
+    sweep = _outcome(graphs.verify_component_diameter_bound, K, sieve, n, bound)
+    return sweep, _outcome(diameter_bound_oracle, build_graph(K, sieve), n, bound)
 
 
 @pytest.mark.parametrize(
@@ -32,24 +41,38 @@ def _outcome(G, n, bound, sieve=None):
         ("integer", 200, 4, "anchor component disconnected at n=9", 10),
     ],
 )
-def test_a_neighbour_source_dropping_a_multiple_is_caught_by_the_kindless_copy(
+def test_a_neighbour_source_dropping_a_multiple_is_caught_by_the_literal_sweep(
     sieve, monkeypatch, kind, n, bound, faulted, oracle
 ):
-    # the sieve's neighbours of 3 lose its multiple 6; the kindless copy reads the graph's own edges
+    # the sieve's neighbours of 3 lose its multiple 6; the literal sweep reads the built graph's edges
     source = graphs._neighbour_source
 
-    def dropping(G, sieve):
-        labels, neighbours, composite, bridge = source(G, sieve)
-        if isinstance(G, Graph):
-            return labels, neighbours, composite, bridge
-        return labels, lambda v, m: [w for w in neighbours(v, m) if (v, w) != (3, 6)], composite, bridge
+    def dropping(kind, sieve):
+        neighbours = source(kind, sieve)
+        return lambda v, m: [w for w in neighbours(v, m) if (v, w) != (3, 6)]
 
-    G = build_graph(GraphKind(kind, n), sieve)
-    copy = Graph(G.labels, G.edges())
-    assert _outcome(GraphKind(kind, n), n, bound, sieve) == _outcome(copy, n, bound) == oracle
+    assert _sweep_and_oracle(sieve, kind, n, bound) == (oracle, oracle)
     monkeypatch.setattr(graphs, "_neighbour_source", dropping)
-    assert _outcome(GraphKind(kind, n), n, bound, sieve) == faulted
-    assert _outcome(copy, n, bound) == oracle
+    assert _sweep_and_oracle(sieve, kind, n, bound) == (faulted, oracle)
+
+
+@pytest.mark.parametrize(
+    "kind, n, bound, faulted, oracle",
+    [("prime", 400, 3, 15, 10), ("prime", 400, 4, None, 15), ("integer", 200, 4, None, 10)],
+)
+def test_a_diameter_certificate_one_too_small_is_caught_by_the_literal_sweep(
+    sieve, monkeypatch, kind, n, bound, faulted, oracle
+):
+    # every eccentricity certificate claims one less than it proves, so joins that need a BFS skip it
+    joins = graphs._certified_joins
+
+    def lowered(*args):
+        for m, x, certified, far in joins(*args):
+            yield m, x, certified - 1, far
+
+    assert _sweep_and_oracle(sieve, kind, n, bound) == (oracle, oracle)
+    monkeypatch.setattr(graphs, "_certified_joins", lowered)
+    assert _sweep_and_oracle(sieve, kind, n, bound) == (faulted, oracle)
 
 
 def test_a_divisor_sphere_missing_a_divisor_is_caught_by_classify_vertex(sieve, monkeypatch):

@@ -13,6 +13,7 @@ from primetop import (
     InvalidArgumentError,
     barycentric_refinement,
     build_graph,
+    cli,
     components,
     euler_characteristic,
     graph_product,
@@ -36,7 +37,7 @@ from primetop.graphs import (
     verify_component_diameter_bound,
 )
 
-from conftest import component_diameter, path_graph
+from conftest import component_diameter, diameter_bound_oracle, is_prime_label, path_graph
 
 
 def test_build_graph_examples(sieve):
@@ -86,45 +87,12 @@ def test_component_diameter(sieve):
 
 
 def test_diameter_bound_sweep_small(sieve):
-    G = build_graph(GraphKind.prime(500), sieve)
-    assert verify_component_diameter_bound(G, 500) is None
+    assert verify_component_diameter_bound(GraphKind.prime(500), sieve, 500) is None
     # the sweep's conclusion matches brute-force diameters at a few n
+    G = build_graph(GraphKind.prime(500), sieve)
     for n in (15, 60, 120):
         sub = induced_subgraph(G, [v for v in G.labels if v <= n])
         assert component_diameter(sub, 2) <= 5
-
-
-def _is_prime_label(v: int) -> bool:
-    return v >= 2 and all(v % p for p in range(2, int(v**0.5) + 1))
-
-
-def diameter_bound_oracle(G, n_max, bound=5, anchor=2):
-    """The literal sweep: rebuild the member set by trial division at every join event."""
-
-    def in_component(v, n):
-        if v > n:
-            return False
-        return v == anchor or not _is_prime_label(v) or 2 * v <= n
-
-    def joins_at(v):
-        if v == anchor:
-            return v
-        return 2 * v if _is_prime_label(v) else v
-
-    events = {}
-    for v in G.labels:
-        events.setdefault(joins_at(v), []).append(v)
-    for n in range(4, n_max + 1):
-        for w in events.get(n, ()):
-            if not in_component(w, n):
-                continue
-            members = {v for v in G.labels if in_component(v, n)}
-            dist = bfs_distances(G, w, within=members)
-            if len(dist) != len(members):
-                raise InternalConsistencyError(f"anchor component disconnected at n={n}")
-            if max(dist.values()) > bound:
-                return n
-    return None
 
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 400), ("integer", 200), ("divisor", 2310)])
@@ -133,21 +101,18 @@ def test_diameter_bound_matches_literal_sweep(sieve, kind, n_max):
     # the shorter sweeps end before some of the first failures
     for stop in (5, 9, 14, n_max):
         for bound in range(1, 6):
-            got = verify_component_diameter_bound(G, stop, bound)
+            got = verify_component_diameter_bound(GraphKind(kind, n_max), sieve, stop, bound)
             assert got == diameter_bound_oracle(G, stop, bound), (stop, bound)
 
 
 def test_diameter_bound_disconnection_error(sieve):
-    # 3 and 6 join at n = 6 but nothing links them to the anchor's side {2, 4}
-    G = Graph([2, 3, 4, 6], [(2, 4), (3, 6)])
-    for sweep in (verify_component_diameter_bound, diameter_bound_oracle):
-        with pytest.raises(InternalConsistencyError, match="disconnected at n=6"):
-            sweep(G, 10)
-    # with anchor 3, the prime 2 joins alone at n = 4
-    P = build_graph(GraphKind.prime(30), sieve)
-    for sweep in (verify_component_diameter_bound, diameter_bound_oracle):
-        with pytest.raises(InternalConsistencyError, match="disconnected at n=4"):
-            sweep(P, 30, anchor=3)
+    # Divisor(14) is the two labels 2 and 7 with no edge, and 7 joins at n = 14;
+    # with anchor 3, the prime 2 joins Prime(30)'s component alone at n = 4
+    for kind, anchor, n in ((GraphKind.divisor(14), 2, 14), (GraphKind.prime(30), 3, 4)):
+        with pytest.raises(InternalConsistencyError, match=f"disconnected at n={n}$"):
+            verify_component_diameter_bound(kind, sieve, kind.param, anchor=anchor)
+        with pytest.raises(InternalConsistencyError, match=f"disconnected at n={n}$"):
+            diameter_bound_oracle(build_graph(kind, sieve), kind.param, anchor=anchor)
 
 
 def _outcome(sweep, *args):
@@ -157,30 +122,56 @@ def _outcome(sweep, *args):
         return str(exc)
 
 
+def sieve_sweep_outcome(sieve, kind, n, bound):
+    """The sweep on the kind's graph read from the sieve, with no Graph built."""
+    return _outcome(verify_component_diameter_bound, GraphKind(kind, n), sieve, n, bound)
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 400), bound=st.integers(1, 5))
 def test_diameter_bound_matches_literal_sweep_any_n(sieve, kind, n, bound):
     if kind == "divisor":  # Divisor(m) has the anchor 2 only for an even m > 2; Divisor(2p) is disconnected
         n = max(4, n - n % 2)
     G = build_graph(GraphKind(kind, n), sieve)
-    assert _outcome(verify_component_diameter_bound, G, n, bound) == _outcome(diameter_bound_oracle, G, n, bound)
+    assert sieve_sweep_outcome(sieve, kind, n, bound) == _outcome(diameter_bound_oracle, G, n, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(4, 400), bound=st.integers(2, 5))
+@example(kind="prime", n=400, bound=3)
+@example(kind="integer", n=200, bound=4)
+@example(kind="divisor", n=210, bound=2)
+def test_sieve_diameter_sweep_matches_the_kindless_copy(sieve, kind, n, bound):
+    if kind == "divisor":  # Divisor(m) has the anchor 2 only for an even m > 2
+        n -= n % 2
+    G = build_graph(GraphKind(kind, n), sieve)
+    copy = Graph(G.labels, G.edges())  # the same labels and edges, and nothing of the kind they came from
+    assert sieve_sweep_outcome(sieve, kind, n, bound) == _outcome(diameter_bound_oracle, copy, n, bound)
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 520), ("divisor", 2310), ("divisor", 30030)])
+def test_diameter_bound_matches_literal_sweep_at_benchmark_sizes(kind, n):
+    sieve = FactorSieve(n)
+    G = build_graph(GraphKind(kind, n), sieve)
+    for bound in range(2, 6):
+        assert sieve_sweep_outcome(sieve, kind, n, bound) == _outcome(diameter_bound_oracle, G, n, bound), bound
 
 
 @pytest.mark.parametrize("kind, n_max", [("prime", 2310), ("integer", 520), ("divisor", 30030)])
 def test_diameter_certificates_are_upper_bounds(kind, n_max):
     sieve = FactorSieve(n_max)
-    G = build_graph(GraphKind(kind, n_max), sieve)
-    # the graph's neighbour sets, and the same graph read from the sieve
-    for source in (_neighbour_source(G, None), _neighbour_source(GraphKind(kind, n_max), sieve)):
-        joined = []
-        for n, x, certified, far in _certified_joins(source, n_max, 2):
-            members = set(far)
-            to_anchor = bfs_distances(G, 2, within=members)
-            assert to_anchor.keys() == members, n
-            assert all(bound >= to_anchor[v] for v, bound in far.items()), n
-            assert certified >= max(bfs_distances(G, x, within=members).values()), (n, x)
-            joined.append(x)
-        assert sorted(joined) == [v for v in G.labels if v != 2 and (2 * v if _is_prime_label(v) else v) <= n_max]
+    K = GraphKind(kind, n_max)
+    G = build_graph(K, sieve)
+    joined = []
+    joins = _certified_joins(kind_labels(K, sieve), _neighbour_source(K, sieve), sieve.spf, n_max, 2)
+    for n, x, certified, far in joins:
+        members = set(far)
+        to_anchor = bfs_distances(G, 2, within=members)
+        assert to_anchor.keys() == members, n
+        assert all(bound >= to_anchor[v] for v, bound in far.items()), n
+        assert certified >= max(bfs_distances(G, x, within=members).values()), (n, x)
+        joined.append(x)
+    assert sorted(joined) == [v for v in G.labels if v != 2 and (2 * v if is_prime_label(v) else v) <= n_max]
 
 
 def _count_bfs(monkeypatch):
@@ -200,41 +191,8 @@ def test_diameter_certificates_settle_every_join(monkeypatch):
     calls = _count_bfs(monkeypatch)
     sieve = FactorSieve(20000)
     for kind, n_max in (("prime", 2310), ("integer", 520), ("prime", 20000)):
-        assert verify_component_diameter_bound(build_graph(GraphKind(kind, n_max), sieve), n_max) is None
-        assert verify_component_diameter_bound(GraphKind(kind, n_max), n_max, sieve=sieve) is None
+        assert verify_component_diameter_bound(GraphKind(kind, n_max), sieve, n_max) is None
     assert calls == []
-
-
-def kindless_copy_outcome(G, n, bound):
-    """The sweep on Graph(G.labels, G.edges()): the far-bound certificate and BFS only."""
-    copy = Graph(G.labels, G.edges())
-    assert copy.kind is None
-    return _outcome(verify_component_diameter_bound, copy, n, bound)
-
-
-def sieve_sweep_outcome(sieve, kind, n, bound):
-    """The sweep on the kind's graph read from the sieve, with no Graph built."""
-    return _outcome(lambda *args: verify_component_diameter_bound(*args, sieve=sieve), GraphKind(kind, n), n, bound)
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(4, 400), bound=st.integers(2, 5))
-@example(kind="prime", n=400, bound=3)
-@example(kind="integer", n=200, bound=4)
-@example(kind="divisor", n=210, bound=2)
-def test_sieve_diameter_sweep_matches_the_kindless_copy(sieve, kind, n, bound):
-    if kind == "divisor":  # Divisor(m) has the anchor 2 only for an even m > 2
-        n -= n % 2
-    G = build_graph(GraphKind(kind, n), sieve)
-    assert sieve_sweep_outcome(sieve, kind, n, bound) == kindless_copy_outcome(G, n, bound)
-
-
-@pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 520), ("divisor", 2310), ("divisor", 30030)])
-def test_sieve_diameter_sweep_matches_the_kindless_copy_at_benchmark_sizes(kind, n):
-    sieve = FactorSieve(n)
-    G = build_graph(GraphKind(kind, n), sieve)
-    for bound in range(2, 6):
-        assert sieve_sweep_outcome(sieve, kind, n, bound) == kindless_copy_outcome(G, n, bound), bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,15 +204,12 @@ def test_proper_divisors_by_trial_division(sieve, x):
     assert proper_divisors(x, sieve) == [d for d in range(2, x) if not x % d]
 
 
-def test_diameter_bfs_fallback_on_kindless_graph(sieve, monkeypatch):
+def test_diameter_bfs_fallback_on_a_kind(sieve, monkeypatch):
     calls = _count_bfs(monkeypatch)
-    G = build_graph(GraphKind.prime(2310), sieve)
-    kindless = Graph(G.labels, G.edges())
-    assert kindless.kind is None
-    assert verify_component_diameter_bound(kindless, 2310) is None
-    assert calls
-    # the far bounds still settle every even joiner
-    assert all(label % 2 for label in calls)
+    assert verify_component_diameter_bound(GraphKind.prime(2310), sieve, 2310, bound=3) == 10
+    # the far bounds settle every even joiner; a BFS runs from the primes 3 and 5, and the second finds ecc 4
+    assert calls == [3, 5]
+    assert diameter_bound_oracle(build_graph(GraphKind.prime(2310), sieve), 2310, bound=3) == 10
 
 
 def test_prime_is_squarefree_restriction_of_integer(sieve):
@@ -367,23 +322,24 @@ def divisibility_pairs(labels):
     return [(a, b) for a, b in combinations(sorted(labels), 2) if b % a == 0]
 
 
-def test_only_build_graph_gives_a_kind():
-    # the anchor component's diameter is 6 (55 - 5 - 10 - 2 - 14 - 7 - 91); a "prime" kind on
-    # these labels, which are not Prime(91)'s, would let the smallest-divisor bridge certify 5
+def test_a_graph_has_no_kind(sieve):
+    # a kind is a GraphKind, which fixes its graph; these labels are not Prime(91)'s, and their anchor
+    # component has diameter 6 (55 - 5 - 10 - 2 - 14 - 7 - 91) while Prime(91)'s stays within 5
     labels = [2, 5, 7, 10, 11, 13, 14, 22, 26, 55, 91]
     with pytest.raises(TypeError):
         Graph(labels, divisibility_pairs(labels), kind="prime", param=91)
     G = Graph(labels, divisibility_pairs(labels))
-    assert (G.kind, G.param) == (None, None)
     assert component_diameter(G, 2) == 6
-    assert verify_component_diameter_bound(G, 91, bound=5) == 91
+    assert diameter_bound_oracle(G, 91) == 91
+    assert verify_component_diameter_bound(GraphKind.prime(91), sieve, 91) is None
+    for H in (G, build_graph(GraphKind.prime(91), sieve)):
+        assert not any(hasattr(H, name) for name in ("kind", "param", "to_json"))
 
 
 def assert_build_graph_is_its_definition(sieve, kind, n):
     squarefree = [x for x in range(2, n + 1) if all(e == 1 for _, e in sieve.factorization(x))]
     labels = {"integer": list(range(2, n + 1)), "prime": squarefree, "divisor": [d for d in squarefree if n % d == 0 and d != n]}
     G = build_graph(GraphKind(kind, n), sieve)
-    assert (G.kind, G.param) == (kind, n)
     assert list(G.labels) == labels[kind]
     # the label rule that build_graph and morse.Filtration read
     assert kind_labels(GraphKind(kind, n), sieve).tolist() == labels[kind]
@@ -416,9 +372,9 @@ def test_build_graph_keeps_one_adjacency_copy():
     assert peak <= 13_000_000, peak
 
 
-def test_json_schema(sieve):
-    G = build_graph(GraphKind.prime(30), sieve)
-    data = json.loads(G.to_json())
+def test_json_schema(capsys):
+    assert cli.main(["build", "--kind", "prime", "--n", "30", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["kind"] == "prime"
     assert data["param"] == 30
     assert data["vertices"] == sorted(data["vertices"])

@@ -254,7 +254,7 @@ def test_morse_derivative_entries(small_corpus):
 
 def test_chi_timeline(sieve):
     G = build_graph(GraphKind.prime(120), sieve)
-    chi = chi_timeline(G)
+    chi = chi_timeline(G, 120)
     for n in (2, 10, 30, 105, 120):
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= n]))
         assert chi[n] == euler_characteristic(K)
@@ -262,7 +262,7 @@ def test_chi_timeline(sieve):
 
 def test_betti_timeline_matches_from_scratch(sieve):
     G = build_graph(GraphKind.prime(120), sieve)
-    tl = betti_timeline(G)
+    tl = betti_timeline(G, 120)
     for n in range(2, 121):
         K = whitney_complex(induced_subgraph(G, [v for v in G.labels if v <= n]))
         bv = betti_numbers(K)
@@ -334,7 +334,7 @@ def test_exact_witness_reduces_one_column_per_squarefree_label(sieve, monkeypatc
     betti = Filtration(GraphKind(kind, n), sieve).betti
     # the subdivisions have 11,830 (prime) and 15,850 (integer) simplices
     assert 0 < len(calls) <= squarefree
-    assert rows(betti) == rows(betti_timeline(G))
+    assert rows(betti) == rows(betti_timeline(G, n))
 
 
 @pytest.mark.parametrize("kind, n, squarefree", [("prime", 2310, 1404), ("integer", 520, 318)])
@@ -348,12 +348,12 @@ def test_betti_reduces_no_simplex_of_the_subdivision(sieve, monkeypatch, kind, n
     betti = Filtration(GraphKind(kind, n), sieve).betti
     # the GF(p) pass reduces Delta(n), not the 11,830 (prime) or 15,850 (integer) simplices
     assert 0 < len(calls) <= squarefree
-    assert rows(betti) == rows(betti_timeline(G))
+    assert rows(betti) == rows(betti_timeline(G, n))
 
 
-def assert_betti_matches_the_subdivision(G, sieve):
-    F = Filtration(GraphKind(G.kind, G.param), sieve)
-    assert rows(F.betti) == rows(betti_timeline(G))
+def assert_betti_matches_the_subdivision(kind, sieve):
+    F = Filtration(kind, sieve)
+    assert rows(F.betti) == rows(betti_timeline(build_graph(kind, sieve), kind.param))
     # the critical cells of Bjorner's matching are Delta(n)'s Betti numbers, and Delta(n) has no more dimensions
     assert rows(F.matching) == rows(F.betti[: len(F.matching)])
     assert not any(any(F.betti[k]) for k in range(len(F.matching), len(F.betti)))
@@ -369,13 +369,13 @@ def assert_betti_matches_the_subdivision(G, sieve):
 @example(case=("prime", 2000))
 @example(case=("integer", 600))
 def test_betti_matches_the_subdivision_at_every_n(sieve, case):
-    assert_betti_matches_the_subdivision(build_graph(GraphKind(*case), sieve), sieve)
+    assert_betti_matches_the_subdivision(GraphKind(*case), sieve)
 
 
 # 2 and 7 have no label, 4 and 9 one; 9, 45, 105 and 1155 are odd, so q is 3
 @pytest.mark.parametrize("m", [2, 4, 6, 7, 9, 30, 45, 105, 210, 1155, 2310])
 def test_betti_matches_the_subdivision_on_divisor_graphs(sieve, m):
-    assert_betti_matches_the_subdivision(build_graph(GraphKind.divisor(m), sieve), sieve)
+    assert_betti_matches_the_subdivision(GraphKind.divisor(m), sieve)
 
 
 def _tampered_delta(monkeypatch, faces_of):
@@ -458,7 +458,7 @@ def test_sphere_birth_death_rule(sieve):
     # b2 jumps exactly at odd 3-fold products and drops exactly at their doubles
     n_max = 2310
     G = build_graph(GraphKind.prime(n_max), sieve)
-    tl = betti_timeline(G)
+    tl = betti_timeline(G, n_max)
     for n in range(3, n_max + 1):
         delta = int(tl[2][n] - tl[2][n - 1])
         exponents = [e for _, e in sieve.factorization(n)]
@@ -470,11 +470,11 @@ def test_sphere_birth_death_rule(sieve):
             assert delta == 0, n
 
 
-def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
-    F = Filtration(GraphKind(G.kind, G.param), sieve, field_prime)
-    top = G.param
-    assert np.array_equal(F.chi, chi_timeline(G))
-    want = betti_timeline(G, field_prime)
+def assert_filtration_matches_oracles(kind, sieve, field_prime=2_147_483_647):
+    G, F = build_graph(kind, sieve), Filtration(kind, sieve, field_prime)
+    top = kind.param
+    assert np.array_equal(F.chi, chi_timeline(G, top))
+    want = betti_timeline(G, top, field_prime)
     assert len(F.betti) == len(want)
     for k, row in enumerate(want):
         assert np.array_equal(F.betti[k], row), k
@@ -486,7 +486,7 @@ def assert_filtration_matches_oracles(G, sieve, field_prime=2_147_483_647):
 
 @pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200)])
 def test_filtration_fields_match_oracles(sieve, kind, n):
-    assert_filtration_matches_oracles(build_graph(GraphKind(kind, n), sieve), sieve)
+    assert_filtration_matches_oracles(GraphKind(kind, n), sieve)
 
 
 @settings(max_examples=30, deadline=None)
@@ -496,7 +496,7 @@ def test_filtration_fields_match_oracles(sieve, kind, n):
     field_prime=st.sampled_from([3, 7, 2_147_483_647]),
 )
 def test_filtration_fields_match_oracles_any_n(sieve, kind, n, field_prime):
-    assert_filtration_matches_oracles(build_graph(GraphKind(kind, n), sieve), sieve, field_prime)
+    assert_filtration_matches_oracles(GraphKind(kind, n), sieve, field_prime)
 
 
 @pytest.mark.parametrize("kind, n", [("prime", 300), ("integer", 200), ("divisor", 210), ("divisor", 7)])
@@ -504,7 +504,7 @@ def test_timelines_hold_python_ints(sieve, kind, n):
     # each row is an array('q'), read as Python ints; a value past 64 bits raises OverflowError, it does not wrap
     G = build_graph(GraphKind(kind, n), sieve)
     F = Filtration(GraphKind(kind, n), sieve)
-    rows = [*F.f, F.chi, *F.betti, *F.critical, chi_timeline(G), *betti_timeline(G)]
+    rows = [*F.f, F.chi, *F.betti, *F.critical, chi_timeline(G, n), *betti_timeline(G, n)]
     for row in rows:
         assert len(row) == n + 1 and all(type(v) is int for v in row)
 
@@ -638,7 +638,7 @@ def test_array_timelines_equal_their_list_oracles(sieve, kind, n):
     assert {(row.typecode, len(row)) for row in timelines} <= {("q", n + 1)}
     assert rows(F.f) == rows(_f_vector(cliques(G), n))
     assert list(F.chi) == [sum((-1) ** k * row[m] for k, row in enumerate(rows(F.f))) for m in range(n + 1)]
-    assert rows(F.betti) == rows(betti_timeline(G))
+    assert rows(F.betti) == rows(betti_timeline(G, n))
     assert rows(F.matching) == rows(F.betti[: len(F.matching)])
     for m in range(n + 1):
         assert column(F.critical, m) == critical_counts(F.events, m), m
@@ -651,7 +651,7 @@ def test_filtration_reads_only_graphs_with_a_kind(sieve):
     # it takes the kind itself, and builds the graph only when F.G is read
     G = build_graph(GraphKind.prime(30), sieve)
     assert Filtration(GraphKind.prime(30), sieve).G == G
-    for H in (G, Graph(G.labels, G.edges()), barycentric_refinement(cycle_graph(5))):
+    for H in (G, barycentric_refinement(cycle_graph(5))):
         with pytest.raises(InvalidArgumentError, match="use chi_timeline and betti_timeline"):
             Filtration(H, sieve)
 
@@ -678,9 +678,9 @@ def test_filtration_witness_names_first_torsion_step():
     assert G.n_vertices == 31
     # GF(2) sees the 2-torsion that closes up at the last triangle; Q does not
     with pytest.raises(RankDiscrepancyError, match=r"first at n=31$") as exc:
-        betti_timeline(G, 2)
+        betti_timeline(G, 31, 2)
     assert exc.value.field_prime == 2
-    betti = betti_timeline(G, 3)
+    betti = betti_timeline(G, 31, 3)
     assert tuple(int(row[31]) for row in betti) == (1, 0, 0)
     assert [int(betti[1][n]) for n in (30, 31)] == [1, 0]  # Moebius band, then the closed surface
 
@@ -689,8 +689,8 @@ def test_filtration_witness_beyond_2000_simplices():
     # a star on labels 1..2002 (4003 simplices) enters before the projective plane
     G = projective_plane_behind_star()
     with pytest.raises(RankDiscrepancyError, match=r"first at n=2033$"):
-        betti_timeline(G, 2)
-    betti = betti_timeline(G, 3)
+        betti_timeline(G, 2033, 2)
+    betti = betti_timeline(G, 2033, 3)
     assert tuple(int(row[2033]) for row in betti) == (2, 0, 0)
 
 
