@@ -5,28 +5,25 @@ assembled in ascending n, floats are printed with repr, exact rationals as
 "p/q", and booleans as lowercase true/false.  `--threads` is accepted and
 ignored; every command runs in one thread.  numpy is imported only by the
 spectral checks (witten, and the Lefschetz step of kummer), through
-cohomology, so launching the CLI and every other command do without it.
+cohomology; fractions only by the exact dimensions (series --what dimension,
+its fit, and the kunneth check); json only by the cache and build --format
+json.  So launching the CLI loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import random
 import sys
-import tempfile
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import chain, zip_longest
-from typing import get_origin, get_type_hints
 
 from . import __version__
 from .arithmetic import FactorSieve, primorial
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
+    _Record,
     betti_numbers,
     euler_characteristic,
     hodge_nullity,
@@ -69,28 +66,35 @@ ALL_CHECKS = (
 )
 
 
-@dataclass
-class CacheRecord:
-    kind: str
-    n: int
-    fvector: list[int]
-    betti: list[int]
-    chi: int
-    mertens: int
-    critical_counts: list[int]
-    tool_version: str
-    field_prime: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+# the fields of a cache record in the order of its line, each with its type; a list holds ints
+_RECORD_TYPES = {
+    "kind": str,
+    "n": int,
+    "fvector": list,
+    "betti": list,
+    "chi": int,
+    "mertens": int,
+    "critical_counts": list,
+    "tool_version": str,
+    "field_prime": int,
+}
 
 
-# the type of each field, list for list[int]
-_RECORD_TYPES = {name: get_origin(t) or t for name, t in get_type_hints(CacheRecord).items()}
+class CacheRecord(_Record):
+    """The invariants of G(n) on one cache line, with the fields and types of _RECORD_TYPES."""
+
+    __slots__ = tuple(_RECORD_TYPES)
+
+    def __init__(self, kind, n, fvector, betti, chi, mertens, critical_counts, tool_version, field_prime):
+        self.kind, self.n, self.fvector, self.betti, self.chi = kind, n, fvector, betti, chi
+        self.mertens, self.critical_counts = mertens, critical_counts
+        self.tool_version, self.field_prime = tool_version, field_prime
 
 
 def _parse_record(line: str) -> CacheRecord | None:
     """The record on one cache line, or None if the line is not a well-typed record."""
+    import json
+
     try:
         raw = json.loads(line)
     except ValueError:
@@ -138,6 +142,8 @@ def _load_cache(path: str, kind: str, field_prime: int) -> dict[int, CacheRecord
 
 
 def _rewrite(path: str, text: str) -> None:
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".cache-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
@@ -151,9 +157,11 @@ def _rewrite(path: str, text: str) -> None:
 
 
 def _append_cache(path: str, records: list[CacheRecord]) -> None:
+    import json
+
     with open(path, "a", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(rec.to_json() + "\n")
+            fh.write(json.dumps(dict(zip(_RECORD_TYPES, rec._values())), separators=(",", ":")) + "\n")
 
 
 def _write_out(config: argparse.Namespace, text: str) -> None:
@@ -176,6 +184,8 @@ def cmd_build(config: argparse.Namespace) -> int:
     kind = GraphKind(config.kind, config.n_max)
     G = build_graph(kind, sieve)
     if config.format == "json":
+        import json
+
         data = {"kind": kind.name, "param": kind.param, "vertices": G.labels, "edges": G.edges()}
         text = json.dumps(data, separators=(", ", ": ")) + "\n"
     elif config.format == "dot":
@@ -253,6 +263,8 @@ def cmd_table(config: argparse.Namespace) -> int:
 
 def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     """Seeded random connected graphs on at most 7 vertices."""
+    import random
+
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -312,9 +324,9 @@ def check_formulas(config: argparse.Namespace, F: Filtration) -> tuple[bool, str
     n = _first(lambda n: F.formulas[n][0] is False, config)
     if n is not None:
         return False, f"H1 fails first at n={n}"
-    failures = [(k, n) for n in range(2, config.n_max + 1) for k in F.formulas[n][1]]
-    if failures:
-        return False, "H3(k={}) fails first at n={}".format(*min(failures))
+    first = min(((k, n) for n in range(2, config.n_max + 1) for k in F.formulas[n][1]), default=None)
+    if first is not None:
+        return False, "H3(k={}) fails first at n={}".format(*first)
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 
@@ -462,6 +474,8 @@ def fit_dimension(xs: list[int], ys: list[float]) -> tuple[float, float, float]:
     exactly.  float(Fraction) rounds each coefficient correctly, so the fit
     depends on no floating-point summation order or linear-algebra library.
     """
+    from fractions import Fraction
+
     cols = [([1] * len(xs), 1), (xs, 1), _scaled([math.log(x) for x in xs])]
     y, d = _scaled(ys)
     M = [[sum(p * q for p, q in zip(ci, cj)) for cj, _ in cols] for ci, _ in cols]

@@ -9,19 +9,18 @@ of morse.Filtration reduce the prime complex Delta(n), not the simplices.
 Timelines are lists of array('q') rows, indexed [k][n].  Floating point appears
 only in the Hodge/Witten spectral cross-checks and in the Lefschetz
 supertrace, each of which has an exact counterpart elsewhere in the package;
-only those functions, and the Wu oracle, import numpy.
+only those functions, and the Wu oracle, import numpy; the np.ndarray
+annotations are strings that nothing evaluates.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, combinations
 from math import gcd
 from operator import add, itemgetter, sub
-from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, RankDiscrepancyError, ResourceLimitError
 from .graphs import Graph, cliques
@@ -32,10 +31,30 @@ DEFAULT_WU_BUDGET = 50_000_000
 HODGE_TOL = 1e-8
 WITTEN_TOL = 1e-6
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Column = dict[int, int]
+
+
+class _Record:
+    """Equality and repr by the fields named in __slots__, as a dataclass has them.
+
+    Defining __eq__ leaves a record unhashable, as a mutable dataclass is,
+    unless its class sets __hash__ = _Record._hash, the hash of a frozen one.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class SimplicialComplex:
@@ -64,16 +83,17 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector})"
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(_Record):
     """Sparse boundary matrices; boundaries[k] maps k-chains to (k-1)-chains.
 
     Each matrix is a list of columns (one per k-simplex); a column maps the
     row position of a face to the sign (-1)^i of the omitted vertex.
     """
 
-    shapes: list[tuple[int, int]]
-    boundaries: list[list[Column]]
+    __slots__ = ("shapes", "boundaries")
+
+    def __init__(self, shapes: list[tuple[int, int]], boundaries: list[list[Column]]):
+        self.shapes, self.boundaries = shapes, boundaries
 
     def dense(self, k: int) -> np.ndarray:
         """Boundary matrix of dimension k as a dense int64 array."""
@@ -189,13 +209,14 @@ def rank_exact(columns: list[Column]) -> int:
     return sum(reduce_exact(dict(col), pivots) is not None for col in columns)
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(_Record):
     """Betti numbers over GF(field_prime); verified_rational records the exact rational witness."""
 
-    b: tuple[int, ...]
-    field_prime: int
-    verified_rational: bool
+    __slots__ = ("b", "field_prime", "verified_rational")
+    __hash__ = _Record._hash
+
+    def __init__(self, b: tuple[int, ...], field_prime: int, verified_rational: bool):
+        self.b, self.field_prime, self.verified_rational = b, field_prime, verified_rational
 
     def __iter__(self):
         return iter(self.b)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from heapq import merge
 from itertools import groupby
 from operator import itemgetter
@@ -94,18 +93,17 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GraphKind:
-    """Family selector: integer/prime divisibility graphs or a divisor graph."""
+class GraphKind(namedtuple("GraphKind", "name param")):
+    """Family selector: the "integer" or "prime" divisibility graph of n = param, or "divisor" of m = param."""
 
-    name: str  # "integer" | "prime" | "divisor"
-    param: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in DIVISIBILITY_KINDS:
-            raise InvalidArgumentError(f"unknown graph kind {self.name!r}")
-        if self.param < 2:
-            raise InvalidArgumentError(f"graph parameter must be >= 2, got {self.param}")
+    def __new__(cls, name: str, param: int):
+        if name not in DIVISIBILITY_KINDS:
+            raise InvalidArgumentError(f"unknown graph kind {name!r}")
+        if param < 2:
+            raise InvalidArgumentError(f"graph parameter must be >= 2, got {param}")
+        return super().__new__(cls, name, param)
 
     @staticmethod
     def integer(n: int) -> "GraphKind":

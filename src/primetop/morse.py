@@ -18,7 +18,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import compress, count, product, repeat
 from operator import gt, lt, ne
@@ -27,6 +26,7 @@ from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primor
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     Column,
+    _Record,
     _chi,
     _cumulative,
     _f_vector,
@@ -49,21 +49,22 @@ from .graphs import Graph, GraphKind, build_graph, cliques, induced_subgraph, ki
 from .topology import sphere_dimension_within
 
 
-@dataclass(frozen=True)
-class FiltrationEvent:
-    """One record per vertex entering the filtration."""
+class FiltrationEvent(_Record):
+    """One record per vertex entering the filtration; kind is "critical" or "homotopy"."""
 
-    n: int
-    mu: int
-    stable_sphere_dim: int | None
-    morse_index: int | None
-    ph_index: int
-    kind: str  # "critical" | "homotopy"
-    method: str = "exact"
+    __slots__ = ("n", "mu", "stable_sphere_dim", "morse_index", "ph_index", "kind", "method")
+    __hash__ = _Record._hash
+
+    def __init__(self, n, mu, stable_sphere_dim, morse_index, ph_index, kind, method="exact"):
+        self.n, self.mu, self.stable_sphere_dim, self.morse_index = n, mu, stable_sphere_dim, morse_index
+        self.ph_index, self.kind, self.method = ph_index, kind, method
+
+    def replace(self, **changes) -> FiltrationEvent:
+        """A copy with the named fields changed, as dataclasses.replace makes it."""
+        return FiltrationEvent(**dict(zip(self.__slots__, self._values()), **changes))
 
 
-@dataclass
-class MorseComplex:
+class MorseComplex(_Record):
     """Critical cells per index plus the intersection-number derivatives.
 
     cells[m] lists the index-m critical cells (the m-simplices of the source
@@ -72,8 +73,10 @@ class MorseComplex:
     rows indexed by index-(m+1) cells.
     """
 
-    cells: tuple[tuple[tuple[int, ...], ...], ...]
-    derivatives: list[list[Column]]
+    __slots__ = ("cells", "derivatives")
+
+    def __init__(self, cells: tuple[tuple[tuple[int, ...], ...], ...], derivatives: list[list[Column]]):
+        self.cells, self.derivatives = cells, derivatives
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -179,14 +182,19 @@ def betti_formulas(ns, tables, b) -> list[tuple[bool | None, tuple[int, ...]]]:
     def mismatches(k, want):  # the columns i where b_k differs from want[i]
         return compress(count(), map(ne, b[k] if k < len(b) else zero, want))
 
-    h1_fails = set(mismatches(0, [1 + d for d in diff(1, False)]))
-    h3_fails: dict[int, tuple[int, ...]] = {}
+    verdicts = [(True, ())] * len(ns)
+    for i in compress(count(), map(lt, ns, repeat(4))):
+        verdicts[i] = (None, ())
+    for i in mismatches(0, [1 + d for d in diff(1, False)]):
+        if ns[i] >= 4:
+            verdicts[i] = (False, ())
+    # a failing column costs one reference: the few distinct verdicts are each built once and shared
+    shared: dict[tuple, tuple] = {}
     for k in range(1, max(len(b), 4)):
         for i in mismatches(k, diff(k + 1, True)):
-            h3_fails[i] = h3_fails.get(i, ()) + (k,)
-    verdicts = [(True, ())] * len(ns)
-    for i in h1_fails | h3_fails.keys() | set(compress(count(), map(lt, ns, repeat(4)))):
-        verdicts[i] = (None if ns[i] < 4 else i not in h1_fails, h3_fails.get(i, ()))
+            h1, h3 = verdicts[i]
+            verdict = (h1, h3 + (k,))
+            verdicts[i] = shared.setdefault(verdict, verdict)
     return verdicts
 
 
@@ -380,7 +388,7 @@ class Filtration:
         from the sieve, on the same two facts that f and Delta(n) rest on.
         """
         mu = self.sieve.mu
-        return [replace(ev, n=x, mu=mu[x]) for x, ev in self._per_label(self.representatives.values())]
+        return [ev.replace(n=x, mu=mu[x]) for x, ev in self._per_label(self.representatives.values())]
 
     @cached_property
     def critical(self) -> list[array]:

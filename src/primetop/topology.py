@@ -14,7 +14,8 @@ recursion, and nothing outlives the call.  Sharing across a filtration happens
 one level up, where morse.Filtration classifies one stable sphere per exponent
 signature and gives the verdict to every vertex with that signature.
 dimension_timeline runs no recursion: it keeps a link size, a running sum and
-a value per simplex of the filtration and updates them in one pass.  The
+a value per simplex of the filtration and updates them in one pass.  The exact
+dimensions are the only users of fractions, which they import when called.  The
 recursion is pruned by screens that are theorems of the definition:
 
 * a contractible graph is connected;
@@ -37,9 +38,7 @@ on the graph alone.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import defaultdict, namedtuple
 from functools import partial
 
 from .cohomology import DEFAULT_FIELD_PRIME, _betti_timeline, _one_key, betti_numbers, reduce_gf, whitney_complex
@@ -49,8 +48,7 @@ from .graphs import Graph, bfs_distances, induced_subgraph
 RECURSION_CAP = 25
 
 
-@dataclass(frozen=True)
-class SphereVerdict:
+class SphereVerdict(namedtuple("SphereVerdict", "status dim method")):
     """Outcome of sphere recognition.
 
     status is one of "sphere", "contractible", "neither", "unknown"; dim is set
@@ -58,9 +56,7 @@ class SphereVerdict:
     ("exact") or the screened large-graph path ("fast").
     """
 
-    status: str
-    dim: int | None
-    method: str
+    __slots__ = ()
 
     @property
     def is_sphere(self) -> bool:
@@ -244,7 +240,9 @@ def sphere_dimension_within(G: Graph, labels) -> SphereVerdict:
 
 def inductive_dimension(G: Graph) -> Fraction:
     """Exact rational inductive dimension: dim(G) = 1 + avg over unit-sphere dims."""
-    return _dim(G, frozenset(G.labels), {})
+    from fractions import Fraction
+
+    return _dim(G, frozenset(G.labels), {frozenset(): Fraction(-1)})
 
 
 def dimension_timeline(simplices, top: int) -> list[Fraction]:
@@ -261,6 +259,8 @@ def dimension_timeline(simplices, top: int) -> list[Fraction]:
     facets.  Each simplex is settled on arrival and settles its facet without
     its top vertex, so the pass is linear in the (simplex, facet) pairs.
     """
+    from fractions import Fraction
+
     count: defaultdict = defaultdict(int)  # |L(s)|
     total: defaultdict = defaultdict(Fraction)  # sum of dim L(s + u) over u in L(s)
     value = {(): Fraction(-1)}  # dim L(s)
@@ -291,13 +291,10 @@ def dimension_timeline(simplices, top: int) -> list[Fraction]:
 
 
 def _dim(amb: Graph, sub: frozenset, table: dict) -> Fraction:
-    if not sub:
-        return Fraction(-1)
+    """The dimension of sub, memoized in table, which holds the -1 of the empty set."""
     if sub in table:
         return table[sub]
-    total = Fraction(0)
-    for v in sub:
-        total += _dim(amb, _link(amb, sub, v), table)
+    total = sum(_dim(amb, _link(amb, sub, v), table) for v in sub)
     result = 1 + total / len(sub)
     table[sub] = result
     return result

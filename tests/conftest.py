@@ -6,20 +6,22 @@ or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
 tuple counts by direct enumeration, component diameters by a BFS from every
 vertex, and the diameter sweep literally, by trial division and a BFS at every
-join.
+join.  The package's seven record classes have dataclass mirrors here, their
+former definitions, as the oracle of their equality, hash and repr.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from primetop import FactorSieve, Graph, boundary_matrices
 from primetop.cohomology import rank_exact
-from primetop.errors import InternalConsistencyError
-from primetop.graphs import bfs_distances, complete_graph, components, cycle_graph
+from primetop.errors import InternalConsistencyError, InvalidArgumentError
+from primetop.graphs import DIVISIBILITY_KINDS, bfs_distances, complete_graph, components, cycle_graph
 
 
 @pytest.fixture(scope="session")
@@ -201,3 +203,68 @@ def small_corpus():
         "octahedron": octahedron,
         "wheel6": wheel6,
     }
+
+
+# --- the record classes as dataclasses: the oracle of their ==, hash and repr ---
+
+
+@dataclass(frozen=True)
+class GraphKind:
+    name: str
+    param: int
+
+    def __post_init__(self):
+        if self.name not in DIVISIBILITY_KINDS:
+            raise InvalidArgumentError(f"unknown graph kind {self.name!r}")
+        if self.param < 2:
+            raise InvalidArgumentError(f"graph parameter must be >= 2, got {self.param}")
+
+
+@dataclass(frozen=True)
+class SphereVerdict:
+    status: str
+    dim: int | None
+    method: str
+
+
+@dataclass(frozen=True)
+class FiltrationEvent:
+    n: int
+    mu: int
+    stable_sphere_dim: int | None
+    morse_index: int | None
+    ph_index: int
+    kind: str
+    method: str = "exact"
+
+
+@dataclass(frozen=True)
+class BettiVector:
+    b: tuple[int, ...]
+    field_prime: int
+    verified_rational: bool
+
+
+@dataclass
+class ChainComplex:
+    shapes: list[tuple[int, int]]
+    boundaries: list[list[dict[int, int]]]
+
+
+@dataclass
+class MorseComplex:
+    cells: tuple[tuple[tuple[int, ...], ...], ...]
+    derivatives: list[list[dict[int, int]]]
+
+
+@dataclass
+class CacheRecord:
+    kind: str
+    n: int
+    fvector: list[int]
+    betti: list[int]
+    chi: int
+    mertens: int
+    critical_counts: list[int]
+    tool_version: str
+    field_prime: int

@@ -285,6 +285,42 @@ def test_cache_line_without_newline_is_not_glued_to_the_next(tmp_path):
     assert [json.loads(line)["n"] for line in cache.read_text().splitlines()] == list(range(2, 11))
 
 
+# the cache line of n = 2 on the prime graph at the default field prime, as the format has it
+CACHE_LINE = '{"kind":"prime","n":2,"fvector":[1],"betti":[1],"chi":1,"mertens":0,"critical_counts":[1],"tool_version":"0.1.0","field_prime":2147483647}'
+
+
+def test_cache_line_is_written_and_read_byte_for_byte(tmp_path, capsys):
+    cache, out, plain = tmp_path / "cache.jsonl", tmp_path / "o.csv", tmp_path / "plain.csv"
+    assert run_main(["table", "--n-max", "2", "--cache", str(cache), "--out", str(out)]) == 0
+    assert cache.read_text() == CACHE_LINE + "\n"
+    # the line written by hand is a hit: the run appends nothing and prints what a run without a cache does
+    cache.write_text(CACHE_LINE + "\n")
+    records = cli._load_cache(str(cache), "prime", cli.DEFAULT_FIELD_PRIME)
+    assert records == {2: cli.CacheRecord(**json.loads(CACHE_LINE))}
+    assert run_main(["table", "--n-max", "2", "--cache", str(cache), "--out", str(out)]) == 0
+    assert run_main(["table", "--n-max", "2", "--out", str(plain)]) == 0
+    assert cache.read_text() == CACHE_LINE + "\n" and out.read_bytes() == plain.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"field_prime":2147483647}', '"field_prime":2147483647,"extra":0}'),
+        ('"n":2', '"n":"2"'),
+        ('"chi":1', '"chi":true'),
+        ('"betti":[1]', '"betti":[1.0]'),
+        ('"tool_version":"0.1.0"', '"tool_version":null'),
+    ],
+)
+def test_cache_line_with_an_extra_key_or_a_wrong_type_is_dropped(tmp_path, capsys, old, new):
+    cache, out = tmp_path / "cache.jsonl", tmp_path / "o.csv"
+    cache.write_text(CACHE_LINE.replace(old, new) + "\n")
+    assert run_main(["table", "--n-max", "2", "--cache", str(cache), "--out", str(out)]) == 0
+    assert "warning: truncating corrupt cache line 1" in capsys.readouterr().err
+    assert cache.read_text() == CACHE_LINE + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

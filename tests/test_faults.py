@@ -97,3 +97,19 @@ def test_an_f_entry_off_by_one_is_caught_by_mertens_euler_and_euler_poincare(sie
     assert check_mertens(SimpleNamespace(n_max=100), faulted) == (False, "first counterexample n=60")
     with pytest.raises(RankDiscrepancyError, match=r"disagree with Euler-Poincare first at n=60$"):
         faulted.betti
+
+
+def test_a_filtration_event_equal_whatever_its_method_is_caught_by_the_dataclass_mirror(monkeypatch):
+    # events whose spheres were recognized by the exact recursion and by the screened path compare equal
+    from test_records import test_records_match_their_dataclass_mirrors
+
+    def ignoring_method(a, b):
+        if b.__class__ is not a.__class__:
+            return NotImplemented
+        return a._values()[:-1] == b._values()[:-1]
+
+    monkeypatch.setattr(morse.FiltrationEvent, "__eq__", ignoring_method)
+    exact, fast = (morse.FiltrationEvent(6, 1, 0, 1, -1, "critical", method) for method in ("exact", "fast"))
+    assert exact == fast
+    with pytest.raises(AssertionError):
+        test_records_match_their_dataclass_mirrors()

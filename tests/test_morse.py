@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import tracemalloc
 from functools import cache
 from types import SimpleNamespace
 
@@ -207,6 +207,50 @@ def test_betti_formulas_match_pi_k_counted_literally(sieve, ns, offsets, as_nump
     rows = [np.array(row, dtype=np.int64) for row in b] if as_numpy else b
     want = [literal_betti_formulas(n, [row[i] for row in b], count) for i, n in enumerate(ns)]
     assert betti_formulas(ns, tables, rows) == want
+
+
+def betti_formulas_tuple_per_failure(ns, tables, b):
+    """betti_formulas as it was before its verdicts were shared: a set of H1 failures and a fresh tuple per H3 failure."""
+    ns = list(ns)
+    zero = [0] * len(ns)
+
+    def diff(k, odd):
+        row = tables.get((k, odd))
+        return [row[n] - row[n // 2] for n in ns] if row else zero
+
+    def mismatches(k, want):
+        return [i for i, (x, y) in enumerate(zip(b[k] if k < len(b) else zero, want)) if x != y]
+
+    h1_fails = set(mismatches(0, [1 + d for d in diff(1, False)]))
+    h3_fails = {}
+    for k in range(1, max(len(b), 4)):
+        for i in mismatches(k, diff(k + 1, True)):
+            h3_fails[i] = h3_fails.get(i, ()) + (k,)
+    return [(None if n < 4 else i not in h1_fails, h3_fails.get(i, ())) for i, n in enumerate(ns)]
+
+
+def test_a_failing_column_costs_betti_formulas_no_more_than_a_passing_one():
+    # on a divisor graph H1 and H3 fail at almost every n: rows that fail everywhere must peak
+    # no higher than rows of the same width that pass everywhere
+    top = 100_000
+    tables = pi_k_tables(FactorSieve(top), top, 4)
+    ns = range(top + 1)
+    passing = [[1 + tables[(1, False)][n] - tables[(1, False)][n // 2] for n in ns]]
+    passing += [[tables[(k + 1, True)][n] - tables[(k + 1, True)][n // 2] for n in ns] for k in (1, 2, 3)]
+    failing = [[x + 1 for x in row] for row in passing]
+    peaks, verdicts = [], []
+    for b in (passing, failing):
+        tracemalloc.start()
+        try:
+            verdicts.append(betti_formulas(ns, tables, b))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    assert verdicts[0] == [(None, ())] * 4 + [(True, ())] * (top - 3)
+    assert verdicts[1] == [(None, (1, 2, 3))] * 4 + [(False, (1, 2, 3))] * (top - 3)
+    for b, got in zip((passing, failing), verdicts):
+        assert got == betti_formulas_tuple_per_failure(ns, tables, b)
 
 
 def test_check_formulas_reads_every_dimension(sieve):
@@ -441,7 +485,7 @@ def test_integer_betti_checks_its_deformations(sieve, monkeypatch):
 
     def four_critical(sphere, x, sieve):
         event = oracle(sphere, x, sieve)
-        return dataclasses.replace(event, kind="critical") if x == 4 else event
+        return event.replace(kind="critical") if x == 4 else event
 
     monkeypatch.setattr(morse, "_classify", four_critical)
     with pytest.raises(RankDiscrepancyError, match=r"first at n=4: 4 is not squarefree but critical$"):
