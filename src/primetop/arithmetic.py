@@ -144,20 +144,19 @@ def pi_k(k: int, x: float, odd_only: bool, sieve: FactorSieve) -> int:
 
 
 def pi_k_tables(sieve: FactorSieve, n: int, k_max: int) -> dict[tuple[int, bool], array]:
-    """Cumulative pi_k rows for all 1 <= k <= k_max and both parities.
+    """Cumulative pi_k rows of the counting-function formulas: (1, False) and (k, True) for 2 <= k <= k_max.
 
     Returns {(k, odd_only): array('q') A with A[x] = pi_k(k, x, odd_only)}
-    for x in [0, n], read from the sieve's omega and mu; intended for per-n
-    sweeps where calling pi_k repeatedly would be quadratic.
+    for x in [0, n], read from the sieve's omega and mu, for per-n sweeps
+    where calling pi_k would be quadratic; H1 reads the primes and H3 the odd k-tuples.
     """
     sieve.check_range(n)
     every = array("b", map(mul, sieve.omega[1 : n + 1], map(abs, sieve.mu[1 : n + 1])))
     odd = array("b", every)
     odd[1::2] = array("b", bytes(len(odd) // 2))  # the even m = 2, 4, ...
     return {
-        (k, odd_only): array("q", accumulate(map(k.__eq__, marks), initial=0))
+        (k, k > 1): array("q", accumulate(map(k.__eq__, odd if k > 1 else every), initial=0))
         for k in range(1, k_max + 1)
-        for odd_only, marks in ((False, every), (True, odd))
     }
 
 

@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, zip_longest
+from operator import and_
 
 from . import __version__
 from .arithmetic import FactorSieve, primorial
@@ -200,11 +201,11 @@ def cmd_build(config: argparse.Namespace) -> int:
 # --- table -------------------------------------------------------------------
 
 
-def _table_row(rec: CacheRecord, weak: bool, strong: bool, h1: bool | None, h3_failures: tuple[int, ...]) -> str:
+def _table_row(rec: CacheRecord, weak: int, strong: int, h1: int, h3: int) -> str:
     cells = [str(rec.n), str(rec.mertens), str(rec.chi)]
     cells += [str(x) for x in (rec.betti + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
     cells += [str(x) for x in (rec.critical_counts + [0] * BETTI_COLUMNS)[:BETTI_COLUMNS]]
-    cells += [_bool(weak), _bool(strong), _bool(h1 is not False), _bool(not h3_failures)]
+    cells += [_bool(x) for x in (weak, strong, h1, h3)]
     return ",".join(cells)
 
 
@@ -251,9 +252,9 @@ def cmd_table(config: argparse.Namespace) -> int:
     # the records' vectors as rows [k][i], zero past a vector's end
     b = list(zip_longest(*(rec.betti for rec in records), fillvalue=0))
     c = list(zip_longest(*(rec.critical_counts for rec in records), fillvalue=0))
-    morse = morse_inequality_check(b, c, len(records))
-    formulas = betti_formulas([rec.n for rec in records], F.pi, b)
-    lines = [",".join(header)] + [_table_row(rec, *m, *f) for rec, m, f in zip(records, morse, formulas)]
+    weak, strong = morse_inequality_check(b, c, len(records))
+    h1, *h3 = betti_formulas([rec.n for rec in records], F.pi, b)
+    lines = [",".join(header)] + list(map(_table_row, records, weak, strong, h1, map(min, *h3)))
     _write_out(config, "\n".join(lines) + "\n")
     return 0
 
@@ -279,9 +280,9 @@ def _corpus_small_graphs(count: int = 60, seed: int = 5) -> list[Graph]:
     return out
 
 
-def _first(failing, config: argparse.Namespace) -> int | None:
-    """The first n in 2..n_max for which failing(n) is true, or None."""
-    return next((n for n in range(2, config.n_max + 1) if failing(n)), None)
+def _first(row: bytes) -> int:
+    """The first n >= 2 at which a verdict row over n = 0..n_max reads 0, the identity failing, or -1."""
+    return row.find(0, 2)
 
 
 def _prefix_name(config: argparse.Namespace, n: int | str) -> str:
@@ -292,23 +293,24 @@ def _prefix_name(config: argparse.Namespace, n: int | str) -> str:
 
 
 def check_mertens(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
-    n = _first(lambda n: not F.mertens_euler[n], config)
-    if n is not None:
+    n = _first(F.mertens_euler)
+    if n >= 0:
         return False, f"first counterexample n={n}"
     return True, f"chi(G(n)) = 1 - M(n) for 2 <= n <= {config.n_max}"
 
 
 def check_hopf(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
-    n = _first(lambda n: F.poincare_hopf[n], config)
-    if n is not None:
-        return False, f"first counterexample n={n} ({F.poincare_hopf[n]})"
+    index, total = F.poincare_hopf
+    n = _first(bytes(map(and_, index, total)))
+    if n >= 0:
+        return False, f"first counterexample n={n} ({'sum != chi' if index[n] else 'index != -mu'})"
     return True, f"indices sum to chi and equal -mu up to n={config.n_max}"
 
 
 def _morse_sweep(config: argparse.Namespace, F: Filtration, which: int) -> tuple[bool, str]:
     """The weak (which = 0) or strong (which = 1) Morse inequalities at every n."""
-    n = _first(lambda n: not F.morse_inequalities[n][which], config)
-    if n is not None:
+    n = _first(F.morse_inequalities[which])
+    if n >= 0:
         return False, f"first counterexample n={n}"
     return True, f"inequalities hold for 2 <= n <= {config.n_max}"
 
@@ -321,12 +323,10 @@ def check_diameter(config: argparse.Namespace, F: Filtration) -> tuple[bool, str
 
 
 def check_formulas(config: argparse.Namespace, F: Filtration) -> tuple[bool, str]:
-    n = _first(lambda n: F.formulas[n][0] is False, config)
-    if n is not None:
-        return False, f"H1 fails first at n={n}"
-    first = min(((k, n) for n in range(2, config.n_max + 1) for k in F.formulas[n][1]), default=None)
-    if first is not None:
-        return False, "H3(k={}) fails first at n={}".format(*first)
+    for k, row in enumerate(F.formulas):
+        n = _first(row)
+        if n >= 0:
+            return False, f"H3(k={k}) fails first at n={n}" if k else f"H1 fails first at n={n}"
     return True, f"b0 and odd-tuple formulas hold up to n={config.n_max}"
 
 

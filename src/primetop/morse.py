@@ -5,10 +5,10 @@ topological handle (a ball over a stable sphere) or is a homotopy deformation.
 This module classifies those events, tallies critical points, and carries the
 simplex-level Morse complex whose cohomology matches the simplicial one.  It
 checks two identities of the Betti numbers, each with one evaluator that reads
-whole timelines, rows [k][i] over the columns i, and returns a verdict per
-column: the Morse inequalities against the critical counts
-(morse_inequality_check, which needs the classification) and the
-counting-function formulas H1/H3 against the pi_k tables (betti_formulas).
+whole timelines, rows [k][i] over the columns i, and returns bytes rows, 1 in
+each column where a condition holds: the Morse inequalities against the
+critical counts (morse_inequality_check, which needs the classification) and
+the counting-function formulas H1/H3 against the pi_k tables (betti_formulas).
 On the divisibility graphs the Betti numbers are those of the prime complex
 Delta(n), certified without elimination by Bjorner's matching at every n.
 """
@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache, cached_property
 from itertools import compress, count, product, repeat
-from operator import gt, lt, ne
+from operator import and_, eq, ge, le, lt, not_, or_
 
 from .arithmetic import FactorSieve, mertens_table, moebius, pi_k_tables, primorial
 from .cohomology import (
@@ -140,62 +140,49 @@ def critical_counts(events, n: int) -> list[int]:
     return [counts[m] for m in range(max(counts, default=-1) + 1)]
 
 
-def morse_inequality_check(b, c, width: int) -> list[tuple[bool, bool]]:
-    """(weak, strong) of the Morse inequalities in every column i < width of Betti rows b[k][i] and counts c[k][i].
+def morse_inequality_check(b, c, width: int) -> list[bytes]:
+    """[weak, strong], one byte per column i < width, 1 where the Morse inequalities hold.
 
+    The columns are those of the Betti rows b[k][i] and the counts c[k][i].
     weak: b_k <= c_k for all k.  strong: every alternating partial sum
     r_k = sum_{j<=k} (-1)^(k-j) (c_j - b_j) is nonnegative and the last is
     zero (Euler-Poincare).  A row k >= len(b) or len(c) reads as zeros.  One k
-    is read at a time: the state is one row of r and the failed columns.
+    is read at a time: the state is one row of r and the two verdict rows, so
+    a failing column costs no more than a passing one.
     """
-    zero = [0] * width
-    r, weak_fails, strong_fails = zero, set(), set()
+    zero = bytes(width)
+    r, weak, strong = zero, b"\1" * width, b"\1" * width
     for k in range(max(len(b), len(c))):
         bk, ck = b[k] if k < len(b) else zero, c[k] if k < len(c) else zero
         r = [y - x - rk for x, y, rk in zip(bk, ck, r)]
-        weak_fails.update(compress(count(), map(gt, bk, ck)))
-        strong_fails.update(compress(count(), map(lt, r, zero)))
-    strong_fails.update(compress(count(), r))
-    verdicts = [(True, True)] * width
-    for i in weak_fails | strong_fails:
-        verdicts[i] = (i not in weak_fails, i not in strong_fails)
-    return verdicts
+        # 1 & x is 1 or 0 for a bool x, and for numpy's bools too, which bytes() does not take
+        weak = bytes(map(and_, weak, map(le, bk, ck)))
+        strong = bytes(map(and_, strong, map(ge, r, zero)))
+    return [weak, bytes(map(and_, strong, map(not_, r)))]
 
 
-def betti_formulas(ns, tables, b) -> list[tuple[bool | None, tuple[int, ...]]]:
-    """(H1, the k where H3 fails) at every n of ns for the Betti rows b[k][i] of ns[i].
+def betti_formulas(ns, tables, b) -> list[bytes]:
+    """One row per Betti dimension k, one byte per n of ns, 1 where b[k][i], the Betti rows at ns[i], fit the formula.
 
-    H1: b_0 = 1 + pi(n) - pi(n//2), None below n = 4.  H3: b_k =
-    pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd) for k = 1..len(b) - 1, and at
-    least for k = 1..3; a row k >= len(b) reads as zeros.  tables is
+    Row 0 is H1: b_0 = 1 + pi(n) - pi(n//2), holding below n = 4.  Row k >= 1
+    is H3: b_k = pi_{k+1}(n, odd) - pi_{k+1}(n//2, odd), for k = 1..len(b) - 1
+    and at least for k = 1..3; a row k >= len(b) reads as zeros.  tables is
     pi_k_tables(sieve, N, k_max) for some N >= max(ns).  A k above k_max
     counts zero, which is exact when k_max >= max(len(b), 4) or no
-    squarefree number up to N has more than k_max primes.
+    squarefree number up to N has more than k_max primes.  Each row is built
+    whole, so a failing column costs no more than a passing one.
     """
-    ns = list(ns)
-    zero = [0] * len(ns)
+    zero = bytes(len(ns))
 
     def diff(k, odd):
         row = tables.get((k, odd))
         return [row[n] - row[n // 2] for n in ns] if row else zero
 
-    def mismatches(k, want):  # the columns i where b_k differs from want[i]
-        return compress(count(), map(ne, b[k] if k < len(b) else zero, want))
+    def holds(k, want):  # 1 in the columns i where b_k equals want[i]; bool reads numpy's bools as 0 or 1
+        return bytes(map(bool, map(eq, b[k] if k < len(b) else zero, want)))
 
-    verdicts = [(True, ())] * len(ns)
-    for i in compress(count(), map(lt, ns, repeat(4))):
-        verdicts[i] = (None, ())
-    for i in mismatches(0, [1 + d for d in diff(1, False)]):
-        if ns[i] >= 4:
-            verdicts[i] = (False, ())
-    # a failing column costs one reference: the few distinct verdicts are each built once and shared
-    shared: dict[tuple, tuple] = {}
-    for k in range(1, max(len(b), 4)):
-        for i in mismatches(k, diff(k + 1, True)):
-            h1, h3 = verdicts[i]
-            verdict = (h1, h3 + (k,))
-            verdicts[i] = shared.setdefault(verdict, verdict)
-    return verdicts
+    h1 = bytes(map(or_, holds(0, [1 + d for d in diff(1, False)]), map(lt, ns, repeat(4))))
+    return [h1] + [holds(k, diff(k + 1, True)) for k in range(1, max(len(b), 4))]
 
 
 # --- simplex-level Morse complex (f = dim on the refinement) ----------------
@@ -280,9 +267,9 @@ class Filtration:
     timeline is that of the prime complex Delta(n), reduced over
     GF(field_prime) and over Q and witnessed without elimination by
     Bjorner's matching.  Each of the paper's identities is evaluated here by
-    one call over every n, in a field that reads only that identity's
-    inputs.  A timeline is an array('q') over n = 0..top, where top is
-    kind.param, or a list of such rows [k][n].
+    one call over every n, in a field that reads only that identity's inputs,
+    into bytes rows over n, 1 where it holds.  A timeline is an array('q')
+    over n = 0..top, where top is kind.param, or a list of such rows [k][n].
     """
 
     def __init__(self, kind: GraphKind, sieve: FactorSieve, field_prime: int = DEFAULT_FIELD_PRIME):
@@ -409,33 +396,34 @@ class Filtration:
         return pi_k_tables(self.sieve, self.top, next(k for k in count(1) if primorial(k + 1) > self.top))
 
     @cached_property
-    def mertens_euler(self) -> list[bool]:
-        """Whether chi(G(n)) = 1 - M(n), for n = 0..top."""
-        return [chi == 1 - m for chi, m in zip(self.chi, self.mertens)]
+    def mertens_euler(self) -> bytes:
+        """One byte per n = 0..top, 1 where chi(G(n)) = 1 - M(n)."""
+        return bytes(chi == 1 - m for chi, m in zip(self.chi, self.mertens))
 
     @cached_property
-    def poincare_hopf(self) -> list[str | None]:
-        """For n = 0..top, None where every critical index up to n is -mu and all indices sum to chi(G(n)).
+    def poincare_hopf(self) -> list[bytes]:
+        """[index, sum], one byte per n = 0..top each.
 
-        Else "index != -mu" (reported first) or "sum != chi".
+        index is 1 where every critical index up to n is -mu, sum where all
+        indices sum to chi(G(n)).
         """
         mu = self.sieve.mu
         marks = (
             mark
             for x, ev in self._per_label(self.representatives.values())
-            for mark in ((0, x, ev.ph_index), (1, x, ev.kind == "critical" and ev.ph_index != -mu[x]))
+            for mark in ((0, x, ev.kind == "critical" and ev.ph_index != -mu[x]), (1, x, ev.ph_index))
         )
-        total, bad = _cumulative(marks, 2, self.top)
-        return ["index != -mu" if w else None if t == chi else "sum != chi" for w, t, chi in zip(bad, total, self.chi)]
+        bad, total = _cumulative(marks, 2, self.top)
+        return [bytes(map(not_, bad)), bytes(map(eq, total, self.chi))]
 
     @cached_property
-    def morse_inequalities(self) -> list[tuple[bool, bool]]:
-        """(weak, strong) for n = 0..top: morse_inequality_check(betti, critical, top + 1)."""
+    def morse_inequalities(self) -> list[bytes]:
+        """[weak, strong], one byte per n = 0..top each: morse_inequality_check(betti, critical, top + 1)."""
         return morse_inequality_check(self.betti, self.critical, self.top + 1)
 
     @cached_property
-    def formulas(self) -> list[tuple[bool | None, tuple[int, ...]]]:
-        """(H1, None below n = 4; the k where H3 fails) for n = 0..top: betti_formulas(range(top + 1), pi, betti)."""
+    def formulas(self) -> list[bytes]:
+        """[H1, H3 at k = 1, 2, ...], one byte per n = 0..top each: betti_formulas(range(top + 1), pi, betti)."""
         return betti_formulas(range(self.top + 1), self.pi, self.betti)
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 
@@ -130,17 +131,22 @@ def test_pi_k_parity_recurrence(sieve10k):
     # pi_k(k, x, odd) = pi_k(k, x, all) - pi_{k-1}(x//2, odd): split on the factor 2
     n = 10**4
     tabs = pi_k_tables(sieve10k, n, 4)
+    # the tables build no row of both parities for k >= 2, nor the odd primes: count those from each m's factors
+    shape = [0, 0] + [len(f) if all(e == 1 for _, e in f) else 0 for f in map(sieve10k.factorization, range(2, n + 1))]
+    every = {k: list(accumulate(map(k.__eq__, shape))) for k in (2, 3, 4)}
+    odd = {1: list(accumulate(s == 1 and m % 2 for m, s in enumerate(shape))), 2: tabs[(2, True)], 3: tabs[(3, True)]}
     for k in (2, 3, 4):
         for x in range(2, n + 1):
-            assert tabs[(k, True)][x] == tabs[(k, False)][x] - tabs[(k - 1, True)][x // 2]
+            assert tabs[(k, True)][x] == every[k][x] - odd[k - 1][x // 2]
 
 
 def test_pi_k_tables_match_pi_k(sieve):
     tabs = pi_k_tables(sieve, 500, 3)
+    # H1 reads the primes of both parities, H3 the odd k-tuples: no other row is built
+    assert list(tabs) == [(1, False), (2, True), (3, True)]
     for x in (2, 3, 100, 499, 500):
-        for k in (1, 2, 3):
-            for odd in (False, True):
-                assert tabs[(k, odd)][x] == pi_k(k, x, odd, sieve)
+        for (k, odd), row in tabs.items():
+            assert row[x] == pi_k(k, x, odd, sieve)
 
 
 def test_kummer_number():
@@ -221,9 +227,8 @@ def test_sieve_mu_and_omega_match_trial_division(sieve10k):
     for n in (1, 2, 3, 30, 210, 2309, 2310, 4999, 9973, 10**4):
         assert table[n] == mertens(n, sieve10k), n
     for n in (2, 30, 2310, 10**4):
-        for k in range(1, 6):
-            for odd in (False, True):
-                assert tabs[(k, odd)][n] == pi_k(k, n, odd, sieve10k), (n, k, odd)
+        for (k, odd), row in tabs.items():
+            assert row[n] == pi_k(k, n, odd, sieve10k), (n, k, odd)
 
 
 def test_sieve_mu_and_omega_match_factorization(sieve10k):

@@ -587,9 +587,9 @@ def test_table_records_match_from_scratch_oracle(tmp_path, kind, n_max):
     # the verdict columns are the Filtration's verdicts, h1 reading true below n = 4
     F = Filtration(GraphKind(kind, n_max), FactorSieve(n_max))
     rows = [line.split(",")[-4:] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    (weak, strong), (h1, *h3) = F.morse_inequalities, F.formulas
     assert rows == [
-        [cli._bool(x) for x in (*F.morse_inequalities[n], F.formulas[n][0] is not False, not F.formulas[n][1])]
-        for n in range(2, n_max + 1)
+        [cli._bool(x) for x in (weak[n], strong[n], h1[n], all(row[n] for row in h3))] for n in range(2, n_max + 1)
     ]
 
 

@@ -7,17 +7,20 @@ is a finding, not a case to drop.
 """
 
 from array import array
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 
+import primetop.cli as cli
 import primetop.graphs as graphs
 import primetop.morse as morse
-from primetop import Filtration, GraphKind, RankDiscrepancyError, build_graph, classify_vertex
+from primetop import Filtration, GraphKind, RankDiscrepancyError, build_graph, classify_vertex, pi_k
 from primetop.cli import check_mertens
 from primetop.errors import InternalConsistencyError
 
 from conftest import diameter_bound_oracle
+from test_morse import literal_betti_formulas, literal_morse_inequalities
 
 
 def _outcome(sweep, *args):
@@ -113,3 +116,66 @@ def test_a_filtration_event_equal_whatever_its_method_is_caught_by_the_dataclass
     assert exact == fast
     with pytest.raises(AssertionError):
         test_records_match_their_dataclass_mirrors()
+
+
+def _planted(sieve, top, at):
+    """The filtration of Prime(top) with b_0 and b_1 ten too large at n = at alone.
+
+    There the weak and strong Morse inequalities fail, H1 too from n = 4 on,
+    and H3 at k = 1; everything else holds everywhere.
+    """
+    F = Filtration(GraphKind.prime(top), sieve)
+    F.betti = [array("q", row) for row in F.betti]
+    for row in F.betti[:2]:
+        row[at] += 10
+    return F
+
+
+def _verdicts_and_literal(F):
+    """[(Morse verdicts, formula verdicts)] at n = 2..top from F's rows, and from the literal per-column oracles."""
+    count = cache(lambda k, x, odd: pi_k(k, x, odd, F.sieve))
+    got, want = [], []
+    for n in range(2, F.top + 1):
+        b, c = [row[n] for row in F.betti], [row[n] for row in F.critical]
+        got.append((tuple(row[n] for row in F.morse_inequalities), tuple(row[n] for row in F.formulas)))
+        want.append((literal_morse_inequalities(b, c), literal_betti_formulas(n, b, count)))
+    return got, want
+
+
+def _literal_reports(want):
+    """What the morse-weak, morse-strong and formulas checks must print, read from the literal verdicts."""
+
+    def first(j, k):  # the first n at which verdict k of want's j-th tuple fails, or None
+        return next((n for n, verdicts in enumerate(want, 2) if not verdicts[j][k]), None)
+
+    reports = [f"first counterexample n={n}" if n else "pass" for n in (first(0, 0), first(0, 1))]
+    k, n = next(((k, first(1, k)) for k in range(len(want[0][1])) if first(1, k)), (None, None))
+    return reports + ["pass" if k is None else f"H3(k={k}) fails first at n={n}" if k else f"H1 fails first at n={n}"]
+
+
+def _reports(F):
+    config = SimpleNamespace(n_max=F.top)
+    checks = (cli._morse_sweep(config, F, 0), cli._morse_sweep(config, F, 1), cli.check_formulas(config, F))
+    return ["pass" if ok else detail for ok, detail in checks]
+
+
+@pytest.mark.parametrize("evaluator", ["morse_inequality_check", "betti_formulas"])
+def test_an_evaluator_whose_last_column_reads_1_is_caught_by_the_literal_oracles(sieve, monkeypatch, evaluator):
+    # the planted failure is in the last column, n = 30, which the faulted evaluator reports as holding
+    got, want = _verdicts_and_literal(_planted(sieve, 30, 30))
+    assert got == want and _reports(_planted(sieve, 30, 30)) == _literal_reports(want)
+    real = getattr(morse, evaluator)
+    monkeypatch.setattr(morse, evaluator, lambda *args: [row[:-1] + b"\1" for row in real(*args)])
+    got, want = _verdicts_and_literal(_planted(sieve, 30, 30))
+    assert got[:-1] == want[:-1] and got[-1] != want[-1]
+
+
+def test_a_first_failure_search_from_n_3_is_caught_by_the_literal_oracles(sieve, monkeypatch):
+    # every verdict row is right, and fails at n = 2 alone; the faulted search starts past it
+    F = _planted(sieve, 30, 2)
+    got, want = _verdicts_and_literal(F)
+    assert got == want
+    reports = _literal_reports(want)
+    assert reports == ["first counterexample n=2"] * 2 + ["H3(k=1) fails first at n=2"] and _reports(F) == reports
+    monkeypatch.setattr(cli, "_first", lambda row: row.find(0, 3))
+    assert _reports(F) != reports

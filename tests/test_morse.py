@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +31,7 @@ from primetop import (
     whitney_complex,
 )
 from primetop.arithmetic import FactorSieve, mertens, pi_k, pi_k_tables
-from primetop.cli import check_formulas
+from primetop.cli import check_formulas, check_hopf
 from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, _f_vector, _simplicial, reduce_exact, reduce_gf
 from primetop.morse import _bjorner_partner, betti_formulas
@@ -99,8 +99,8 @@ def test_run_filtration_b1_timeline(sieve):
     points = (14, 15, 21, 29, 30)
     assert {n: F.betti[1][n] for n in points} == {14: 0, 15: 1, 21: 2, 29: 2, 30: 1}
     for n in points:
-        assert F.mertens_euler[n] and F.poincare_hopf[n] is None, n
-        assert F.morse_inequalities[n] == (True, True) and F.formulas[n] == (True, ()), n
+        assert F.mertens_euler[n] and [row[n] for row in F.poincare_hopf] == [1, 1], n
+        assert [row[n] for row in F.morse_inequalities] == [1, 1] and [row[n] for row in F.formulas] == [1] * 4, n
 
 
 def test_run_filtration_b2_at_105(sieve):
@@ -136,9 +136,10 @@ def test_critical_counts_monotone(sieve):
 
 
 def test_morse_inequality_check():
-    assert morse_inequality_check([[3], [1]], [[6], [4]], 1) == [(True, True)]
-    assert morse_inequality_check([[2], [1]], [[2], [1]], 1) == [(True, True)]
-    assert morse_inequality_check([[2]], [[1]], 1) == [(False, False)]
+    assert morse_inequality_check([[3], [1]], [[6], [4]], 1) == [b"\1", b"\1"]
+    assert morse_inequality_check([[2], [1]], [[2], [1]], 1) == [b"\1", b"\1"]
+    assert morse_inequality_check([[2]], [[1]], 1) == [b"\0", b"\0"]
+    assert morse_inequality_check([[2, 0]], [[1, 1]], 2) == [b"\0\1", b"\0\0"]  # column 1 fails Euler-Poincare alone
 
 
 def as_rows(columns, width, as_numpy):
@@ -163,7 +164,8 @@ def test_morse_inequality_check_matches_literal_at_every_column(b, c, b_rows, c_
     b, c = (b + [[]] * width)[:width], (c + [[]] * width)[:width]
     got = morse_inequality_check(as_rows(b, b_rows, as_numpy), as_rows(c, c_rows, as_numpy), width)
     want = [literal_morse_inequalities(bi[:b_rows], ci[:c_rows]) for bi, ci in zip(b, c)]
-    assert got == want
+    assert all(type(row) is bytes and len(row) == width for row in got)
+    assert list(zip(*got)) == want
 
 
 def test_betti_formulas_read_b4():
@@ -173,16 +175,16 @@ def test_betti_formulas_read_b4():
     assert int(tables[(5, True)][15015]) - int(tables[(5, True)][7507]) == 1
     b = [1 + int(tables[(1, False)][15015] - tables[(1, False)][7507])]
     b += [int(tables[(k + 1, True)][15015] - tables[(k + 1, True)][7507]) for k in (1, 2, 3)]
-    assert betti_formulas([15015], tables, [[x] for x in b + [1]]) == [(True, ())]
-    assert betti_formulas([15015], tables, [[x] for x in b + [0]]) == [(True, (4,))]
-    assert betti_formulas([15015], tables, [[x] for x in b]) == [(True, ())]
+    assert betti_formulas([15015], tables, [[x] for x in b + [1]]) == [b"\1"] * 5
+    assert betti_formulas([15015], tables, [[x] for x in b + [0]]) == [b"\1"] * 4 + [b"\0"]
+    assert betti_formulas([15015], tables, [[x] for x in b]) == [b"\1"] * 4
 
 
 def literal_betti_formulas(n, b, count):
-    """(H1, None below n = 4; the k where H3 fails) at n as stated, count(k, x, odd) counting pi_k(x)."""
+    """(H1, holding below n = 4; H3 at k = 1, 2, ...) at n as stated, count(k, x, odd) counting pi_k(x)."""
     b = list(b) + [0] * (4 - len(b))
-    h1 = None if n < 4 else b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
-    return h1, tuple(k for k in range(1, len(b)) if b[k] != count(k + 1, n, True) - count(k + 1, n // 2, True))
+    h1 = n < 4 or b[0] == 1 + count(1, n, False) - count(1, n // 2, False)
+    return (h1, *(b[k] == count(k + 1, n, True) - count(k + 1, n // 2, True) for k in range(1, len(b))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,51 +208,41 @@ def test_betti_formulas_match_pi_k_counted_literally(sieve, ns, offsets, as_nump
     b = [[formula(k, n) + offsets[k][i] for i, n in enumerate(ns)] for k in range(len(offsets))]
     rows = [np.array(row, dtype=np.int64) for row in b] if as_numpy else b
     want = [literal_betti_formulas(n, [row[i] for row in b], count) for i, n in enumerate(ns)]
-    assert betti_formulas(ns, tables, rows) == want
+    got = betti_formulas(ns, tables, rows)
+    assert len(got) == max(len(b), 4) and all(type(row) is bytes and len(row) == len(ns) for row in got)
+    assert list(zip(*got)) == want
 
 
-def betti_formulas_tuple_per_failure(ns, tables, b):
-    """betti_formulas as it was before its verdicts were shared: a set of H1 failures and a fresh tuple per H3 failure."""
-    ns = list(ns)
-    zero = [0] * len(ns)
-
-    def diff(k, odd):
-        row = tables.get((k, odd))
-        return [row[n] - row[n // 2] for n in ns] if row else zero
-
-    def mismatches(k, want):
-        return [i for i, (x, y) in enumerate(zip(b[k] if k < len(b) else zero, want)) if x != y]
-
-    h1_fails = set(mismatches(0, [1 + d for d in diff(1, False)]))
-    h3_fails = {}
-    for k in range(1, max(len(b), 4)):
-        for i in mismatches(k, diff(k + 1, True)):
-            h3_fails[i] = h3_fails.get(i, ()) + (k,)
-    return [(None if n < 4 else i not in h1_fails, h3_fails.get(i, ())) for i, n in enumerate(ns)]
-
-
-def test_a_failing_column_costs_betti_formulas_no_more_than_a_passing_one():
+@pytest.mark.parametrize("evaluator", ["betti_formulas", "morse_inequality_check"])
+def test_a_failing_column_costs_an_evaluator_no_more_than_a_passing_one(evaluator):
     # on a divisor graph H1 and H3 fail at almost every n: rows that fail everywhere must peak
     # no higher than rows of the same width that pass everywhere
     top = 100_000
-    tables = pi_k_tables(FactorSieve(top), top, 4)
     ns = range(top + 1)
-    passing = [[1 + tables[(1, False)][n] - tables[(1, False)][n // 2] for n in ns]]
-    passing += [[tables[(k + 1, True)][n] - tables[(k + 1, True)][n // 2] for n in ns] for k in (1, 2, 3)]
+    ones, zeros = b"\1" * (top + 1), bytes(top + 1)
+    if evaluator == "betti_formulas":
+        tables = pi_k_tables(FactorSieve(top), top, 4)
+        passing = [[1 + tables[(1, False)][n] - tables[(1, False)][n // 2] for n in ns]]
+        passing += [[tables[(k + 1, True)][n] - tables[(k + 1, True)][n // 2] for n in ns] for k in (1, 2, 3)]
+        run = partial(betti_formulas, ns, tables)
+        # each b_k one off its formula: H1 holds below n = 4 all the same, H3 nowhere
+        want = [ones] * 4, [b"\1" * 4 + bytes(top - 3)] + [zeros] * 3
+    else:
+        passing = [[n % 5 for n in ns], [n % 3 for n in ns], [n % 2 for n in ns]]
+        run = partial(morse_inequality_check, c=passing, width=top + 1)
+        # b = c: every inequality tight; b_k = c_k + 1: b_0 > c_0 and r_0 = -1
+        want = [ones] * 2, [zeros] * 2
     failing = [[x + 1 for x in row] for row in passing]
     peaks, verdicts = [], []
     for b in (passing, failing):
         tracemalloc.start()
         try:
-            verdicts.append(betti_formulas(ns, tables, b))
+            verdicts.append(run(b))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
-    assert verdicts[0] == [(None, ())] * 4 + [(True, ())] * (top - 3)
-    assert verdicts[1] == [(None, (1, 2, 3))] * 4 + [(False, (1, 2, 3))] * (top - 3)
-    for b, got in zip((passing, failing), verdicts):
-        assert got == betti_formulas_tuple_per_failure(ns, tables, b)
+    assert tuple(verdicts) == want
 
 
 def test_check_formulas_reads_every_dimension(sieve):
@@ -263,6 +255,18 @@ def test_check_formulas_reads_every_dimension(sieve):
     assert not ok and message == "H3(k=4) fails first at n=20"
     ok, _ = check_formulas(SimpleNamespace(n_max=30), F)
     assert ok
+
+
+def test_check_hopf_names_a_wrong_index_before_a_wrong_sum(sieve):
+    def hopf(index_from, sum_from):  # Prime(30) with the index and sum rows failing from these n on
+        tampered = Filtration(GraphKind.prime(30), sieve)
+        tampered.poincare_hopf = [b"\1" * n + bytes(31 - n) for n in (index_from, sum_from)]
+        return check_hopf(SimpleNamespace(n_max=30), tampered)
+
+    assert hopf(31, 31) == (True, "indices sum to chi and equal -mu up to n=30")
+    assert hopf(20, 12) == (False, "first counterexample n=12 (sum != chi)")
+    assert hopf(12, 12) == hopf(12, 31) == (False, "first counterexample n=12 (index != -mu)")
+    assert Filtration(GraphKind.prime(30), sieve).poincare_hopf == [b"\1" * 31] * 2
 
 
 def test_barycentric_morse_complex_examples():
@@ -777,13 +781,13 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         below = [ev for ev in F.events if ev.n <= n]
         index_ok = all(ev.ph_index == -ev.mu for ev in below if ev.kind == "critical")
         sum_ok = sum(ev.ph_index for ev in below) == F.chi[n]
-        assert F.poincare_hopf[n] == (None if index_ok and sum_ok else "sum != chi" if index_ok else "index != -mu"), n
+        assert tuple(row[n] for row in F.poincare_hopf) == (index_ok, sum_ok), n
         b = [row[n] for row in F.betti]
-        assert F.morse_inequalities[n] == literal_morse_inequalities(b, critical_counts(F.events, n)), n
-        assert F.formulas[n] == literal_betti_formulas(n, b, count), n
+        assert tuple(row[n] for row in F.morse_inequalities) == literal_morse_inequalities(b, critical_counts(F.events, n)), n
+        assert tuple(row[n] for row in F.formulas) == literal_betti_formulas(n, b, count), n
         if kind != "divisor":  # H2, c_m(n) = pi_{m+1}(n), fails at most n of a divisor graph
             c = column(F.critical, n)
             assert c + [0] == [count(m + 1, n, False) for m in range(len(c) + 1)], n
-        seen.add((F.mertens_euler[n], F.formulas[n][0]))
+        seen.add((F.mertens_euler[n], F.formulas[0][n]))
     # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur
-    assert seen >= ({(True, True)} if kind != "divisor" else {(True, True), (False, False)})
+    assert seen >= ({(1, 1)} if kind != "divisor" else {(1, 1), (0, 0)})
