@@ -1,4 +1,4 @@
-"""Command-line surface: build/table/verify/series with a JSONL result cache.
+"""Command-line surface: build/table/verify/series, with table's JSONL result cache in cache.
 
 All outputs are byte-deterministic for a fixed configuration: rows are
 assembled in ascending n, floats are printed with repr, exact rationals as
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, zip_longest
@@ -22,9 +21,9 @@ from operator import and_
 
 from . import __version__
 from .arithmetic import FactorSieve, primorial
+from .cache import CacheRecord, _append_cache, _load_cache
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
-    _Record,
     betti_numbers,
     euler_characteristic,
     hodge_nullity,
@@ -49,7 +48,7 @@ from .graphs import (
     verify_component_diameter_bound,
 )
 from .morse import Filtration, barycentric_morse_complex, betti_formulas, morse_betti, morse_inequality_check
-from .topology import dimension_timeline, inductive_dimension, sphere_dimension
+from .topology import inductive_dimension, sphere_dimension
 
 BETTI_COLUMNS = 7  # b0..b6 and c0..c6 in report CSVs
 
@@ -67,110 +66,14 @@ ALL_CHECKS = (
 )
 
 
-# the fields of a cache record in the order of its line, each with its type; a list holds ints
-_RECORD_TYPES = {
-    "kind": str,
-    "n": int,
-    "fvector": list,
-    "betti": list,
-    "chi": int,
-    "mertens": int,
-    "critical_counts": list,
-    "tool_version": str,
-    "field_prime": int,
-}
-
-
-class CacheRecord(_Record):
-    """The invariants of G(n) on one cache line, with the fields and types of _RECORD_TYPES."""
-
-    __slots__ = tuple(_RECORD_TYPES)
-
-    def __init__(self, kind, n, fvector, betti, chi, mertens, critical_counts, tool_version, field_prime):
-        self.kind, self.n, self.fvector, self.betti, self.chi = kind, n, fvector, betti, chi
-        self.mertens, self.critical_counts = mertens, critical_counts
-        self.tool_version, self.field_prime = tool_version, field_prime
-
-
-def _parse_record(line: str) -> CacheRecord | None:
-    """The record on one cache line, or None if the line is not a well-typed record."""
-    import json
-
-    try:
-        raw = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(raw, dict) or raw.keys() != _RECORD_TYPES.keys():
-        return None
-    for key, want in _RECORD_TYPES.items():
-        value = raw[key]
-        if type(value) is not want:
-            return None
-        if want is list and any(type(x) is not int for x in value):
-            return None
-    return CacheRecord(**raw)
-
-
-def _load_cache(path: str, kind: str, field_prime: int) -> dict[int, CacheRecord]:
-    """Matching records of the cache file, which is rewritten without its corrupt lines.
-
-    A corrupt line costs only itself: the records on both sides of it are kept.
-    The rewrite goes through a temporary file and a rename, so an interrupted
-    run leaves either the old file or the new one.
-    """
-    records: dict[int, CacheRecord] = {}
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        return records
-    kept, corrupt = [], False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rec = _parse_record(line)
-        if rec is None:
-            print(f"warning: truncating corrupt cache line {lineno}; the other records are kept", file=sys.stderr)
-            corrupt = True
-            continue
-        kept.append(line)
-        if rec.tool_version == __version__ and rec.field_prime == field_prime and rec.kind == kind:
-            records[rec.n] = rec
-    # a last line without its newline would swallow the next appended record
-    if corrupt or (text and not text.endswith("\n")):
-        _rewrite(path, "".join(line + "\n" for line in kept))
-    return records
-
-
-def _rewrite(path: str, text: str) -> None:
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".cache-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _append_cache(path: str, records: list[CacheRecord]) -> None:
-    import json
-
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(dict(zip(_RECORD_TYPES, rec._values())), separators=(",", ":")) + "\n")
+def _output(config: argparse.Namespace):
+    """The --out file opened for writing, or stdout, as a context manager."""
+    return open(config.output_path, "w", encoding="utf-8") if config.output_path else nullcontext(sys.stdout)
 
 
 def _write_out(config: argparse.Namespace, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(config) as out:
+        out.write(text)
 
 
 def _bool(x) -> str:
@@ -439,7 +342,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
         sieve = FactorSieve(config.n_max)
         F = Filtration(GraphKind(config.kind, config.n_max), sieve, config.field_prime)
     all_ok = True
-    with open(config.output_path, "w", encoding="utf-8") if config.output_path else nullcontext(sys.stdout) as out:
+    with _output(config) as out:
         for name in config.checks:
             ok, detail = CHECK_FUNCS[name](config, F)
             all_ok &= ok
@@ -489,24 +392,25 @@ def fit_dimension(xs: list[int], ys: list[float]) -> tuple[float, float, float]:
 def cmd_series(config: argparse.Namespace) -> int:
     sieve = FactorSieve(config.n_max)
     F = Filtration(GraphKind(config.kind, config.n_max), sieve)
-    lines = []
-    if config.what == "dimension":
-        lines.append("n,dim_exact,dim_float")
-        xs, ys = [], []
-        for n, d in enumerate(dimension_timeline(cliques(F.G), F.top)[6:], start=6):
-            lines.append(f"{n},{d.numerator}/{d.denominator},{float(d)!r}")
+    # each series is computed before --out is opened, and each row written as it is made
+    if config.what == "wu":
+        wu, chi = wu_timeline(cliques(F.G), F.top), F.chi
+        with _output(config) as out:
+            out.write("n,wu,chi_scaled\n")
+            out.writelines(f"{n},{wu[n]},{100 - 15 * chi[n]}\n" for n in range(2, F.top + 1))
+        return 0
+    dims, xs, ys = F.dimension, [], []
+    with _output(config) as out:
+        out.write("n,dim_exact,dim_float\n")
+        for n in range(6, F.top + 1):
+            d = dims[n]
             xs.append(n)
             ys.append(float(d))
-        # three unknowns: with fewer rows the fit would be a guess
-        if len(xs) >= 3:
-            a, b, c = fit_dimension(xs, ys)
-            print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
-    else:
-        lines.append("n,wu,chi_scaled")
-        wu = wu_timeline(cliques(F.G), F.top)
-        for n in range(2, config.n_max + 1):
-            lines.append(f"{n},{wu[n]},{100 - 15 * F.chi[n]}")
-    _write_out(config, "\n".join(lines) + "\n")
+            out.write(f"{n},{d.numerator}/{d.denominator},{ys[-1]!r}\n")
+    # three unknowns: with fewer rows the fit would be a guess
+    if len(xs) >= 3:
+        a, b, c = fit_dimension(xs, ys)
+        print(f"# fit dim(n) ~ a + b*n + c*log(n): a={a!r} b={b!r} c={c!r}", file=sys.stderr)
     return 0
 
 

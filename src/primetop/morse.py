@@ -46,7 +46,7 @@ from .errors import (
     RankDiscrepancyError,
 )
 from .graphs import Graph, GraphKind, build_graph, cliques, induced_subgraph, kind_labels, proper_divisors
-from .topology import sphere_dimension_within
+from .topology import poset_dimension_timeline, sphere_dimension_within
 
 
 class FiltrationEvent(_Record):
@@ -316,6 +316,11 @@ class Filtration:
         counts = [_chain_counts(key) for key in self._signatures[1]]
         marks = ((k, x, c) for x, chains in self._per_label(counts) for k, c in enumerate(chains))
         return _cumulative(marks, max(map(len, counts), default=0), self.top)
+
+    @cached_property
+    def dimension(self) -> list:
+        """dim G(n) as a Fraction for n = 0..top, from the divisor poset: topology.poset_dimension_timeline."""
+        return poset_dimension_timeline(self.labels, self.sieve, dict(self._per_label(self._signatures[1])), self.top)
 
     @cached_property
     def chi(self) -> array:

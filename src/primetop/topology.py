@@ -13,10 +13,10 @@ call: each public entry point builds its own and passes them down the
 recursion, and nothing outlives the call.  Sharing across a filtration happens
 one level up, where morse.Filtration classifies one stable sphere per exponent
 signature and gives the verdict to every vertex with that signature.
-dimension_timeline runs no recursion: it keeps a link size, a running sum and
-a value per simplex of the filtration and updates them in one pass.  The exact
-dimensions are the only users of fractions, which they import when called.  The
-recursion is pruned by screens that are theorems of the definition:
+The exact dimensions import fractions when called: inductive_dimension, the
+definition, and poset_dimension_timeline, which reads the dimension of every
+G(n) of a divisibility filtration from the divisor poset alone.  The recursion
+is pruned by screens that are theorems of the definition:
 
 * a contractible graph is connected;
 * a cone (some vertex adjacent to all others) is contractible;
@@ -38,12 +38,13 @@ on the graph alone.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
-from functools import partial
+from collections import namedtuple
+from functools import cache, partial
+from itertools import product
 
 from .cohomology import DEFAULT_FIELD_PRIME, _betti_timeline, _one_key, betti_numbers, reduce_gf, whitney_complex
 from .errors import ResourceLimitError
-from .graphs import Graph, bfs_distances, induced_subgraph
+from .graphs import Graph, bfs_distances, induced_subgraph, proper_divisors
 
 RECURSION_CAP = 25
 
@@ -245,49 +246,65 @@ def inductive_dimension(G: Graph) -> Fraction:
     return _dim(G, frozenset(G.labels), {frozenset(): Fraction(-1)})
 
 
-def dimension_timeline(simplices, top: int) -> list[Fraction]:
-    """inductive_dimension of G(n), the subgraph on the labels <= n, for n = 0..top.
+def poset_dimension_timeline(labels, sieve, signature: dict, top: int) -> list[Fraction]:
+    """dim G(n) for n = 0..top, G the divisibility graph on labels closed under division, with no graph built.
 
-    simplices are the cliques of G by dimension, as cliques(G) gives them.
-    The unit sphere of u inside the common link L(s) of a simplex s is
-    L(s + u), so dim L(s) is 1 + the mean of dim L(s + u) over u in L(s)
-    (-1 when L(s) is empty), and dim G(n) is dim L(()).  Every simplex, the
-    empty one included, keeps the size of L(s) in G(n) and that sum.  When x
-    arrives, L(s) changes only for the new simplices (top vertex x) and their
-    facets without x; these are closed under taking facets, so they are
-    recomputed longest first, each handing its new term or its change to its
-    facets.  Each simplex is settled on arrival and settles its facet without
-    its top vertex, so the pass is linear in the (simplex, facet) pairs.
+    signature maps each label to its sorted exponents.  The unit sphere of x
+    in G(n) is the join of its divisors 1 < d < x and its multiples
+    x < w <= n, and dim(A * B) = dim A + dim B + 1.  So U(v), the dimension
+    of the labels w <= n with v | w, w != v, is 1 + the mean of
+    L(w/v) + U(w) + 1 over those w (-1 if none), L(x) being that of the
+    divisors 1 < d < x (_interval_dimension), and dim G(n) = U(1).  n
+    changes U at its divisors alone: each sum gets the term L(n/v), as
+    U(n) = -1, and they are settled from the largest down, each passing its
+    change to its own divisors (_settle).
     """
     from fractions import Fraction
 
-    count: defaultdict = defaultdict(int)  # |L(s)|
-    total: defaultdict = defaultdict(Fraction)  # sum of dim L(s + u) over u in L(s)
-    value = {(): Fraction(-1)}  # dim L(s)
+    interval = {x: _interval_dimension(key) for x, key in signature.items()}
+    mean, total, count = {1: -2}, {1: 0}, {1: 0}  # mean[v] = U(v) - 1 = total[v] / count[v]
+    out, dim = [], Fraction(-1)
+    for n in labels:
+        out += [dim] * (n - len(out))
+        divisors = [1, *proper_divisors(n, sieve)]
+        mean[n], total[n], count[n] = -2, 0, 0
+        for v in divisors:
+            total[v] += interval[n // v]
+            count[v] += 1
+        for i in reversed(range(len(divisors))):
+            w = divisors[i]
+            _settle(w, [v for v in divisors[:i] if not w % v], mean, total, count)
+        dim = mean[1] + 1
+    return out + [dim] * (top + 1 - len(out))
 
-    def settle(s: tuple[int, ...]) -> None:
-        """Recompute dim L(s), whose sum is complete, and hand the change to each facet of s."""
-        new = 1 + total[s] / count[s] if count[s] else Fraction(-1)
-        old = value.get(s)
-        value[s] = new
-        change = new if old is None else new - old
-        if old is not None and not change:
-            return
-        for i in range(len(s)):
-            facet = s[:i] + s[i + 1 :]
-            total[facet] += change
-            count[facet] += old is None
 
-    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], -len(s)))
-    out, arrived = [], 0
-    for n in range(top + 1):
-        while arrived < len(order) and order[arrived][-1] == n:
-            s = order[arrived]
-            arrived += 1
-            settle(s)
-            settle(s[:-1])
-        out.append(value[()])
-    return out
+@cache
+def _interval_dimension(exponents: tuple[int, ...]) -> Fraction:
+    """L(x), the dimension of the divisors 1 < d < x of an x with these sorted exponents.
+
+    The sphere of d is the join of the divisors of d and those of x/d, so L(x)
+    is 1 + the mean of L(d) + L(x/d) + 1 over the d, or -1 if there is none.
+    """
+    from fractions import Fraction
+
+    def key(vector):
+        return tuple(sorted(filter(None, vector), reverse=True))
+
+    terms = [
+        _interval_dimension(key(d)) + _interval_dimension(key(e - k for e, k in zip(exponents, d))) + 1
+        for d in product(*(range(e + 1) for e in exponents))
+        if any(d) and d != exponents
+    ]
+    return 1 + Fraction(sum(terms), len(terms)) if terms else Fraction(-1)
+
+
+def _settle(w: int, below, mean: dict, total: dict, count: dict) -> None:
+    """Set mean[w] to total[w] / count[w], a complete sum, and add the change to total[v] for each v in below."""
+    new = total[w] / count[w]
+    change = new - mean[w]
+    mean[w] = new
+    for v in below:
+        total[v] += change
 
 
 def _dim(amb: Graph, sub: frozenset, table: dict) -> Fraction:

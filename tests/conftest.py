@@ -5,15 +5,18 @@ moebius by trial division, Betti numbers by numpy floating-point matrix rank
 or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
 tuple counts by direct enumeration, component diameters by a BFS from every
-vertex, and the diameter sweep literally, by trial division and a BFS at every
-join.  The package's seven record classes have dataclass mirrors here, their
-former definitions, as the oracle of their equality, hash and repr.
+vertex, the diameter sweep literally, by trial division and a BFS at every
+join, and the dimension of every G(n) by one pass over the simplices of G.
+The package's seven record classes have dataclass mirrors here, their former
+definitions, as the oracle of their equality, hash and repr.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +139,61 @@ def component_diameter(G: Graph, anchor: int = 2) -> int:
         ecc = max(bfs_distances(G, v).values())
         best = max(best, ecc)
     return best
+
+
+def dimension_timeline(simplices, top: int) -> list[Fraction]:
+    """inductive_dimension of G(n), the subgraph on the labels <= n, for n = 0..top.
+
+    simplices are the cliques of G by dimension, as cliques(G) gives them.
+    The unit sphere of u inside the common link L(s) of a simplex s is
+    L(s + u), so dim L(s) is 1 + the mean of dim L(s + u) over u in L(s)
+    (-1 when L(s) is empty), and dim G(n) is dim L(()).  Every simplex, the
+    empty one included, keeps the size of L(s) in G(n) and that sum.  When x
+    arrives, L(s) changes only for the new simplices (top vertex x) and their
+    facets without x; these are closed under taking facets, so they are
+    recomputed longest first, each handing its new term or its change to its
+    facets.  Each simplex is settled on arrival and settles its facet without
+    its top vertex, so the pass is linear in the (simplex, facet) pairs.
+    It is the oracle of Filtration.dimension, which reads no simplex.
+    """
+    count: defaultdict = defaultdict(int)  # |L(s)|
+    total: defaultdict = defaultdict(Fraction)  # sum of dim L(s + u) over u in L(s)
+    value = {(): Fraction(-1)}  # dim L(s)
+
+    def settle(s: tuple[int, ...]) -> None:
+        """Recompute dim L(s), whose sum is complete, and hand the change to each facet of s."""
+        new = 1 + total[s] / count[s] if count[s] else Fraction(-1)
+        old = value.get(s)
+        value[s] = new
+        change = new if old is None else new - old
+        if old is not None and not change:
+            return
+        for i in range(len(s)):
+            facet = s[:i] + s[i + 1 :]
+            total[facet] += change
+            count[facet] += old is None
+
+    order = sorted((s for dim in simplices for s in dim), key=lambda s: (s[-1], -len(s)))
+    out, arrived = [], 0
+    for n in range(top + 1):
+        while arrived < len(order) and order[arrived][-1] == n:
+            s = order[arrived]
+            arrived += 1
+            settle(s)
+            settle(s[:-1])
+        out.append(value[()])
+    return out
+
+
+def graph_join(A: Graph, B: Graph) -> Graph:
+    """The join A * B of two graphs on disjoint labels: both, and every edge between them."""
+    return Graph(A.labels + B.labels, A.edges() + B.edges() + [(a, b) for a in A.labels for b in B.labels])
+
+
+def divisibility_graph(labels) -> Graph:
+    """The comparability graph of the labels under divisibility, by trial of every pair."""
+    labels = sorted(labels)
+    return Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if not b % a])
 
 
 def is_prime_label(v: int) -> bool:

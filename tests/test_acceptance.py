@@ -34,8 +34,7 @@ from primetop import (
 from primetop.arithmetic import mertens_table, pi_k, pi_k_tables
 from primetop.cli import main as cli_main
 from primetop.graphs import cliques, complete_graph, cycle_graph, verify_component_diameter_bound
-from primetop.topology import dimension_timeline
-from conftest import betti_rank_oracle, random_connected_graphs
+from conftest import betti_rank_oracle, dimension_timeline, random_connected_graphs
 
 N_MAX = 2310
 

@@ -19,8 +19,9 @@ from primetop import (
     whitney_complex,
 )
 from primetop.cohomology import wu_characteristic_bruteforce
+from primetop.graphs import cliques
 
-from conftest import betti_rank_oracle
+from conftest import betti_rank_oracle, dimension_timeline
 
 
 def run_main(argv):
@@ -213,6 +214,27 @@ def test_series_matches_from_scratch(tmp_path, capsys, kind, n_max, what):
     argv = ["series", "--kind", kind, "--what", what, "--n-max", str(n_max), "--out", str(out)]
     assert run_main(argv) == 0
     assert (out.read_text(), capsys.readouterr().err) == series_from_scratch(kind, n_max, what)
+
+
+@pytest.mark.parametrize("kind, n_max", [("prime", 700), ("integer", 400), ("divisor", 2310)])
+def test_series_dimension_builds_no_graph_and_enumerates_no_clique(tmp_path, capsys, monkeypatch, kind, n_max):
+    # the rows come from Filtration.dimension, which reads the divisor poset; the clique pass is the oracle
+    import primetop.graphs as graphs
+    import primetop.morse as morse
+
+    dims = dimension_timeline(cliques(build_graph(GraphKind(kind, n_max), FactorSieve(n_max))), n_max)
+    want = "".join(f"{n},{d.numerator}/{d.denominator},{float(d)!r}\n" for n, d in enumerate(dims) if n >= 6)
+
+    def forbidden(*args):
+        raise AssertionError("series --what dimension built a graph or enumerated its cliques")
+
+    for module in (graphs, morse, cli):
+        monkeypatch.setattr(module, "build_graph", forbidden)
+        monkeypatch.setattr(module, "cliques", forbidden)
+    out = tmp_path / "dim.csv"
+    assert run_main(["series", "--kind", kind, "--what", "dimension", "--n-max", str(n_max), "--out", str(out)]) == 0
+    assert out.read_text() == "n,dim_exact,dim_float\n" + want
+    assert capsys.readouterr().err.startswith("# fit dim(n) ~ a + b*n + c*log(n): a=")
 
 
 @pytest.mark.parametrize("n_max", [5, 6, 7, 8])

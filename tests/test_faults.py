@@ -15,11 +15,13 @@ import pytest
 import primetop.cli as cli
 import primetop.graphs as graphs
 import primetop.morse as morse
+import primetop.topology as topology
 from primetop import Filtration, GraphKind, RankDiscrepancyError, build_graph, classify_vertex, pi_k
+from primetop.graphs import cliques
 from primetop.cli import check_mertens
 from primetop.errors import InternalConsistencyError
 
-from conftest import diameter_bound_oracle
+from conftest import diameter_bound_oracle, dimension_timeline
 from test_morse import literal_betti_formulas, literal_morse_inequalities
 
 
@@ -179,3 +181,37 @@ def test_a_first_failure_search_from_n_3_is_caught_by_the_literal_oracles(sieve,
     assert reports == ["first counterexample n=2"] * 2 + ["H3(k=1) fails first at n=2"] and _reports(F) == reports
     monkeypatch.setattr(cli, "_first", lambda row: row.find(0, 3))
     assert _reports(F) != reports
+
+
+def _first_wrong_dimension(sieve, kind, n):
+    """The first n at which Filtration.dimension differs from the clique pass over G's simplices, or None."""
+    got = Filtration(GraphKind(kind, n), sieve).dimension
+    want = dimension_timeline(cliques(build_graph(GraphKind(kind, n), sieve)), n)
+    return next((m for m, (a, b) in enumerate(zip(got, want, strict=True)) if a != b), None)
+
+
+@pytest.mark.parametrize("kind, signature, first", [("prime", (1, 1), 6), ("integer", (2,), 4), ("divisor", (1, 1), 6)])
+def test_a_wrong_interval_dimension_is_caught_by_the_clique_pass(sieve, monkeypatch, kind, signature, first):
+    # L of one signature is one too large; every later signature's L is memoised from it, so the memo
+    # is emptied before and after
+    real = topology._interval_dimension
+    assert _first_wrong_dimension(sieve, kind, 210) is None
+    real.cache_clear()
+    monkeypatch.setattr(topology, "_interval_dimension", lambda key: real(key) + (key == signature))
+    try:
+        assert _first_wrong_dimension(sieve, kind, 210) == first
+    finally:
+        real.cache_clear()
+
+
+@pytest.mark.parametrize("kind, first", [("prime", 30), ("integer", 12), ("divisor", 30)])
+def test_a_settle_step_skipping_a_divisor_is_caught_by_the_clique_pass(sieve, monkeypatch, kind, first):
+    # each time U(6) is settled its change never reaches the sum of 2; 6 is first settled when a multiple arrives
+    real = topology._settle
+    assert _first_wrong_dimension(sieve, kind, 210) is None
+
+    def skipping(w, below, *sums):
+        real(w, [v for v in below if (w, v) != (6, 2)], *sums)
+
+    monkeypatch.setattr(topology, "_settle", skipping)
+    assert _first_wrong_dimension(sieve, kind, 210) == first

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import cache, partial
 from types import SimpleNamespace
 
@@ -36,7 +37,7 @@ from primetop.graphs import Graph, cliques, complete_graph, cycle_graph
 from primetop.cohomology import _betti_timeline, _f_vector, _simplicial, reduce_exact, reduce_gf
 from primetop.morse import _bjorner_partner, betti_formulas
 
-from conftest import betti_rank_oracle, projective_plane_behind_star, projective_plane_subdivision
+from conftest import betti_rank_oracle, dimension_timeline, projective_plane_behind_star, projective_plane_subdivision
 
 
 def column(rows, n):
@@ -791,3 +792,12 @@ def test_identity_verdicts_match_literal_definitions(sieve, kind, n_max):
         seen.add((F.mertens_euler[n], F.formulas[0][n]))
     # the divisor graph breaks Mertens-Euler and H1 at many n, so both verdicts occur
     assert seen >= ({(1, 1)} if kind != "divisor" else {(1, 1), (0, 0)})
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 2310), ("integer", 600), ("divisor", 30030)])
+def test_poset_dimension_equals_the_clique_pass(kind, n):
+    # F.dimension reads the divisor poset, the oracle one pass over the simplices of G
+    sieve = FactorSieve(n)
+    got = Filtration(GraphKind(kind, n), sieve).dimension
+    assert len(got) == n + 1 and all(type(d) is Fraction for d in got)
+    assert got == dimension_timeline(cliques(build_graph(GraphKind(kind, n), sieve)), n)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primetop import (
+    Filtration,
     Graph,
     GraphKind,
     betti_numbers,
@@ -17,9 +19,9 @@ from primetop import (
 )
 from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
 from primetop.graphs import cliques, complete_graph, cycle_graph
-from primetop.topology import dimension_timeline, sphere_dimension_within
+from primetop.topology import sphere_dimension_within
 
-from conftest import path_graph
+from conftest import dimension_timeline, divisibility_graph, graph_join, path_graph
 
 
 def trimmed_betti(G):
@@ -178,13 +180,16 @@ def test_inductive_dimension_within_looks_up_memo_once(sieve, monkeypatch):
 
 @settings(max_examples=12, deadline=None)
 @given(kind=st.sampled_from(["prime", "integer", "divisor"]), n=st.integers(2, 150))
+@example(kind="divisor", n=7)
 def test_timelines_match_from_scratch_any_n(sieve, kind, n):
-    # the running passes against G(m) rebuilt for every m, by the literal definitions
+    # the running passes, and Filtration.dimension read from the divisor poset, against G(m)
+    # rebuilt for every m, by the literal definitions
     G = build_graph(GraphKind(kind, n), sieve)
     simplices = cliques(G)
     dims = dimension_timeline(simplices, n)
     wus = wu_timeline(simplices, n)
     assert len(dims) == len(wus) == n + 1
+    assert Filtration(GraphKind(kind, n), sieve).dimension == dims
     for m in range(n + 1):
         Gm = induced_subgraph(G, [v for v in G.labels if v <= m])
         assert dims[m] == inductive_dimension(Gm), m
@@ -210,6 +215,34 @@ def test_dimension_timeline_on_kindless_graphs(graph):
     assert len(dims) == max(G.labels) + 1
     for n, d in enumerate(dims):
         assert d == inductive_dimension(induced_subgraph(G, [v for v in G.labels if v <= n])), n
+
+
+def random_graph(rng, first):
+    """A graph on 0-5 labels from first on, each edge present with probability 1/2."""
+    labels = range(first, first + rng.randint(0, 5))
+    return Graph(labels, [(a, b) for a in labels for b in labels if a < b and rng.random() < 0.5])
+
+
+def test_join_adds_the_dimensions_plus_one():
+    # dim(A * B) = dim A + dim B + 1, with dim of the empty graph -1: Filtration.dimension rests on it
+    rng = random.Random(7)
+    pairs = [(Graph([], []), Graph([], [])), (Graph([], []), complete_graph(3))]
+    pairs += [(random_graph(rng, 1), random_graph(rng, 11)) for _ in range(300)]
+    assert sum(1 for A, B in pairs if not A.n_vertices or not B.n_vertices) > 2
+    for A, B in pairs:
+        assert inductive_dimension(graph_join(A, B)) == inductive_dimension(A) + inductive_dimension(B) + 1, (A, B)
+
+
+@pytest.mark.parametrize("kind, n", [("prime", 120), ("integer", 90), ("divisor", 2310), ("divisor", 60)])
+def test_unit_sphere_is_the_join_of_divisors_and_multiples(sieve, kind, n):
+    # in G(m) the unit sphere of x is its divisors 1 < d < x joined with its multiples x < w <= m
+    G = build_graph(GraphKind(kind, n), sieve)
+    for m in (n, n // 2):
+        Gm = induced_subgraph(G, [v for v in G.labels if v <= m])
+        for x in Gm.labels:
+            below = divisibility_graph(d for d in range(2, x) if not x % d)
+            above = divisibility_graph(w for w in Gm.labels if w > x and not w % x)
+            assert induced_subgraph(Gm, Gm.neighbors(x)) == graph_join(below, above), (m, x)
 
 
 def test_integer_and_prime_betti_agree(sieve):
