@@ -25,6 +25,7 @@ from .cache import CacheRecord, _append_cache, _load_cache
 from .cohomology import (
     DEFAULT_FIELD_PRIME,
     betti_numbers,
+    check_wu_budget,
     euler_characteristic,
     hodge_nullity,
     lefschetz_number,
@@ -32,7 +33,7 @@ from .cohomology import (
     witten_nullity,
     wu_timeline,
 )
-from .errors import RankDiscrepancyError
+from .errors import ClassificationError, RankDiscrepancyError, ResourceLimitError
 from .graphs import (
     DIVISIBILITY_KINDS,
     Graph,
@@ -394,6 +395,8 @@ def cmd_series(config: argparse.Namespace) -> int:
     F = Filtration(GraphKind(config.kind, config.n_max), sieve)
     # each series is computed before --out is opened, and each row written as it is made
     if config.what == "wu":
+        # refused from the counted f before any clique is enumerated
+        check_wu_budget(row[-1] for row in F.f)
         wu, chi = wu_timeline(cliques(F.G), F.top), F.chi
         with _output(config) as out:
             out.write("n,wu,chi_scaled\n")
@@ -489,10 +492,7 @@ def main(argv=None) -> int:
     handler = {"build": cmd_build, "table": cmd_table, "verify": cmd_verify, "series": cmd_series}
     try:
         return handler[config.command](config)
-    except RankDiscrepancyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RankDiscrepancyError, ResourceLimitError, ClassificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

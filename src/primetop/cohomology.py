@@ -436,6 +436,13 @@ def wu_characteristic(K: SimplicialComplex) -> int:
     return wu_timeline(K.simplices, max((x[-1] for x in K.all_simplices()), default=0))[-1]
 
 
+def check_wu_budget(f) -> None:
+    """Raise ResourceLimitError if wu_timeline over f[k] k-simplices would pass DEFAULT_WU_BUDGET (simplex, face) pairs."""
+    work = sum(count * (2 ** (k + 1) - 1) for k, count in enumerate(f))
+    if work > DEFAULT_WU_BUDGET:
+        raise ResourceLimitError(f"{work} subset terms exceed budget {DEFAULT_WU_BUDGET}")
+
+
 def wu_timeline(simplices, top: int) -> list[int]:
     """wu_characteristic of K(n), the simplices whose largest vertex is at most n, for n = 0..top.
 
@@ -444,10 +451,8 @@ def wu_timeline(simplices, top: int) -> list[int]:
     for every nonempty face S, which changes the total by (-1)^(|S|+1) times
     the change in W(S)^2.
     """
+    check_wu_budget(map(len, simplices))
     order = sorted((x for dim in simplices for x in dim), key=lambda x: x[-1])
-    work = sum((2 ** len(x) - 1) for x in order)
-    if work > DEFAULT_WU_BUDGET:
-        raise ResourceLimitError(f"{work} subset terms exceed budget {DEFAULT_WU_BUDGET}")
     weight: dict[tuple[int, ...], int] = {}
     delta = [0] * (top + 1)
     for x in order:

@@ -2,8 +2,8 @@
 
 The definitions are the inductive graph-theoretic ones: the empty graph is the
 (-1)-sphere; a k-sphere is a graph all of whose unit spheres are (k-1)-spheres
-and which loses contractibility-obstruction after deleting one vertex; a graph
-is contractible when some vertex has a contractible unit sphere and deleting it
+and which becomes contractible after deleting some vertex; a graph is
+contractible when some vertex has a contractible unit sphere and deleting it
 leaves a contractible graph (one point is contractible, the empty graph is not).
 
 Exact recursion is exponential, so verdicts are memoized on the literal vertex
@@ -26,14 +26,14 @@ is pruned by screens that are theorems of the definition:
 * above the cap, a collapse that stalls keeps the Betti numbers (deleting a
   vertex whose link is a cone leaves them), and a contractible graph has those
   of a point over every field, so a non-point vector over GF(p) alone rules it
-  out.  The large path's sphere verdicts keep the rationally witnessed Betti
-  numbers: a GF(p) sphere pattern can hide torsion (RP^2 over GF(2)).
+  out.
 
-Above the fixed recursion cap of RECURSION_CAP = 25 vertices only
-certificate-based answers are given (greedy collapse to a point, disconnection,
-a non-point Betti vector); anything still ambiguous raises ResourceLimitError
-rather than guessing.  Because the cap is fixed, every memoized verdict depends
-on the graph alone.
+Sphere recognition is the definition at every size.  Above the fixed recursion
+cap of RECURSION_CAP = 25 vertices the contractibility it asks for is decided
+by certificates alone (a cone, greedy collapse to a point, disconnection, a
+non-point Betti vector); anything still ambiguous raises ResourceLimitError,
+and the whole verdict is "unknown" rather than a guess.  Because the cap is
+fixed, every memoized verdict depends on the graph alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from collections import namedtuple
 from functools import cache, partial
 from itertools import product
 
-from .cohomology import DEFAULT_FIELD_PRIME, _betti_timeline, _one_key, betti_numbers, reduce_gf, whitney_complex
+from .cohomology import DEFAULT_FIELD_PRIME, _betti_timeline, _one_key, reduce_gf, whitney_complex
 from .errors import ResourceLimitError
 from .graphs import Graph, bfs_distances, induced_subgraph, proper_divisors
 
@@ -53,8 +53,10 @@ class SphereVerdict(namedtuple("SphereVerdict", "status dim method")):
     """Outcome of sphere recognition.
 
     status is one of "sphere", "contractible", "neither", "unknown"; dim is set
-    for spheres (>= -1).  method records whether the literal recursion ran
-    ("exact") or the screened large-graph path ("fast").
+    for spheres (>= -1).  Both methods apply the one definition: "exact" up to
+    RECURSION_CAP vertices, where the recursion may search, and "fast" above
+    it, where contractibility certificates decided alone ("unknown" when they
+    could not).
     """
 
     __slots__ = ()
@@ -88,14 +90,6 @@ def _betti_gf_of_subset(amb: Graph, sub: frozenset) -> tuple[int, ...]:
 
 def _is_point_pattern(b: tuple[int, ...]) -> bool:
     return len(b) >= 1 and b[0] == 1 and all(x == 0 for x in b[1:])
-
-
-def _sphere_pattern(b: tuple[int, ...], k: int) -> bool:
-    if k == 0:
-        return b[0] == 2 and all(x == 0 for x in b[1:])
-    want = [1] + [0] * (k - 1) + [1]
-    got = list(b) + [0] * max(0, k + 1 - len(b))
-    return got[: k + 1] == want and all(x == 0 for x in got[k + 1 :])
 
 
 def _greedy_collapse(amb: Graph, sub: frozenset) -> frozenset:
@@ -174,10 +168,12 @@ def _sphere(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
     table = memo["sphere"]
     if sub in table:
         return table[sub]
-    if len(sub) <= RECURSION_CAP:
-        verdict = _sphere_exact(amb, sub, memo)
+    method = "exact" if len(sub) <= RECURSION_CAP else "fast"
+    kdim = _unit_sphere_dims(amb, sub, memo)
+    if kdim is not None and any(_contractible(amb, sub - {v}, memo) for v in sorted(sub)):
+        verdict = SphereVerdict("sphere", kdim + 1, method)
     else:
-        verdict = _sphere_fast(amb, sub, memo)
+        verdict = SphereVerdict("contractible" if _contractible(amb, sub, memo) else "neither", None, method)
     table[sub] = verdict
     return verdict
 
@@ -196,26 +192,9 @@ def _unit_sphere_dims(amb: Graph, sub: frozenset, memo: dict) -> int | None:
     return kdim
 
 
-def _sphere_exact(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
-    kdim = _unit_sphere_dims(amb, sub, memo)
-    if kdim is not None:
-        k = kdim + 1
-        for v in sorted(sub):
-            if _contractible(amb, sub - {v}, memo):
-                return SphereVerdict("sphere", k, "exact")
-    status = "contractible" if _contractible(amb, sub, memo) else "neither"
-    return SphereVerdict(status, None, "exact")
-
-
-def _sphere_fast(amb: Graph, sub: frozenset, memo: dict) -> SphereVerdict:
+def _recognize(G: Graph, labels) -> SphereVerdict:
     try:
-        kdim = _unit_sphere_dims(amb, sub, memo)
-        if kdim is not None:
-            k = kdim + 1
-            if _sphere_pattern(betti_numbers(whitney_complex(induced_subgraph(amb, sub))).b, k):
-                return SphereVerdict("sphere", k, "fast")
-        status = "contractible" if _contractible(amb, sub, memo) else "neither"
-        return SphereVerdict(status, None, "fast")
+        return _sphere(G, frozenset(labels), {"contract": {}, "sphere": {}})
     except ResourceLimitError:
         return SphereVerdict("unknown", None, "fast")
 
@@ -225,18 +204,12 @@ def sphere_dimension(G: Graph) -> SphereVerdict:
 
     Never raises: resource exhaustion degrades to an "unknown" verdict.
     """
-    try:
-        return _sphere(G, frozenset(G.labels), {"contract": {}, "sphere": {}})
-    except ResourceLimitError:
-        return SphereVerdict("unknown", None, "fast")
+    return _recognize(G, G.labels)
 
 
 def sphere_dimension_within(G: Graph, labels) -> SphereVerdict:
     """Sphere recognition of the subgraph of G induced on labels, without building it."""
-    try:
-        return _sphere(G, frozenset(labels), {"contract": {}, "sphere": {}})
-    except ResourceLimitError:
-        return SphereVerdict("unknown", None, "fast")
+    return _recognize(G, labels)
 
 
 def inductive_dimension(G: Graph) -> Fraction:

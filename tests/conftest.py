@@ -6,7 +6,8 @@ or by the exact rank of each boundary matrix (no clearing, no filtration),
 Wu characteristic by literal pair enumeration (lives in cohomology already),
 tuple counts by direct enumeration, component diameters by a BFS from every
 vertex, the diameter sweep literally, by trial division and a BFS at every
-join, and the dimension of every G(n) by one pass over the simplices of G.
+join, the dimension of every G(n) by one pass over the simplices of G, and
+contractibility and spheres by the inductive definitions with no screen.
 The package's seven record classes have dataclass mirrors here, their former
 definitions, as the oracle of their equality, hash and repr.
 """
@@ -183,6 +184,55 @@ def dimension_timeline(simplices, top: int) -> list[Fraction]:
             settle(s[:-1])
         out.append(value[()])
     return out
+
+
+def _contractible_within(G: Graph, sub: frozenset, memo: dict) -> bool:
+    if len(sub) <= 1:
+        return len(sub) == 1
+    if sub not in memo:
+        memo[sub] = any(
+            _contractible_within(G, G.neighbor_set(v) & sub, memo) and _contractible_within(G, sub - {v}, memo)
+            for v in sub
+        )
+    return memo[sub]
+
+
+def contractible_by_definition(G: Graph) -> bool:
+    """The recursive definition with no screen: some vertex has a contractible
+    link and deleting it leaves a contractible graph; one point is
+    contractible, the empty graph is not."""
+    return _contractible_within(G, frozenset(G.labels), {})
+
+
+def sphere_by_definition(G: Graph) -> tuple[str, int | None]:
+    """(status, dim) by the inductive definition, with no screen and no cap.
+
+    The empty graph is the (-1)-sphere; G is a k-sphere when every unit sphere
+    is a (k-1)-sphere and deleting some vertex leaves a contractible graph.
+    Otherwise G is "contractible" or "neither", as sphere_dimension reports.
+    """
+    contract, dims = {}, {}
+
+    def dim(sub):
+        if not sub:
+            return -1
+        if sub not in dims:
+            links = {dim(G.neighbor_set(v) & sub) for v in sub}
+            k = links.pop() if len(links) == 1 else None
+            punctured = k is not None and any(_contractible_within(G, sub - {v}, contract) for v in sub)
+            dims[sub] = k + 1 if punctured else None
+        return dims[sub]
+
+    labels = frozenset(G.labels)
+    k = dim(labels)
+    if k is not None:
+        return "sphere", k
+    return ("contractible" if _contractible_within(G, labels, contract) else "neither"), None
+
+
+def two_cycles(k: int) -> Graph:
+    """Two disjoint copies of C_k on labels 1..2k: every unit sphere a 0-sphere, yet neither a sphere nor contractible."""
+    return Graph(range(1, 2 * k + 1), [(i + c, i % k + 1 + c) for c in (0, k) for i in range(1, k + 1)])
 
 
 def graph_join(A: Graph, B: Graph) -> Graph:

@@ -118,7 +118,7 @@ def test_c03_stable_spheres(events, big_sieve):
     assert fast >= 1  # nu = 5 happens at 2310
     print(
         f"ACCEPTANCE 3: PASS - every squarefree x <= {N_MAX} has a (nu-2)-sphere stable sphere "
-        f"({exact} exact recursions, {fast} fast-screened)"
+        f"({exact} exact recursions, {fast} decided above the recursion cap)"
     )
 
 

@@ -166,6 +166,27 @@ def test_series_wu(tmp_path):
     assert lines[1] == "2,1,85"
 
 
+def test_series_wu_over_budget_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
+    # Integer(6000) has 1.08 M simplices; the counted f prices the Wu pass without enumerating one
+    def forbidden(*args):
+        raise AssertionError("series --what wu enumerated cliques past its budget")
+
+    monkeypatch.setattr(cli, "cliques", forbidden)
+    out = tmp_path / "wu.csv"
+    assert run_main(["series", "--what", "wu", "--kind", "integer", "--n-max", "6000", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: 61828139 subset terms exceed budget 50000000\n")
+    assert not out.exists()
+
+
+def test_a_classification_error_is_reported_without_a_traceback(monkeypatch, capsys):
+    import primetop.morse as morse
+    from primetop.topology import SphereVerdict
+
+    monkeypatch.setattr(morse, "sphere_dimension_within", lambda S, W: SphereVerdict("neither", None, "exact"))
+    assert run_main(["verify", "--checks", "hopf", "--n-max", "30"]) == 1
+    assert capsys.readouterr() == ("", "error: stable sphere of 2 is neither; expected sphere or contractible\n")
+
+
 def series_from_scratch(kind, n_max, what):
     """The series rows and stderr, with G(n) rebuilt and measured by definition for every n."""
     G = build_graph(GraphKind(kind, n_max), FactorSieve(n_max))

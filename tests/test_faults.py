@@ -16,12 +16,28 @@ import primetop.cli as cli
 import primetop.graphs as graphs
 import primetop.morse as morse
 import primetop.topology as topology
-from primetop import Filtration, GraphKind, RankDiscrepancyError, build_graph, classify_vertex, pi_k
-from primetop.graphs import cliques
+from primetop import (
+    Filtration,
+    GraphKind,
+    RankDiscrepancyError,
+    build_graph,
+    classify_vertex,
+    is_contractible,
+    pi_k,
+    sphere_dimension,
+)
+from primetop.graphs import cliques, cycle_graph
 from primetop.cli import check_mertens
 from primetop.errors import InternalConsistencyError
 
-from conftest import diameter_bound_oracle, dimension_timeline
+from conftest import (
+    contractible_by_definition,
+    diameter_bound_oracle,
+    dimension_timeline,
+    path_graph,
+    sphere_by_definition,
+    two_cycles,
+)
 from test_morse import literal_betti_formulas, literal_morse_inequalities
 
 
@@ -215,3 +231,50 @@ def test_a_settle_step_skipping_a_divisor_is_caught_by_the_clique_pass(sieve, mo
 
     monkeypatch.setattr(topology, "_settle", skipping)
     assert _first_wrong_dimension(sieve, kind, 210) == first
+
+
+def _sphere_without_the_punctured_test(amb, sub, memo):
+    """topology._sphere with the G - v test left out: unit spheres of one dimension alone make a sphere."""
+    if not sub:
+        return topology.SphereVerdict("sphere", -1, "exact")
+    method = "exact" if len(sub) <= topology.RECURSION_CAP else "fast"
+    kdim = topology._unit_sphere_dims(amb, sub, memo)
+    if kdim is not None:
+        return topology.SphereVerdict("sphere", kdim + 1, method)
+    return topology.SphereVerdict("contractible" if topology._contractible(amb, sub, memo) else "neither", None, method)
+
+
+def test_a_sphere_test_skipping_the_punctured_graph_is_caught_by_the_definition(monkeypatch):
+    # two disjoint cycles have 0-spheres for unit spheres, but no vertex leaves a contractible graph
+    small, large = two_cycles(4), two_cycles(15)
+    assert sphere_by_definition(small) == ("neither", None)
+    assert sphere_dimension(small) == ("neither", None, "exact")
+    assert sphere_dimension(large) == ("neither", None, "fast")
+    monkeypatch.setattr(topology, "_sphere", _sphere_without_the_punctured_test)
+    assert sphere_dimension(small) == ("sphere", 1, "exact")
+    assert sphere_dimension(large) == ("sphere", 1, "fast")
+
+
+def _collapse_deleting_two_point_links(amb, sub):
+    """topology._greedy_collapse that also deletes a vertex whose link is two unjoined points, not contractible."""
+    current = set(sub)
+    changed = True
+    while changed and len(current) > 1:
+        changed = False
+        for v in sorted(current):
+            link = amb.neighbor_set(v) & current
+            if not link:
+                continue
+            if len(link) <= 2 or topology._cone_apex(amb, frozenset(link)) is not None:
+                current.remove(v)
+                changed = True
+                break
+    return frozenset(current)
+
+
+def test_a_collapse_deleting_a_vertex_linked_to_two_points_is_caught_by_the_definition(monkeypatch):
+    # every cycle collapses to a point once a vertex of it may go
+    cases = [cycle_graph(4), cycle_graph(7), path_graph(6)]
+    assert [is_contractible(G) for G in cases] == [contractible_by_definition(G) for G in cases] == [False, False, True]
+    monkeypatch.setattr(topology, "_greedy_collapse", _collapse_deleting_two_point_links)
+    assert [is_contractible(G) for G in cases] == [True, True, True]

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primetop import (
+    FactorSieve,
     Filtration,
     Graph,
     GraphKind,
@@ -19,9 +20,18 @@ from primetop import (
 )
 from primetop.cohomology import wu_characteristic_bruteforce, wu_timeline
 from primetop.graphs import cliques, complete_graph, cycle_graph
+from primetop.morse import divisor_sphere
 from primetop.topology import sphere_dimension_within
 
-from conftest import dimension_timeline, divisibility_graph, graph_join, path_graph
+from conftest import (
+    contractible_by_definition,
+    dimension_timeline,
+    divisibility_graph,
+    graph_join,
+    path_graph,
+    sphere_by_definition,
+    two_cycles,
+)
 
 
 def trimmed_betti(G):
@@ -39,22 +49,6 @@ def test_contractible_base_cases(small_corpus):
     assert is_contractible(complete_graph(5))
     assert is_contractible(path_graph(9))
     assert not is_contractible(Graph([1, 2], []))
-
-
-def contractible_by_definition(G):
-    """The recursive definition with no screen: some vertex has a contractible
-    link and deleting it leaves a contractible graph; one point is
-    contractible, the empty graph is not."""
-    memo = {}
-
-    def contractible(sub):
-        if len(sub) <= 1:
-            return len(sub) == 1
-        if sub not in memo:
-            memo[sub] = any(contractible(G.neighbor_set(v) & sub) and contractible(sub - {v}) for v in sub)
-        return memo[sub]
-
-    return contractible(frozenset(G.labels))
 
 
 @st.composite
@@ -137,10 +131,60 @@ def test_divisor_primorial_spheres(sieve):
         assert v.method in methods
 
 
-def test_fast_screen_on_large_sphere(sieve):
-    D = build_graph(GraphKind.divisor(2310), sieve)
-    v = sphere_dimension(D)
-    assert v.is_sphere and v.dim == 3 and v.method == "fast"
+def test_fast_screen_on_large_sphere(monkeypatch):
+    # above the cap the definition decides the divisor spheres with no elimination: the collapse certifies G - v
+    import primetop.cohomology as cohomology
+
+    def no_elimination(*args):
+        raise AssertionError("sphere recognition ran an elimination")
+
+    monkeypatch.setattr(cohomology, "_betti_changes", no_elimination)
+    sieve = FactorSieve(30030)
+    for x, dim in ((2310, 3), (30030, 4)):
+        assert sphere_dimension(divisor_sphere(x, sieve)) == ("sphere", dim, "fast")
+    with pytest.raises(AssertionError, match="ran an elimination"):
+        is_contractible(cycle_graph(40))  # the patch reaches the Betti screen
+
+
+def octahedron() -> Graph:
+    return Graph(range(1, 7), [(a, b) for a in range(1, 7) for b in range(a + 1, 7) if b - a != 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(G=small_graphs(max_vertices=8))
+@example(G=octahedron())
+@example(G=cycle_graph(8))
+@example(G=two_cycles(4))
+@example(G=Graph([1, 2, 3], []))
+def test_sphere_dimension_matches_definition(G):
+    v = sphere_dimension(G)
+    assert (v.status, v.dim) == sphere_by_definition(G)
+
+
+def suspension(G: Graph) -> Graph:
+    """G with two new unjoined vertices, each joined to every vertex of G."""
+    a, b = max(G.labels) + 1, max(G.labels) + 2
+    return Graph([*G.labels, a, b], G.edges() + [(p, v) for p in (a, b) for v in G.labels])
+
+
+def torus(rows: int, cols: int) -> Graph:
+    """The rows x cols grid on a torus with one diagonal in each square: every unit sphere is a hexagon."""
+
+    def label(i, j):
+        return 1 + i % rows * cols + j % cols
+
+    steps = ((0, 1), (1, 0), (1, 1))
+    edges = [(label(i, j), label(i + di, j + dj)) for i in range(rows) for j in range(cols) for di, dj in steps]
+    return Graph(range(1, rows * cols + 1), edges)
+
+
+def test_the_definition_decides_above_the_recursion_cap():
+    # 30-49 vertices, above the cap of 25: the contractibility certificates decide every G - v alone
+    c30 = cycle_graph(30)
+    for G, dim in ((cycle_graph(40), 1), (suspension(c30), 2), (suspension(suspension(c30)), 3)):
+        assert sphere_dimension(G) == ("sphere", dim, "fast")
+    for G in (two_cycles(15), torus(6, 5), torus(7, 7)):
+        assert sphere_dimension(G) == ("neither", None, "fast")
 
 
 def test_sphere_dimension_within_shares_ambient(sieve):
